@@ -13,37 +13,6 @@ from typing import Iterator, Sequence
 IntMatrix = tuple[tuple[int, ...], ...]
 
 
-def as_int_matrix(rows: Sequence[Sequence[int]]) -> IntMatrix:
-    out = tuple(tuple(int(v) for v in row) for row in rows)
-    if not out:
-        raise ValueError("empty matrix")
-    n = len(out[0])
-    if any(len(r) != n for r in out):
-        raise ValueError("ragged matrix")
-    return out
-
-
-def identity(n: int) -> IntMatrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
-    n, k, m = len(a), len(b), len(b[0])
-    if len(a[0]) != k:
-        raise ValueError("shape mismatch")
-    bt = list(zip(*b))
-    return tuple(
-        tuple(sum(a[i][t] * bt[j][t] for t in range(k)) for j in range(m))
-        for i in range(n)
-    )
-
-
-def mat_vec(a: Sequence[Sequence[int]], x: Sequence[int]) -> tuple[int, ...]:
-    if len(a[0]) != len(x):
-        raise ValueError("shape mismatch")
-    return tuple(sum(row[j] * x[j] for j in range(len(x))) for row in a)
-
-
 def transpose(a: Sequence[Sequence[int]]) -> IntMatrix:
     return tuple(zip(*a))
 
@@ -71,10 +40,6 @@ def det_bareiss(rows: Sequence[Sequence[int]]) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
-
-
-def is_unimodular(rows: Sequence[Sequence[int]]) -> bool:
-    return abs(det_bareiss(rows)) == 1
 
 
 def inverse_rational(rows: Sequence[Sequence[int]]) -> tuple[tuple[Fraction, ...], ...]:
@@ -130,17 +95,6 @@ def row_hnf(rows: Sequence[Sequence[int]]) -> IntMatrix:
         if rank == nrows:
             break
     return tuple(tuple(r) for r in m[:rank])
-
-
-def hnf_basis(generators: Sequence[Sequence[int]], n: int) -> IntMatrix:
-    """Basis (as rows) of the lattice spanned by integer generator rows.
-
-    Raises if the generators do not span a rank-``n`` lattice.
-    """
-    h = row_hnf(generators)
-    if len(h) != n:
-        raise ValueError(f"generators have rank {len(h)}, expected {n}")
-    return h
 
 
 def enumerate_sublattice_hnf(d: int, index: int) -> Iterator[IntMatrix]:

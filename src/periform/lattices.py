@@ -1,31 +1,27 @@
 """Lattice algorithmics: LLL reduction and shortest/closest vector enumeration.
 
-Enumeration prunes with floating-point bounds (radii inflated by 1 + 2^-20)
-but accepts a vector only after exact rational evaluation, so the returned
-minima and minimizer sets are exact and complete.  A numba-compiled kernel
-handles large dimensions when available; the pure-Python walker is the
-reference and the fallback.
+Each form is LLL-reduced once; shortest and closest vector searches on it
+then share that reduction.  One walker visits the lattice points of the
+reduced form with floating-point bounds (radii inflated by 1 + 2^-20) on the
+reduced Gram scaled exactly by a power of two, so the float bounds do not
+depend on the scale of the form.  A vector is accepted only after exact
+integer evaluation, so the returned minima and minimizer sets are exact and
+complete.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, gcd, sqrt
+from functools import lru_cache
+from math import floor, lcm, sqrt
+from operator import mul
 from typing import Sequence
 
 import numpy as np
 
 from .intmat import det_bareiss, inverse_rational
 from .linalg import PQF, SymForm, RatLike, ldl
-
-try:  # pragma: no cover - exercised indirectly
-    from . import _enumkernel
-
-    _HAVE_NUMBA = _enumkernel.AVAILABLE
-except Exception:  # pragma: no cover
-    _enumkernel = None
-    _HAVE_NUMBA = False
 
 __all__ = [
     "Unimodular",
@@ -37,8 +33,15 @@ __all__ = [
 ]
 
 RADIUS_INFLATION = 1.0 + 2.0 ** -20
-# Dimension at which the compiled kernel starts paying for its dispatch cost.
-_KERNEL_MIN_DIM = 10
+# Reductions kept: generalized_min asks for one form's reduction for its SVP
+# and again for each translate pair; the improvement line search revisits few
+# forms.
+_REDUCE_CACHE_SIZE = 64
+# The walker runs on the reduced Gram scaled so its largest LDL pivot lies in
+# (1/2, 2).  A pivot 2^52 times smaller than the largest is below the float
+# rounding unit of the largest, and its level's bounds admit ever more
+# candidates; the walk refuses such forms.
+MAX_PIVOT_SPAN_BITS = 52
 
 
 @dataclass(frozen=True)
@@ -181,19 +184,9 @@ def lll_reduce(q: PQF, delta: RatLike = Fraction(3, 4)) -> tuple[PQF, Unimodular
 # ---------------------------------------------------------------------------
 
 
-def _frac_to_float(v: Fraction) -> float:
-    try:
-        return float(v)
-    except OverflowError:
-        # Scale down exactly; only reachable for pathological heights.
-        n, den = v.numerator, v.denominator
-        shift = max(n.bit_length(), den.bit_length()) - 500
-        return float(n >> shift) / float(den >> shift)
-
-
-def _enumerate_python(
-    dvec: list[float],
-    lmat: list[list[float]],
+def _enumerate(
+    dvec: Sequence[float],
+    lmat: Sequence[Sequence[float]],
     center: list[float],
     radius: float,
     half: bool,
@@ -202,7 +195,7 @@ def _enumerate_python(
 
     ``half`` keeps only one representative per +/- pair when the center is
     zero, by forcing the highest not-yet-zero level nonnegative; the all-zero
-    point is skipped in that mode.  Mirrors the compiled kernel exactly.
+    point is skipped in that mode.
     """
     d = len(dvec)
     centered = any(c != 0.0 for c in center)
@@ -223,7 +216,7 @@ def _enumerate_python(
         if rem < 0.0:
             lo[k], hi[k] = 0, -1
         else:
-            spread = sqrt(rem / dvec[k]) if dvec[k] > 0 else 0.0
+            spread = sqrt(rem / dvec[k])
             lo[k] = int(np.ceil(s - spread - 1e-9))
             hi[k] = int(np.floor(s + spread + 1e-9))
             if (
@@ -263,60 +256,99 @@ def _enumerate_python(
     return out
 
 
-def _exact_int_matrix(q: PQF) -> tuple[list[list[int]], int]:
-    den = 1
-    for v in q.form.upper:
-        den = den * v.denominator // gcd(den, v.denominator)
-    rows = [
-        [int(q.form.entry(i, j) * den) for j in range(q.d)] for i in range(q.d)
-    ]
-    return rows, int(den)
+def _max_abs(rows: Sequence[Sequence[int]]) -> int:
+    return max(max(map(max, rows)), -min(map(min, rows)))
+
+
+def _int64_operands(
+    m_rows: Sequence[Sequence[int]], xs: Sequence[Sequence[int]], degree: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """M and X as int64 arrays, or None if a product could overflow.
+
+    Each entry of M x (``degree`` 1) or of x^t M x (``degree`` 2) sums
+    d^degree terms of size at most max|x|^degree max|M|.
+    """
+    d = len(m_rows)
+    if (d * _max_abs(xs)) ** degree * _max_abs(m_rows) >= 2 ** 62:
+        return None
+    return np.array(m_rows, dtype=np.int64), np.array(xs, dtype=np.int64)
+
+
+def _apply_rows(
+    m_rows: Sequence[Sequence[int]], xs: Sequence[Sequence[int]]
+) -> list[tuple[int, ...]]:
+    """M x for each integer vector x, exactly."""
+    arrays = _int64_operands(m_rows, xs, 1)
+    if arrays is None:
+        return [tuple(sum(map(mul, row, x)) for row in m_rows) for x in xs]
+    ma, xa = arrays
+    return list(map(tuple, (xa @ ma.T).tolist()))
 
 
 def _exact_values(
-    m_rows: list[list[int]], xs: Sequence[Sequence[int]]
+    m_rows: Sequence[Sequence[int]], xs: Sequence[Sequence[int]]
 ) -> list[int]:
-    """x^t M x for integer vectors, exactly (numpy fast path when safe)."""
+    """x^t M x for each integer vector x, exactly."""
     if not xs:
         return []
-    d = len(m_rows)
-    max_x = max(abs(v) for row in xs for v in row)
-    max_m = max(abs(v) for row in m_rows for v in row)
-    bound = d * d * max_x * max_x * max_m
-    if bound < 2 ** 62:
-        xa = np.array(xs, dtype=np.int64)
-        ma = np.array(m_rows, dtype=np.int64)
-        vals = np.einsum("ij,jk,ik->i", xa, ma, xa)
-        return [int(v) for v in vals]
-    out = []
-    for x in xs:
-        mx = [sum(m_rows[i][j] * x[j] for j in range(d)) for i in range(d)]
-        out.append(sum(x[i] * mx[i] for i in range(d)))
-    return out
+    arrays = _int64_operands(m_rows, xs, 2)
+    if arrays is None:
+        return [sum(map(mul, x, mx)) for x, mx in zip(xs, _apply_rows(m_rows, xs))]
+    ma, xa = arrays
+    return np.einsum("ij,jk,ik->i", xa, ma, xa).tolist()
 
 
-def _run_enumeration(
-    qred: PQF,
-    center: Sequence[Fraction],
-    initial_radius: Fraction,
-    half: bool,
-) -> list[tuple[int, ...]]:
-    """Integer points x (in reduced coordinates) with Q[x-c] possibly minimal."""
-    d = qred.d
+@dataclass(frozen=True)
+class _Reduction:
+    """A form's LLL reduction with what every walk over it needs.
+
+    ``gram / den`` is the reduced Gram Qred = U^t Q U exactly.  ``u`` maps
+    reduced coordinates to the form's (x = U y) and ``uinv`` back.  ``dvec``
+    and ``lmat`` are the float LDL factors of ``scale * Qred``, where the
+    power of two ``scale`` puts the largest pivot in (1/2, 2).
+    """
+
+    u: tuple[tuple[int, ...], ...]
+    uinv: tuple[tuple[int, ...], ...]
+    gram: tuple[tuple[int, ...], ...]
+    den: int
+    scale: Fraction
+    dvec: tuple[float, ...]
+    lmat: tuple[tuple[float, ...], ...]
+
+    def radius(self, value: Fraction) -> float:
+        """A walk radius admitting every point of exact value <= ``value``."""
+        return float(value * self.scale) * RADIUS_INFLATION
+
+
+@lru_cache(maxsize=_REDUCE_CACHE_SIZE)
+def _reduce(q: PQF) -> _Reduction:
+    qred, u = lll_reduce(q)
+    den = lcm(*(v.denominator for v in qred.form.upper))
+    gram = tuple(tuple(int(v * den) for v in row) for row in qred.form.rows())
     res = ldl(qred.form)
-    assert res.perm == tuple(range(d))
-    dvec = [_frac_to_float(p) for p in res.pivots]
-    lmat = [[_frac_to_float(res.lower[i][k]) for k in range(d)] for i in range(d)]
-    cf = [_frac_to_float(v) for v in center]
-    radius = _frac_to_float(initial_radius) * RADIUS_INFLATION + 1e-12
-
-    use_kernel = _HAVE_NUMBA and d >= _KERNEL_MIN_DIM
-    if use_kernel:
-        xs = _enumkernel.enumerate_points(
-            np.array(dvec), np.array(lmat), np.array(cf), radius, half
+    assert res.perm == tuple(range(q.d))
+    top = max(res.pivots)
+    if min(res.pivots) * 2 ** MAX_PIVOT_SPAN_BITS < top:
+        raise ValueError(
+            "the LDL pivots of the LLL-reduced form span more than "
+            f"2^{MAX_PIVOT_SPAN_BITS}, beyond what the float enumeration resolves"
         )
-        return [tuple(int(v) for v in row) for row in xs]
-    return _enumerate_python(dvec, lmat, cf, radius, half)
+    scale = Fraction(2) ** (top.denominator.bit_length() - top.numerator.bit_length())
+    return _Reduction(
+        u=u.rows,
+        uinv=u.inverse().rows,
+        gram=gram,
+        den=den,
+        scale=scale,
+        dvec=tuple(float(p * scale) for p in res.pivots),
+        lmat=tuple(tuple(float(v) for v in row) for row in res.lower),
+    )
+
+
+def _positive_first(y: tuple[int, ...]) -> tuple[int, ...]:
+    first = next(v for v in y if v)
+    return y if first > 0 else tuple(-v for v in y)
 
 
 def shortest_vectors(q: PQF) -> ShortVecResult:
@@ -325,54 +357,38 @@ def shortest_vectors(q: PQF) -> ShortVecResult:
     Canonical representatives have their first nonzero coordinate positive;
     vectors come back lexicographically sorted.
     """
-    qred, u = lll_reduce(q)
-    d = q.d
-    init = min(qred.form.entry(i, i) for i in range(d))
-    zero = [Fraction(0)] * d
-    cands = _run_enumeration(qred, zero, init, half=True)
-    cands = [x for x in cands if any(x)]
-    m_rows, den = _exact_int_matrix(qred)
-    vals = _exact_values(m_rows, cands)
+    red = _reduce(q)
+    init = Fraction(min(red.gram[i][i] for i in range(q.d)), red.den)
+    cands = _enumerate(red.dvec, red.lmat, [0.0] * q.d, red.radius(init), half=True)
+    vals = _exact_values(red.gram, cands)
     best = min(vals)
-    out = set()
-    for x, v in zip(cands, vals):
-        if v == best:
-            y = u.apply(x)
-            first = next(vv for vv in y if vv != 0)
-            if first < 0:
-                y = tuple(-vv for vv in y)
-            out.add(y)
-    return ShortVecResult(Fraction(best, den), tuple(sorted(out)))
+    winners = [x for x, v in zip(cands, vals) if v == best]
+    vectors = sorted(map(_positive_first, _apply_rows(red.u, winners)))
+    return ShortVecResult(Fraction(best, red.den), tuple(vectors))
 
 
 def closest_vectors(q: PQF, c: Sequence[RatLike]) -> CloseVecResult:
     """Exact minimum of Q[x - c] over x in Z^d, with all minimizers (ties kept)."""
-    d = q.d
     cvec = [Fraction(v) for v in c]
-    if len(cvec) != d:
+    if len(cvec) != q.d:
         raise ValueError("target length mismatch")
-    qred, u = lll_reduce(q)
-    uinv = u.inverse()
-    cred = [
-        sum((Fraction(uinv.rows[i][j]) * cvec[j] for j in range(d)), Fraction(0))
-        for i in range(d)
-    ]
-    babai = [int(floor(v + Fraction(1, 2))) for v in cred]
-    init = qred.form.value([b - v for b, v in zip(babai, cred)])
-    cands = _run_enumeration(qred, cred, init, half=False)
+    red = _reduce(q)
+    # The target in reduced coordinates is cnum / cden, integers throughout.
+    cden = lcm(*(v.denominator for v in cvec))
+    (cnum,) = _apply_rows(red.uinv, [[int(v * cden) for v in cvec]])
+    babai = tuple((2 * n + cden) // (2 * cden) for n in cnum)
+    vden = red.den * cden * cden
+    (init,) = _exact_values(red.gram, [[cden * b - n for b, n in zip(babai, cnum)]])
+    center = [n / cden for n in cnum]
+    cands = _enumerate(
+        red.dvec, red.lmat, center, red.radius(Fraction(init, vden)), half=False
+    )
     if not cands:  # the Babai point itself is always inside the radius
-        cands = [tuple(babai)]
-
-    # Exact evaluation of Q[x - c] through an integer rescaling.
-    cden = 1
-    for v in cred:
-        cden = cden * v.denominator // gcd(cden, v.denominator)
-    cnum = [int(v * cden) for v in cred]
-    m_rows, den = _exact_int_matrix(qred)
-    shifted = [tuple(cden * xi - ci for xi, ci in zip(x, cnum)) for x in cands]
-    vals = _exact_values(m_rows, shifted)
+        cands = [babai]
+    shifted = [[cden * xi - n for xi, n in zip(x, cnum)] for x in cands]
+    vals = _exact_values(red.gram, shifted)
     best = min(vals)
-    out = {u.apply(x) for x, v in zip(cands, vals) if v == best}
+    winners = [x for x, v in zip(cands, vals) if v == best]
     return CloseVecResult(
-        Fraction(best, den * cden * cden), tuple(sorted(out))
+        Fraction(best, vden), tuple(sorted(_apply_rows(red.u, winners)))
     )

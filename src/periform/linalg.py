@@ -113,10 +113,6 @@ class SymForm:
                 acc += 2 * self.entry(i, j) * xs[i] * xs[j]
         return acc
 
-    def bilinear(self, x: Sequence[RatLike], y: Sequence[RatLike]) -> Fraction:
-        qy = self.matvec(y)
-        return sum((_frac(a) * b for a, b in zip(x, qy)), Fraction(0))
-
     def trace_inner(self, other: "SymForm") -> Fraction:
         """<Q, Q'> = trace(Q Q'): off-diagonal entries count twice."""
         if self.d != other.d:
@@ -247,10 +243,6 @@ class PQF:
     @property
     def d(self) -> int:
         return self.form.d
-
-    @property
-    def ldl_lower(self) -> tuple[tuple[Fraction, ...], ...]:
-        return self._ldl.lower
 
     def det(self) -> Fraction:
         out = Fraction(1)
@@ -464,10 +456,6 @@ def rank_span(vectors: Sequence[TangentVector]) -> tuple[int, tuple[TangentVecto
             coords[pc] = -rows[r][fc]
         basis.append(TangentVector.unflatten(coords, d, m))
     return rank, tuple(basis)
-
-
-def nullspace_dim(d: int, m: int, rank: int) -> int:
-    return ambient_dim(d, m) - rank
 
 
 def solve_exact(

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 import periform.lattices as lattices
+from periform.catalog import get, sublattice_representation
 from periform.intmat import det_bareiss
 from periform.linalg import PQF, SymForm
 from periform.lattices import (
@@ -13,6 +14,7 @@ from periform.lattices import (
     lll_reduce,
     shortest_vectors,
 )
+from periform.periodic import PeriodicForm, generalized_min
 
 
 def random_pd_gram(rng, d, spread=3):
@@ -232,18 +234,68 @@ class TestClosestVectors:
         )
 
 
-class TestEngineAgreement:
-    @pytest.mark.parametrize("seed", range(3))
-    def test_python_and_kernel_agree(self, seed, monkeypatch):
-        if not lattices._HAVE_NUMBA:
-            pytest.skip("numba not installed")
-        rng = random.Random(500 + seed)
-        q = random_pd_gram(rng, 10, spread=1)
-        c = [Fr(rng.randint(-2, 2), 3) for _ in range(10)]
-        fast_s = shortest_vectors(q)
-        fast_c = closest_vectors(q, c)
-        monkeypatch.setattr(lattices, "_HAVE_NUMBA", False)
-        slow_s = shortest_vectors(q)
-        slow_c = closest_vectors(q, c)
-        assert fast_s == slow_s
-        assert fast_c == slow_c
+SCALE_FORMS = {
+    "A2": lambda: get("A", 2).form,
+    "D4": lambda: get("D", 4).form,
+    "random3": lambda: random_pd_gram(random.Random(7), 3),
+    "random4": lambda: random_pd_gram(random.Random(8), 4).scale(Fr(1, 3)),
+}
+SCALES = {f"2^{k}": Fr(2) ** k for k in (1, -1, 60, -60, 1100, -1100)}
+SCALES.update({"10^400": Fr(10) ** 400, "10^-400": Fr(1, 10 ** 400)})
+
+
+class TestScaleInvariance:
+    """Rescaling Q rescales the minimum and leaves every minimizer set alone."""
+
+    @pytest.mark.parametrize("s", SCALES.values(), ids=SCALES.keys())
+    @pytest.mark.parametrize("name", sorted(SCALE_FORMS))
+    def test_scaled_form(self, name, s):
+        q = SCALE_FORMS[name]()
+        qs = q.scale(s)
+        c = [Fr(1, 3), Fr(1, 2), Fr(-2, 5), Fr(3, 7)][: q.d]
+        x = PeriodicForm.make(q, [c])
+        for base, scaled in (
+            (shortest_vectors(q), shortest_vectors(qs)),
+            (closest_vectors(q, c), closest_vectors(qs, c)),
+        ):
+            assert scaled.min == s * base.min
+            assert scaled.vectors == base.vectors
+        base, scaled = generalized_min(x), generalized_min(x.with_q(qs))
+        assert scaled.lam == s * base.lam
+        assert scaled.reps == base.reps
+
+    @pytest.mark.parametrize(
+        "tiny", [Fr(1, 2 ** 50), Fr(1, 10 ** 400)], ids=["2^-50", "10^-400"]
+    )
+    def test_pivot_span(self, tiny):
+        """diag(tiny, 1): the exact answer, or a ValueError naming the limit."""
+        q = PQF.from_rows([[tiny, 0], [0, 1]])
+        c = [Fr(1, 2), Fr(1, 2)]
+        try:
+            svp, cvp = shortest_vectors(q), closest_vectors(q, c)
+            gm = generalized_min(PeriodicForm.make(q, [c]))
+        except ValueError as exc:
+            assert f"2^{lattices.MAX_PIVOT_SPAN_BITS}" in str(exc)
+            return
+        assert (svp.min, svp.vectors) == (tiny, ((1, 0),))
+        assert cvp.min == (tiny + 1) / 4
+        assert cvp.vectors == ((0, 0), (0, 1), (1, 0), (1, 1))
+        assert gm.lam == tiny
+        assert [(r.i, r.j, r.v) for r in gm.reps] == [(1, 1, (-1, 0)), (2, 2, (-1, 0))]
+
+
+def test_generalized_min_reduces_each_form_once(monkeypatch):
+    diag = [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    x = sublattice_representation(get("D", 4).form, diag)
+    assert x.m == 4
+    calls = []
+    real = lattices.lll_reduce
+
+    def counting(q, *args, **kwargs):
+        calls.append(q)
+        return real(q, *args, **kwargs)
+
+    monkeypatch.setattr(lattices, "lll_reduce", counting)
+    lattices._reduce.cache_clear()
+    generalized_min(x)
+    assert len(calls) == 1
