@@ -19,11 +19,14 @@ import numpy as np
 from .cones import project_to_cone
 from .linalg import (
     PQF,
+    RANK_PRIME,
     SymForm,
     TangentVector,
     ambient_dim,
+    independent_rows_modp,
     inner,
     rank_span,
+    residues,
 )
 from .periodic import (
     GenMinResult,
@@ -63,8 +66,6 @@ ISOLATED_EXTREME = "IsolatedExtreme"
 EXTREME_TRANSLATIONAL = "ExtremeTranslational"
 NOT_EXTREME = "NotExtreme"
 INCONCLUSIVE = "Inconclusive"
-
-_RANK_PRIME = 2147483647  # Mersenne prime fitting 31 bits
 
 
 @dataclass(frozen=True)
@@ -120,50 +121,31 @@ class Certificate:
 
 
 # ---------------------------------------------------------------------------
-# Ranks, with a modular full-rank certificate before exact elimination.
+# The lattice case: sums and ranks over the rank-1 forms of Min Q.
 # ---------------------------------------------------------------------------
-
-
-def _modp_rank_reaches(rows: np.ndarray, target: int, p: int) -> bool:
-    """True if the integer matrix has rank >= target mod p (so over Q too)."""
-    basis: list[np.ndarray] = []
-    pivots: list[int] = []
-    for chunk_start in range(0, rows.shape[0], 1024):
-        chunk = rows[chunk_start : chunk_start + 1024] % p
-        for brow, c in zip(basis, pivots):
-            factors = chunk[:, c] % p
-            nz = factors != 0
-            if nz.any():
-                chunk[nz] = (chunk[nz] - factors[nz, None] * brow[None, :]) % p
-        for r in range(chunk.shape[0]):
-            row = chunk[r]
-            nzc = np.nonzero(row)[0]
-            while nzc.size:
-                c = int(nzc[0])
-                inv = pow(int(row[c]), p - 2, p)
-                row = (row * inv) % p
-                basis.append(row)
-                pivots.append(c)
-                if len(basis) >= target:
-                    return True
-                rest = chunk[r + 1 :]
-                factors = rest[:, c] % p
-                nz = factors != 0
-                if nz.any():
-                    rest[nz] = (rest[nz] - factors[nz, None] * row[None, :]) % p
-                break
-            else:
-                continue
-    return len(basis) >= target
 
 
 def _minvec_rank1_full(vectors: Sequence[Sequence[int]], d: int) -> bool:
     """Do the forms w w^t span all of S^d?  Certified via a modular rank."""
     target = d * (d + 1) // 2
-    xs = np.array(vectors, dtype=np.int64)
-    cols = [xs[:, i] * xs[:, j] for i in range(d) for j in range(i, d)]
+    xs = residues(vectors)
+    cols = [xs[:, i] * xs[:, j] % RANK_PRIME for i in range(d) for j in range(i, d)]
     mat = np.stack(cols, axis=1)
-    return _modp_rank_reaches(mat, target, _RANK_PRIME)
+    return len(independent_rows_modp(mat, target)) == target
+
+
+def _outer_sum(vectors: Sequence[Sequence[int]], d: int) -> list[list[int]]:
+    """sum of x x^t over the integer vectors, exactly.
+
+    int64 only when n * max|x|^2 bounds every partial sum below 2^63.
+    """
+    try:
+        xs = np.array(vectors, dtype=np.int64)
+    except OverflowError:
+        xs = None
+    if xs is not None and len(vectors) * max(int(xs.max()), -int(xs.min())) ** 2 < 2 ** 63:
+        return (xs.T @ xs).tolist()
+    return [[sum(x[i] * x[j] for x in vectors) for j in range(d)] for i in range(d)]
 
 
 def voronoi_domain(x: PeriodicForm, gen_min: GenMinResult | None = None) -> VoronoiDomain:
@@ -209,10 +191,9 @@ def strong_eutaxy(
         from .lattices import shortest_vectors
 
         min_vectors = shortest_vectors(q).vectors
-    xs = np.array(min_vectors, dtype=np.int64)
     d = q.d
-    ssum = xs.T @ xs  # sum over one representative per +/- pair
-    s2 = SymForm.from_rows([[2 * int(ssum[i, j]) for j in range(d)] for i in range(d)])
+    ssum = _outer_sum(min_vectors, d)  # one representative per +/- pair
+    s2 = SymForm.from_rows([[2 * ssum[i][j] for j in range(d)] for i in range(d)])
     qinv = q.inverse()
     pivot = next(
         ((i, j) for i in range(d) for j in range(i, d) if s2.entry(i, j) != 0),

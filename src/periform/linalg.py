@@ -1,17 +1,22 @@
 """Exact rational linear algebra for symmetric forms and tangent vectors.
 
 All certificate-bearing arithmetic in the package goes through this module
-and stays in ``fractions.Fraction``; floating point never enters here.
-Symmetric matrices are stored as their upper triangle, so symmetry holds by
-construction and the inner product doubles off-diagonal contributions.
+and stays in ``fractions.Fraction`` or Python ints; floating point never
+enters here.  Ranks are first found modulo a prime, in int64 arrays, and then
+verified exactly over Q.  Symmetric matrices are stored as their upper
+triangle, so symmetry holds by construction and the inner product doubles
+off-diagonal contributions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
+
+import numpy as np
 
 Rat = Fraction
 RatLike = Union[int, Fraction]
@@ -26,7 +31,13 @@ __all__ = [
     "inner",
     "rank_span",
     "ambient_dim",
+    "RANK_PRIME",
+    "residues",
+    "independent_rows_modp",
 ]
+
+RANK_PRIME = 2147483647  # 2^31 - 1: a product of two residues fits in int64
+_MODP_CHUNK = 1024  # rows reduced together by one vectorized elimination step
 
 
 def _frac(v: RatLike) -> Fraction:
@@ -432,30 +443,102 @@ def _row_echelon(rows: list[list[Fraction]]) -> tuple[int, list[int], list[list[
     return rank, pivcols, rows
 
 
+def residues(rows: Sequence[Sequence[int]]) -> np.ndarray:
+    """Nonempty integer rows reduced mod RANK_PRIME, as a 2-D int64 array."""
+    try:
+        arr = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        arr = np.array([[v % RANK_PRIME for v in row] for row in rows], dtype=np.int64)
+    return arr % RANK_PRIME
+
+
+def _eliminate_modp(block: np.ndarray, row: np.ndarray, col: int) -> None:
+    """Clear column ``col`` of ``block`` in place with the monic pivot ``row``."""
+    factors = block[:, col]
+    nz = factors != 0
+    if nz.any():
+        block[nz] = (block[nz] - factors[nz, None] * row[None, :]) % RANK_PRIME
+
+
+def independent_rows_modp(rows: np.ndarray, limit: int) -> list[int]:
+    """Indices of rows independent mod RANK_PRIME, taken greedily, at most ``limit``.
+
+    ``rows`` holds residues as int64 (see ``residues``) and is not modified.
+    Each row is reduced against the rows taken before it and is taken when
+    something is left.  A set of integer rows independent mod p is independent
+    over Q, so the rank over Q is at least the length of the result.
+    """
+    taken: list[int] = []
+    basis: list[tuple[np.ndarray, int]] = []
+    for start in range(0, rows.shape[0], _MODP_CHUNK):
+        chunk = rows[start : start + _MODP_CHUNK] % RANK_PRIME
+        for brow, col in basis:
+            _eliminate_modp(chunk, brow, col)
+        for r in range(chunk.shape[0]):
+            nzc = np.flatnonzero(chunk[r])
+            if nzc.size == 0:
+                continue
+            col = int(nzc[0])
+            inv = pow(int(chunk[r, col]), RANK_PRIME - 2, RANK_PRIME)
+            row = chunk[r] * inv % RANK_PRIME
+            taken.append(start + r)
+            if len(taken) >= limit:
+                return taken
+            basis.append((row, col))
+            _eliminate_modp(chunk[r + 1 :], row, col)
+    return taken
+
+
+def _integer_row(coords: Sequence[Fraction]) -> list[int]:
+    """The rational row scaled by the lcm of its denominators."""
+    den = lcm(*(v.denominator for v in coords))
+    return [v.numerator * (den // v.denominator) for v in coords]
+
+
 def rank_span(vectors: Sequence[TangentVector]) -> tuple[int, tuple[TangentVector, ...]]:
     """Exact rank of the span and a basis of its orthogonal complement.
 
     Orthogonality is with respect to the inner product on S^{d,m}; an empty
     input is allowed only through the typed helpers that know (d, m), so here
     it yields rank 0 with no basis information.
+
+    The rows independent mod RANK_PRIME are picked first; when they fill the
+    space the rank is proved.  Otherwise the reduced echelon form of the
+    picked rows gives the complement, and every input row is checked exactly
+    against it.  A row that fails the check (the prime divided one of its
+    minors) joins the picked rows, raising the rank.  The reduced echelon form
+    of a row space is unique, so the result is the one an echelon over all
+    rows gives.
     """
     if not vectors:
         return 0, ()
     d, m = vectors[0].d, vectors[0].m
     for v in vectors[1:]:
         _check_same_space(vectors[0], v)
-    rows = [list(v.flatten(weighted=True)) for v in vectors]
-    rank, pivcols, rows = _row_echelon(rows)
     ncols = ambient_dim(d, m)
-    free = [c for c in range(ncols) if c not in pivcols]
-    basis = []
-    for fc in free:
-        coords = [Fraction(0)] * ncols
-        coords[fc] = Fraction(1)
-        for r, pc in enumerate(pivcols):
-            coords[pc] = -rows[r][fc]
-        basis.append(TangentVector.unflatten(coords, d, m))
-    return rank, tuple(basis)
+    rows = [_integer_row(v.flatten(weighted=True)) for v in vectors]
+    taken = independent_rows_modp(residues(rows), ncols)
+    if len(taken) == ncols:
+        return ncols, ()
+    while True:
+        rank, pivcols, ech = _row_echelon([list(map(Fraction, rows[i])) for i in taken])
+        complement = []
+        for fc in (c for c in range(ncols) if c not in pivcols):
+            coords = [Fraction(0)] * ncols
+            coords[fc] = Fraction(1)
+            for r, pc in enumerate(pivcols):
+                coords[pc] = -ech[r][fc]
+            complement.append(coords)
+        checks = [_integer_row(coords) for coords in complement]
+        bad = next(
+            (i for i, row in enumerate(rows)
+             if any(sum(map(mul, row, c)) for c in checks)),
+            None,
+        )
+        if bad is None:
+            break
+        taken.append(bad)
+    return rank, tuple(TangentVector.unflatten(c, d, m) for c in complement)
 
 
 def solve_exact(

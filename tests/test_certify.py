@@ -273,6 +273,22 @@ class TestPeriodicExtremeByTheorem:
         assert not periodic_extreme_by_theorem(A2_PLUS_LINE)
 
 
+class TestLargeCoordinates:
+    """A2 in the basis U = [[1, 2^k], [0, 1]]: Min Q has coordinates near 2^k,
+    so x x^t passes int64 at k = 33 and x itself at k = 70."""
+
+    @pytest.mark.parametrize("k", [33, 70])
+    def test_a2_sheared(self, k):
+        q = PQF(A2.form.congruent([[1, 0], [2 ** k, 1]]))
+        flag, alpha = strong_eutaxy(q)
+        assert flag and alpha == Fr(1, 6)
+        assert periodic_extreme_by_theorem(q)
+        cert = certify(lattice(q))
+        assert cert.verdict == ISOLATED_EXTREME
+        assert cert.lam == 2
+        assert cert.perfect and cert.rank == cert.ambient == 3
+
+
 class TestWitnessSoundness:
     @pytest.mark.parametrize(
         "q",

@@ -1,12 +1,19 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as Fr
+from pathlib import Path
 
 import pytest
 
+import periform
 from periform.linalg import (
     PQF,
+    RANK_PRIME,
     SymForm,
     TangentVector,
+    _row_echelon,
     ambient_dim,
     det_and_inverse,
     inner,
@@ -214,6 +221,92 @@ class TestRankSpan:
         for nv in null:
             for v in vecs:
                 assert inner(nv, v) == 0
+
+
+def reference_rank_span(vectors):
+    """rank_span by a reduced echelon over every row, exactly as before the
+    modular row selection."""
+    d, m = vectors[0].d, vectors[0].m
+    rank, pivcols, rows = _row_echelon([list(v.flatten(weighted=True)) for v in vectors])
+    ncols = ambient_dim(d, m)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivcols):
+        coords = [Fr(0)] * ncols
+        coords[fc] = Fr(1)
+        for r, pc in enumerate(pivcols):
+            coords[pc] = -rows[r][fc]
+        basis.append(TangentVector.unflatten(coords, d, m))
+    return rank, tuple(basis)
+
+
+def random_generators(rng, d, m, rat):
+    """Rational combinations of a few random spanning rows, with duplicates and
+    zero rows mixed in; ``rat()`` draws one rational."""
+    ncols = ambient_dim(d, m)
+    span = [[rat() for _ in range(ncols)] for _ in range(rng.randint(1, ncols))]
+    rows = []
+    for _ in range(rng.randint(1, 2 * ncols)):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append([Fr(0)] * ncols)
+        elif kind < 0.25 and rows:
+            rows.append(list(rng.choice(rows)))
+        else:
+            coefs = [rat() for _ in span]
+            rows.append([sum(c * s[k] for c, s in zip(coefs, span)) for k in range(ncols)])
+    return [TangentVector.unflatten(r, d, m) for r in rows]
+
+
+# Weighted flattenings (1, 0, 0) and (1, 2p, 0): dependent mod p, independent
+# over Q, so the rows picked mod p miss one and the exact check must add it.
+UNLUCKY = (
+    TangentVector.make(SymForm(2, (Fr(1), Fr(0), Fr(0)))),
+    TangentVector.make(SymForm(2, (Fr(1), Fr(RANK_PRIME), Fr(0)))),
+)
+
+
+class TestRankSpanReference:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_rational(self, seed):
+        rng = random.Random(900 + seed)
+        d, m = rng.randint(1, 4), rng.randint(1, 3)
+        vecs = random_generators(
+            rng, d, m, lambda: Fr(rng.randint(-6, 6), rng.randint(1, 5))
+        )
+        assert rank_span(vecs) == reference_rank_span(vecs)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_large_heights(self, seed):
+        rng = random.Random(950 + seed)
+        d, m = rng.choice([(2, 1), (1, 3), (2, 2)])
+        vecs = random_generators(
+            rng, d, m,
+            lambda: Fr(rng.getrandbits(1500) - 2 ** 1499, rng.getrandbits(1500) | 1),
+        )
+        assert rank_span(vecs) == reference_rank_span(vecs)
+
+    def test_unlucky_prime(self):
+        rank, null = rank_span(UNLUCKY)
+        assert rank == 2
+        assert (rank, null) == reference_rank_span(UNLUCKY)
+
+    def test_unlucky_prime_without_asserts(self):
+        # The exact check is control flow, so it survives python -O.
+        code = (
+            "from fractions import Fraction as Fr\n"
+            "from periform.linalg import RANK_PRIME, SymForm, TangentVector, rank_span\n"
+            "rows = [TangentVector.make(SymForm(2, (Fr(1), Fr(c), Fr(0))))"
+            " for c in (0, RANK_PRIME)]\n"
+            "print(rank_span(rows)[0])\n"
+        )
+        src = str(Path(periform.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "2"
 
 
 class TestSolveExact:
