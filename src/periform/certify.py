@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cones import project_to_cone
+from .cones import FloatImage, project_to_cone
 from .linalg import (
     PQF,
     RANK_PRIME,
@@ -25,6 +25,7 @@ from .linalg import (
     ambient_dim,
     independent_rows_modp,
     inner,
+    log2_magnitude,
     rank_span,
     residues,
 )
@@ -57,6 +58,11 @@ __all__ = [
     "certify",
     "periodic_extreme_by_theorem",
 ]
+
+# Relative float nnls residual above which the target is taken to be outside
+# the cone and sent to the exact projection; it only decides the order of
+# the exact steps, never a verdict.
+_TRIAGE_RESIDUAL = 1e-6
 
 INTERIOR = "interior"
 BOUNDARY = "boundary"
@@ -91,13 +97,16 @@ class EutaxyStatus:
     generator, reproducing the target exactly.
     boundary: ``face`` lists the generator indices of the minimal face F(X).
     outside: ``separator`` is an exact functional s with <s, g> >= 0 for all
-    generators and <s, target> < 0.
+    generators and <s, target> < 0; ``nearest`` says that s is the residual
+    of the exact nearest-point projection, which ``improving_direction``
+    then returns as it is.
     """
 
     tag: str
     witness: tuple[Fraction, ...] | None = None
     face: tuple[int, ...] | None = None
     separator: TangentVector | None = None
+    nearest: bool = False
 
 
 @dataclass(frozen=True)
@@ -266,9 +275,8 @@ def _membership_lp(
     s = _functional_from_coords(res.farkas, target.d, target.m)
     if inner(s, target) > 0:
         s = s.scale(-1)
-    assert inner(s, target) < 0
-    for g in gens:
-        assert inner(s, g) >= 0
+    if not _is_separator(gens, target, s):
+        raise RuntimeError("the Farkas vector does not separate")
     return False, None, s
 
 
@@ -322,38 +330,88 @@ def _minimal_face(
     return tuple(face)
 
 
-def eutaxy_status(
-    x: PeriodicForm, domain: VoronoiDomain | None = None
+def _is_witness(
+    gens: Sequence[TangentVector],
+    alpha: Sequence[Fraction],
+    target: TangentVector,
+) -> bool:
+    """Exact check: every alpha_g > 0 and sum alpha_g g == target."""
+    if len(alpha) != len(gens) or not all(a > 0 for a in alpha):
+        return False
+    goal = target.flatten()
+    total = [Fraction(0)] * len(goal)
+    for g, a in zip(gens, alpha):
+        for i, c in enumerate(g.flatten()):
+            if c:
+                total[i] += a * c
+    return total == list(goal)
+
+
+def _is_separator(
+    gens: Sequence[TangentVector], target: TangentVector, s: TangentVector
+) -> bool:
+    """Exact check: <g, s> >= 0 for every generator and <target, s> < 0."""
+    return inner(target, s) < 0 and all(inner(g, s) >= 0 for g in gens)
+
+
+def _classify(
+    gens: Sequence[TangentVector], target: TangentVector, ambient: int
 ) -> EutaxyStatus:
-    """Classify (Q^{-1}, 0) against the generalized Voronoi domain, exactly.
-
-    The relative-interior test is the all-generators-positive LP; its
-    validity rests on the standard fact that relint of a finitely generated
-    cone is the set of strictly positive combinations of all its generators.
-    A uniform-coefficient shortcut catches the strongly eutactic shape
-    without entering the simplex.
-    """
-    if domain is None:
-        domain = voronoi_domain(x)
-    target = _det_gradient_target(x)
-    gens = domain.generators
-
+    """The three steps of ``eutaxy_status`` for any target and generators."""
     c = _uniform_witness(gens, target)
     if c is not None:
         return EutaxyStatus(INTERIOR, witness=(c,) * len(gens))
+    image = FloatImage(gens, target)
+    if image.residual() > _TRIAGE_RESIDUAL:
+        n = project_to_cone(gens, target).residual
+        if not n.is_zero() and _is_separator(gens, target, n):
+            return EutaxyStatus(OUTSIDE, separator=n, nearest=True)
+    alpha = image.positive_combination(ambient)
+    if alpha is not None and _is_witness(gens, alpha, target):
+        return EutaxyStatus(INTERIOR, witness=alpha)
+    return _exact_status(gens, target)
 
+
+def _exact_status(
+    gens: Sequence[TangentVector], target: TangentVector
+) -> EutaxyStatus:
+    """The exact simplex: membership, then the relative interior, then F(X)."""
     member, _, separator = _membership_lp(gens, target)
     if not member:
         return EutaxyStatus(OUTSIDE, separator=separator)
     mu, alpha = _relint_lp(gens, target)
     if mu > 0:
-        combo = gens[0].scale(alpha[0])
-        for g, a in zip(gens[1:], alpha[1:]):
-            combo = combo.add(g.scale(a))
-        assert combo.sub(target).is_zero()
-        assert all(a > 0 for a in alpha)
+        if not _is_witness(gens, alpha, target):
+            raise RuntimeError("the relative-interior LP gave no witness")
         return EutaxyStatus(INTERIOR, witness=alpha)
     return EutaxyStatus(BOUNDARY, face=_minimal_face(gens, target))
+
+
+def eutaxy_status(
+    x: PeriodicForm, domain: VoronoiDomain | None = None
+) -> EutaxyStatus:
+    """Classify (Q^{-1}, 0) against the generalized Voronoi domain, exactly.
+
+    Three steps; each returns only a certificate checked in exact arithmetic
+    or hands over to the next:
+
+    1. a uniform-coefficient shortcut catches the strongly eutactic shape;
+    2. float triage: a float nnls of the target onto the cone.  A clearly
+       nonzero residual sends it to the exact projection, whose nonzero
+       residual is the separator (outside).  Otherwise a float solve of the
+       relative-interior LP, repaired exactly, proposes a strictly positive
+       witness (interior);
+    3. the exact simplex, for whatever step 2 did not verify (the boundary,
+       tiny margins): the membership LP, the relative-interior LP, and one
+       LP per generator for the minimal face.
+
+    The relative-interior test rests on the standard fact that relint of a
+    finitely generated cone is the set of strictly positive combinations of
+    all its generators.
+    """
+    if domain is None:
+        domain = voronoi_domain(x)
+    return _classify(domain.generators, _det_gradient_target(x), domain.ambient)
 
 
 def improving_direction(
@@ -363,7 +421,9 @@ def improving_direction(
     """A density-improving direction when (Q^{-1}, 0) is outside the domain.
 
     N is the nearest point to -(Q^{-1}, 0) in the dual cone P(X), obtained
-    via the Moreau identity N = -(Q^{-1},0) + proj_{V(X)}((Q^{-1},0)).  The
+    via the Moreau identity N = -(Q^{-1},0) + proj_{V(X)}((Q^{-1},0)).  An
+    outside status found by that projection carries N as its separator, and
+    N is returned as it is; otherwise the projection runs here.  The
     returned N satisfies, verified exactly, <g, N> >= 0 for every generator
     and <(Q^{-1},0), N> < 0.  Eutactic input yields None.
     """
@@ -373,13 +433,12 @@ def improving_direction(
         status = eutaxy_status(x, domain)
     if status.tag != OUTSIDE:
         return None
+    if status.nearest:
+        return status.separator
     target = _det_gradient_target(x)
-    proj = project_to_cone(domain.generators, target)
-    n = proj.residual  # proj - target = -target + proj_V(target)
-    assert not n.is_zero()
-    for g in domain.generators:
-        assert inner(g, n) >= 0
-    assert inner(target, n) < 0
+    n = project_to_cone(domain.generators, target).residual
+    if n.is_zero() or not _is_separator(domain.generators, target, n):
+        raise RuntimeError("the cone projection gave no improving direction")
     return n
 
 
@@ -606,13 +665,19 @@ def certify(x: PeriodicForm) -> Certificate:
 def _verified_improvement_step(
     x: PeriodicForm, n: TangentVector, lam: Fraction
 ) -> Fraction:
-    """Backtrack eps from 1 until delta(X + eps N) > delta(X), exactly.
+    """Backtrack eps from 2^k until delta(X + eps N) > delta(X), exactly.
 
-    Comparison is on the exact rational center density squared, which is
-    scale-invariant, so no rescaling enters the verdict.
+    The Q-part of N scales like Q^{-1}, so a fixed start misses the
+    admissible steps of a form rescaled far enough (about 2^-2200 for Q
+    scaled by 2^-1100); the start 2^k is the ratio of the largest entries
+    of Q and of the Q-part of N instead.  Comparison is on the exact
+    rational center density squared, which is scale-invariant, so no
+    rescaling enters the verdict.
     """
     before = density(x, lam).center_density_squared
     eps = Fraction(1)
+    if not n.qpart.is_zero():
+        eps = Fraction(2) ** (_log2_size(x.q.form) - _log2_size(n.qpart))
     for _ in range(256):
         try:
             cand = x.add_tangent(n, eps)
@@ -623,6 +688,11 @@ def _verified_improvement_step(
             return eps
         eps /= 2
     raise RuntimeError("no verified improvement step found along N")
+
+
+def _log2_size(f: SymForm) -> int:
+    """log2 of the largest entry of a nonzero form, up to one."""
+    return max(log2_magnitude(v) for v in f.upper if v)
 
 
 def periodic_extreme_by_theorem(q: PQF) -> bool:

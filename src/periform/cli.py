@@ -55,7 +55,7 @@ def _read_form(path: str) -> PeriodicForm:
         raise PFormError(f"cannot read {path}: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer past Python's digit limit
         raise PFormError(f"invalid JSON in {path}: {exc}") from exc
     return from_document(doc)
 

@@ -1,9 +1,17 @@
-"""Nearest-point projection onto a finitely generated cone, exactly.
+"""Cones over tangent vectors, exactly: nearest points and positive combinations.
 
-The optimization itself is a Lawson-Hanson style nonnegative least squares
-active-set iteration.  A floating-point run of scipy's nnls seeds the active
-set; every verdict the caller consumes is re-derived and verified in exact
-rational arithmetic, so the seeding only affects speed.
+``project_to_cone`` is a Lawson-Hanson style nonnegative least squares
+active-set iteration in exact rationals, seeded by a floating-point run of
+scipy's nnls.  ``FloatImage`` holds an equilibrated float copy of a cone
+and a target: its nnls residual tells whether the target is clearly outside,
+and its ``positive_combination`` proposes strictly positive weights for a
+target in the relative interior: scipy's HiGHS solves the relative-interior
+LP in floating point, and the weights are then rounded and repaired in exact
+arithmetic on an independent set of columns (Applegate, Cook, Dash &
+Espinoza, *Exact solutions to linear programming problems*, 2007).  Floats
+only steer: every number returned is exact, and the caller verifies
+whatever it certifies.  scipy.optimize is imported on first use, because
+importing it costs more than most certificates.
 """
 
 from __future__ import annotations
@@ -14,11 +22,22 @@ from math import sqrt
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import nnls
 
-from .linalg import SymForm, TangentVector, inner, solve_exact
+from .linalg import (
+    SymForm,
+    TangentVector,
+    independent_rows_modp,
+    inner,
+    integer_row,
+    log2_magnitude,
+    residues,
+    solve_exact,
+)
 
-__all__ = ["ConeProjection", "project_to_cone"]
+__all__ = ["ConeProjection", "project_to_cone", "FloatImage"]
+
+_RELINT_MARGIN = 1e-9  # smaller float margins are left to the exact simplex
+_DYADIC_BITS = 40  # non-basic float weights are rounded to multiples of 2^-40
 
 
 @dataclass(frozen=True)
@@ -30,20 +49,36 @@ class ConeProjection:
     residual: TangentVector  # point - target
 
 
+def _scaled_float(v: Fraction, k: int) -> float:
+    """float(v * 2^k), correctly rounded, with no out-of-range float on the way."""
+    n, d = v.numerator, v.denominator
+    return (n << k) / d if k >= 0 else n / (d << -k)
+
+
+def _pow2(k: int) -> Fraction:
+    return Fraction(1 << k) if k >= 0 else Fraction(1, 1 << -k)
+
+
 def _float_coords(v: TangentVector) -> np.ndarray:
-    """Euclidean coordinates whose dot product equals the exact inner product."""
+    """Euclidean coordinates of v * 2^-k, with 2^k the size of v's largest entry.
+
+    Dot products of two images equal the exact inner product up to the two
+    powers of two, so cones, rays and directions keep their float shape at
+    any scale of the form.
+    """
+    shift = -max((log2_magnitude(c) for c in v.flatten() if c), default=0)
     out = []
     d = v.qpart.d
     k = 0
     s2 = sqrt(2.0)
     for i in range(d):
-        out.append(float(v.qpart.upper[k]))
+        out.append(_scaled_float(v.qpart.upper[k], shift))
         k += 1
         for _ in range(i + 1, d):
-            out.append(s2 * float(v.qpart.upper[k]))
+            out.append(s2 * _scaled_float(v.qpart.upper[k], shift))
             k += 1
     for col in v.tcols:
-        out.extend(float(c) for c in col)
+        out.extend(_scaled_float(c, shift) for c in col)
     return np.array(out)
 
 
@@ -104,12 +139,13 @@ def project_to_cone(
     n = len(gens)
 
     # Floating warm start for the active set.
+    from scipy.optimize import nnls
+
+    a = np.column_stack([_float_coords(g) for g in gens])
     try:
-        a = np.column_stack([_float_coords(g) for g in gens])
-        b = _float_coords(target)
-        coeffs_f, _ = nnls(a, b)
+        coeffs_f, _ = nnls(a, _float_coords(target))
         warm = [i for i in range(n) if coeffs_f[i] > 1e-12]
-    except Exception:
+    except RuntimeError:  # nnls iteration limit
         warm = []
 
     alpha: dict[int, Fraction] = {}
@@ -174,3 +210,102 @@ def project_to_cone(
         assert inner(g, residual) >= 0
     assert inner(point, residual) == 0
     return ConeProjection(point, coeffs, residual)
+
+
+class FloatImage:
+    """Generators and target in floating point, equilibrated by powers of two.
+
+    Coordinate i is scaled by 2^-row_shift[i] and generator j by
+    2^-col_shift[j], so that each row and column has its largest entry near
+    1, and the target by 2^-goal_shift after the row scaling.  Positive
+    scalings of rows, columns and target change neither whether the target
+    lies in the cone, nor in its relative interior, nor in which face; and a
+    form rescaled by a power of two gives the same float problem.
+    """
+
+    def __init__(self, generators: Sequence[TangentVector], target: TangentVector):
+        self.cols = [g.flatten() for g in generators]
+        self.goal = target.flatten()
+        dim = len(self.goal)
+        row_shift = [
+            max((log2_magnitude(c[i]) for c in self.cols if c[i]), default=0)
+            for i in range(dim)
+        ]
+        self.col_shift = [
+            max((log2_magnitude(v) - r for v, r in zip(c, row_shift) if v), default=0)
+            for c in self.cols
+        ]
+        self.goal_shift = max(
+            (log2_magnitude(v) - r for v, r in zip(self.goal, row_shift) if v),
+            default=0,
+        )
+        self.a = np.array([
+            [_scaled_float(c[i], -row_shift[i] - s) for c, s in zip(self.cols, self.col_shift)]
+            for i in range(dim)
+        ])
+        self.b = np.array([
+            _scaled_float(v, -r - self.goal_shift) for v, r in zip(self.goal, row_shift)
+        ])
+
+    def residual(self) -> float:
+        """nnls residual of the target onto the cone, relative to the target.
+
+        0.0 when nnls stops at its iteration limit, which leaves the question
+        to the relative-interior LP and the exact path behind it.
+        """
+        from scipy.optimize import nnls
+
+        try:
+            _, rnorm = nnls(self.a, self.b)
+        except RuntimeError:
+            return 0.0
+        bnorm = float(np.linalg.norm(self.b))
+        return rnorm / bnorm if bnorm > 0 else 0.0
+
+    def positive_combination(self, limit: int) -> tuple[Fraction, ...] | None:
+        """Proposed exact weights alpha > 0 with sum alpha_g g = target, unverified.
+
+        HiGHS solves max mu s.t. sum beta_g g + mu * sum(gens) = target,
+        beta >= 0, 0 <= mu <= 1, on the float image.  At most ``limit``
+        columns independent mod RANK_PRIME, taken in order of falling float
+        weight, are basic.  The other weights are rounded to dyadic rationals
+        and the basic ones solved for exactly.  None when the float LP finds
+        no margin or the exact system has no solution.
+        """
+        from scipy.optimize import linprog
+
+        cols, goal = self.cols, self.goal
+        n, dim = len(cols), len(goal)
+        cost = np.zeros(n + 1)
+        cost[-1] = -1.0
+        res = linprog(
+            cost,
+            A_eq=np.column_stack([self.a, self.a.sum(axis=1)]),
+            b_eq=self.b,
+            bounds=[(0, None)] * n + [(0, 1)],
+            method="highs",
+        )
+        if res.status != 0 or not res.x[-1] >= _RELINT_MARGIN:
+            return None
+        # w_j weighs column j scaled by 2^-col_shift[j] against the target
+        # scaled by 2^-goal_shift, so alpha_j = w_j * 2^(goal_shift - col_shift[j]).
+        weights = res.x[:n] + res.x[-1]
+        order = [int(j) for j in np.argsort(-weights, kind="stable")]
+        picked = independent_rows_modp(
+            residues([integer_row(cols[j]) for j in order]), limit
+        )
+        basic = [order[k] for k in picked]
+        alpha: list[Fraction | None] = [None] * n
+        rest = list(goal)
+        for j in sorted(set(range(n)) - set(basic)):
+            units = round(float(weights[j]) * 2 ** _DYADIC_BITS)
+            alpha[j] = units * _pow2(self.goal_shift - self.col_shift[j] - _DYADIC_BITS)
+            for i, c in enumerate(cols[j]):
+                if c:
+                    rest[i] -= alpha[j] * c
+        sol = solve_exact([[cols[j][i] for j in basic] for i in range(dim)], rest)
+        if sol is None:
+            return None
+        for j, v in zip(basic, sol):
+            alpha[j] = v
+        return tuple(alpha)

@@ -4,11 +4,16 @@ A document is a JSON object {"format": "pform/1", "d": ..., "m": ...,
 "Q": [[...]], "t": [[...]], "meta": {...}} with every rational written as
 the string "p/q" (the "/q" omitted when the denominator is 1).  Parsing and
 printing round-trip exactly.
+
+The grammar of a rational is ``-?[0-9]+(/[0-9]+)?`` with at most MAX_DIGITS
+digits on each side of the slash; a JSON integer (not a boolean) of at most
+MAX_DIGITS digits is accepted too.  ``d`` and ``m`` are JSON integers.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any
 
@@ -27,6 +32,9 @@ __all__ = [
 ]
 
 FORMAT_TAG = "pform/1"
+MAX_DIGITS = 4096
+_INT_BOUND = 10 ** MAX_DIGITS
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 class PFormError(ValueError):
@@ -41,14 +49,28 @@ def format_rational(v: Fraction) -> str:
 
 
 def parse_rational(s: Any) -> Fraction:
-    if isinstance(s, int):
+    if isinstance(s, int) and not isinstance(s, bool):
+        if abs(s) >= _INT_BOUND:
+            raise PFormError(f"rational has more than {MAX_DIGITS} digits")
         return Fraction(s)
     if not isinstance(s, str):
-        raise PFormError(f"rational must be a string, got {type(s).__name__}")
-    try:
-        return Fraction(s.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise PFormError(f"bad rational {s!r}") from exc
+        raise PFormError(f"rational must be a string or an integer, got {type(s).__name__}")
+    match = _RATIONAL.fullmatch(s)
+    if match is None:
+        raise PFormError(f"bad rational {s[:40]!r}: expected p or p/q in digits")
+    num, den = match.group(1), match.group(2) or "1"
+    if len(num.lstrip("-")) > MAX_DIGITS or len(den) > MAX_DIGITS:
+        raise PFormError(f"rational has more than {MAX_DIGITS} digits")
+    if int(den) == 0:
+        raise PFormError(f"bad rational {s[:40]!r}: zero denominator")
+    return Fraction(int(num), int(den))
+
+
+def _count(doc: dict, key: str) -> int:
+    v = doc[key]
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise PFormError(f"{key} must be a JSON integer")
+    return v
 
 
 def to_document(x: PeriodicForm, meta: dict | None = None) -> dict:
@@ -73,8 +95,8 @@ def from_document(doc: Any) -> PeriodicForm:
     if doc.get("format") != FORMAT_TAG:
         raise PFormError(f"unsupported format tag: {doc.get('format')!r}")
     try:
-        d = int(doc["d"])
-        m = int(doc["m"])
+        d = _count(doc, "d")
+        m = _count(doc, "m")
         q_rows = doc["Q"]
         t_rows = doc.get("t", [])
     except (KeyError, TypeError, ValueError) as exc:
@@ -105,7 +127,7 @@ def dumps(x: PeriodicForm, meta: dict | None = None) -> str:
 def loads(text: str) -> PeriodicForm:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer past Python's digit limit
         raise PFormError(f"invalid JSON: {exc}") from exc
     return from_document(doc)
 

@@ -34,6 +34,8 @@ __all__ = [
     "RANK_PRIME",
     "residues",
     "independent_rows_modp",
+    "integer_row",
+    "log2_magnitude",
 ]
 
 RANK_PRIME = 2147483647  # 2^31 - 1: a product of two residues fits in int64
@@ -489,10 +491,15 @@ def independent_rows_modp(rows: np.ndarray, limit: int) -> list[int]:
     return taken
 
 
-def _integer_row(coords: Sequence[Fraction]) -> list[int]:
+def integer_row(coords: Sequence[Fraction]) -> list[int]:
     """The rational row scaled by the lcm of its denominators."""
     den = lcm(*(v.denominator for v in coords))
     return [v.numerator * (den // v.denominator) for v in coords]
+
+
+def log2_magnitude(v: Fraction) -> int:
+    """k with 2^(k-1) < |v| < 2^(k+1), for v != 0, from bit lengths alone."""
+    return v.numerator.bit_length() - v.denominator.bit_length()
 
 
 def rank_span(vectors: Sequence[TangentVector]) -> tuple[int, tuple[TangentVector, ...]]:
@@ -516,7 +523,7 @@ def rank_span(vectors: Sequence[TangentVector]) -> tuple[int, tuple[TangentVecto
     for v in vectors[1:]:
         _check_same_space(vectors[0], v)
     ncols = ambient_dim(d, m)
-    rows = [_integer_row(v.flatten(weighted=True)) for v in vectors]
+    rows = [integer_row(v.flatten(weighted=True)) for v in vectors]
     taken = independent_rows_modp(residues(rows), ncols)
     if len(taken) == ncols:
         return ncols, ()
@@ -529,7 +536,7 @@ def rank_span(vectors: Sequence[TangentVector]) -> tuple[int, tuple[TangentVecto
             for r, pc in enumerate(pivcols):
                 coords[pc] = -ech[r][fc]
             complement.append(coords)
-        checks = [_integer_row(coords) for coords in complement]
+        checks = [integer_row(coords) for coords in complement]
         bad = next(
             (i for i, row in enumerate(rows)
              if any(sum(map(mul, row, c)) for c in checks)),

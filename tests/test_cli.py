@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from periform.cli import main
 from periform.formats import dumps, loads
 from periform.linalg import PQF
@@ -42,6 +44,16 @@ class TestMin:
         bad = tmp_path / "bad.json"
         bad.write_text("{")
         assert main(["min", str(bad)]) == 2
+
+    @pytest.mark.parametrize("entry", [
+        '"1e3"', '"0.25"', '"1_000"', "true", '"1e200000"', '"' + "7" * 5000 + '"',
+        "7" * 5000,
+    ])
+    def test_rational_outside_grammar_exit_2(self, tmp_path, capsys, entry):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"format": "pform/1", "d": 1, "m": 2, "Q": [["1"]], "t": [[%s]]}' % entry)
+        assert main(["min", str(bad)]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestDensity:

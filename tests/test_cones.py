@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as Fr
+from pathlib import Path
 
 import pytest
 
+import periform
 from periform.cones import project_to_cone
 from periform.linalg import SymForm, TangentVector, inner
 
@@ -74,3 +79,16 @@ class TestProjectToCone:
                 cand = cand.add(g.scale(c))
             diff = cand.sub(target)
             assert inner(diff, diff) >= dist
+
+
+def test_import_leaves_scipy_optimize_out():
+    """scipy.optimize costs more to import than most certificates: it loads on
+    the first float solve, not with the package."""
+    code = "import sys, periform; print('scipy.optimize' in sys.modules)"
+    src = str(Path(periform.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

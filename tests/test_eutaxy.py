@@ -1,0 +1,285 @@
+"""The float-guided eutaxy path against the exact simplex it falls back to.
+
+``_classify`` (the steps of ``eutaxy_status``) must give the tag and the face
+that ``_exact_status`` gives, on random cones and on catalog forms, and every
+witness and separator it returns must pass the exact checks written here,
+independently of the ones in ``certify``.
+"""
+
+import importlib
+import json
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction as Fr
+from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+import scipy.optimize
+
+import periform
+from periform.catalog import fluid_diamond
+from periform.certify import (
+    BOUNDARY,
+    INTERIOR,
+    OUTSIDE,
+    _classify,
+    _det_gradient_target,
+    _exact_status,
+    certify,
+    eutaxy_status,
+    voronoi_domain,
+)
+from periform.linalg import PQF, SymForm, TangentVector, ambient_dim, inner
+from periform.periodic import PeriodicForm
+
+# The module, not the function the package exports under the same name.
+certify_module = importlib.import_module("periform.certify")
+
+SHAPES = ((1, 2), (2, 1), (2, 2), (3, 1), (2, 3), (3, 2))
+KINDS = ("interior", "boundary", "outside", "free")
+SCALES = (Fr(1), Fr(2) ** 60, Fr(2) ** -60, Fr(10) ** 400, Fr(1, 10 ** 400))
+
+
+def combination(gens, weights):
+    total = gens[0].scale(weights[0])
+    for g, w in zip(gens[1:], weights[1:]):
+        total = total.add(g.scale(w))
+    return total
+
+
+def is_witness(gens, target, alpha):
+    return (
+        len(alpha) == len(gens)
+        and all(a > 0 for a in alpha)
+        and combination(gens, alpha).sub(target).is_zero()
+    )
+
+
+def is_separator(gens, target, s):
+    return inner(s, target) < 0 and all(inner(s, g) >= 0 for g in gens)
+
+
+def certificate_holds(gens, target, status):
+    """The exact check of whatever certificate ``status`` carries."""
+    if status.tag == INTERIOR:
+        return is_witness(gens, target, status.witness)
+    if status.tag == OUTSIDE:
+        return is_separator(gens, target, status.separator)
+    return status.tag == BOUNDARY and status.face is not None
+
+
+def random_cone(seed):
+    """(generators, target, ambient): a seeded cone of one of four kinds.
+
+    interior: the target is a positive combination of every generator.
+    boundary: the generators lie in {f >= 0} and the target is a positive
+    combination of the ones on {f = 0}.  outside: the generators lie in
+    {f >= 0} and the target in {f < 0}.  free: no structure.  Some cones get
+    duplicate and parallel generators, some a span short of the space, some
+    1100-bit heights, and each is rescaled the way a rescaled Q rescales the
+    eutaxy problem: translation coordinates by s, the target by 1/s.
+    """
+    rng = random.Random(seed)
+    d, m = SHAPES[seed % len(SHAPES)]
+    kind = KINDS[seed % len(KINDS)]
+    scale = SCALES[(seed // len(KINDS)) % len(SCALES)]
+    flat = rng.random() < 0.3  # translation parts zero: rank short of ambient
+    dim = ambient_dim(d, m)
+
+    def vec():
+        tri = d * (d + 1) // 2
+        coords = [Fr(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(dim)]
+        if flat:
+            coords[tri:] = [Fr(0)] * (dim - tri)
+        return TangentVector.unflatten(coords, d, m)
+
+    def positive():
+        return Fr(rng.randint(1, 9), rng.randint(1, 9))
+
+    f = vec()
+    while f.is_zero():
+        f = vec()
+    k = rng.randint(1, dim + 3)
+    if kind == "interior":
+        gens = [vec() for _ in range(k)]
+        target = combination(gens, [positive() for _ in gens])
+    elif kind == "boundary":  # one exact LP per generator finds the face: keep it small
+        ff = inner(f, f)
+        face = [g.sub(f.scale(inner(g, f) / ff)) for g in (vec() for _ in range(k // 2 + 1))]
+        rest = [g.scale(-1) if inner(g, f) < 0 else g for g in (vec() for _ in range(k // 2 + 1))]
+        rest = [g for g in rest if inner(g, f) > 0] or [f]
+        target = combination(face, [positive() for _ in face])
+        gens = face + rest
+    elif kind == "outside":
+        gens = [g.scale(-1) if inner(g, f) < 0 else g for g in (vec() for _ in range(k))]
+        target = vec()
+        target = target.sub(f.scale((inner(target, f) + positive()) / inner(f, f)))
+    else:
+        gens = [vec() for _ in range(k)]
+        target = vec()
+    gens = [g for g in gens if not g.is_zero()] or [f]
+    if rng.random() < 0.4:
+        gens += [gens[0], gens[-1].scale(positive())]  # duplicate and parallel
+    rng.shuffle(gens)
+    if seed % 5 == 4:  # heights past 1000 bits; the cone is unchanged
+        gens = [g.scale(Fr(rng.getrandbits(1100) | 1, rng.getrandbits(1100) | 1))
+                for g in gens]
+        target = target.scale(Fr(rng.getrandbits(1100) | 1, rng.getrandbits(1100) | 1))
+
+    def rescale(v, c):
+        return TangentVector(v.qpart.scale(c), tuple(
+            tuple(scale * c * t for t in col) for col in v.tcols))
+
+    return [rescale(g, 1) for g in gens], rescale(target, 1 / scale), dim
+
+
+@pytest.mark.parametrize("seed", range(80))
+def test_matches_exact_path(seed):
+    gens, target, dim = random_cone(seed)
+    expected = _exact_status(gens, target)
+    got = _classify(gens, target, dim)
+    assert (got.tag, got.face) == (expected.tag, expected.face)
+    assert certificate_holds(gens, target, got)
+    if got.tag == OUTSIDE and got.nearest:
+        # The nearest-point residual N is orthogonal to the cone point target + N.
+        assert inner(got.separator, got.separator.add(target)) == 0
+
+
+@pytest.mark.parametrize("seed", [s for s in range(80) if KINDS[s % 4] != "boundary"])
+def test_clear_cases_skip_the_simplex(seed, monkeypatch):
+    """Interior and outside cones are decided by steps 1 and 2: the exact
+    simplex is never entered."""
+    gens, target, dim = random_cone(seed)
+    expected = _exact_status(gens, target)
+    if expected.tag == BOUNDARY:
+        return
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("the exact simplex ran")
+
+    monkeypatch.setattr(certify_module, "solve_lp", no_lp)
+    got = _classify(gens, target, dim)
+    assert got.tag == expected.tag
+    assert certificate_holds(gens, target, got)
+
+
+# ---------------------------------------------------------------------------
+# Fallback: float solves that return garbage must not change a verdict.
+# ---------------------------------------------------------------------------
+
+GARBAGE_SEEDS = range(6, 22)
+
+
+def garbage_solvers(seed=0):
+    """nnls and linprog stand-ins that return seeded nonsense of the right shape."""
+    rng = np.random.default_rng(seed)
+
+    def nnls(a, b, **kwargs):
+        return rng.random(a.shape[1]) * 10, float(rng.choice([0.0, 1e-12, 5.0]))
+
+    def linprog(c, **kwargs):
+        x = rng.random(len(c)) * rng.choice([1e-12, 1.0, 100.0])
+        return SimpleNamespace(status=int(rng.choice([0, 0, 2])), x=x)
+
+    return nnls, linprog
+
+
+def garbage_cases():
+    """(generators, target, ambient) for small catalog-free forms and random cones."""
+    forms = [
+        PeriodicForm.make(PQF.from_rows([[1]]), [[Fr(2, 5)]]),
+        PeriodicForm.lattice(PQF.from_rows([[1, 0], [0, 2]])),
+        PeriodicForm.lattice(PQF.from_rows([[2, 1, 0], [1, 2, 0], [0, 0, 2]])),
+        PeriodicForm.lattice(PQF.from_rows([[2, 1], [1, 2]])),
+        PeriodicForm.make(PQF.from_rows([[2, 1], [1, 5]]), [[0, Fr(1, 3)]]),
+    ]
+    cases = []
+    for x in forms:
+        dom = voronoi_domain(x)
+        cases.append((dom.generators, _det_gradient_target(x), dom.ambient))
+    e11 = TangentVector.make(SymForm.outer([1, 0]))
+    e22 = TangentVector.make(SymForm.outer([0, 1]))
+    cases.append(([e11, e22], e11, 3))  # on a proper face: boundary
+    cases += [random_cone(seed) for seed in GARBAGE_SEEDS]
+    return cases
+
+
+def garbage_verdicts():
+    """[tag, face, certificate holds] per case, checked without ``assert``."""
+    out = []
+    for gens, target, dim in garbage_cases():
+        st = _classify(gens, target, dim)
+        out.append([st.tag, list(st.face or ()), bool(certificate_holds(gens, target, st))])
+    return out
+
+
+def exact_verdicts():
+    return [
+        [st.tag, list(st.face or ()), True]
+        for st in (_exact_status(gens, target) for gens, target, _ in garbage_cases())
+    ]
+
+
+def test_garbage_float_solves(monkeypatch):
+    nnls, linprog = garbage_solvers()
+    monkeypatch.setattr(scipy.optimize, "nnls", nnls)
+    monkeypatch.setattr(scipy.optimize, "linprog", linprog)
+    assert garbage_verdicts() == exact_verdicts()
+
+
+def test_garbage_float_solves_without_asserts():
+    """The same under python -O: the checks in certify are control flow."""
+    here = Path(__file__).resolve().parent
+    code = (
+        "import json, scipy.optimize, test_eutaxy as t\n"
+        "scipy.optimize.nnls, scipy.optimize.linprog = t.garbage_solvers()\n"
+        "print(json.dumps(t.garbage_verdicts()))\n"
+    )
+    src = str(Path(periform.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, str(here)]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout.strip().splitlines()[-1]) == exact_verdicts()
+
+
+# ---------------------------------------------------------------------------
+# Lambda9: the case the float path exists for.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("s", [Fr(1, 5), Fr(5), Fr(1, 2 ** 60)], ids=["1/5", "5", "2^-60"])
+def test_lambda9_interior_without_simplex(s, monkeypatch):
+    x0 = fluid_diamond(0)
+    x = PeriodicForm(x0.q.scale(s), x0.tcols)
+    dom = voronoi_domain(x)
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("the exact simplex ran")
+
+    monkeypatch.setattr(certify_module, "solve_lp", no_lp)
+    st = eutaxy_status(x, dom)
+    assert st.tag == INTERIOR
+    assert is_witness(dom.generators, _det_gradient_target(x), st.witness)
+
+
+def test_improving_direction_reuses_the_projection(monkeypatch):
+    x = PeriodicForm.make(PQF.from_rows([[2, 1], [1, 5]]), [[0, Fr(1, 3)]])
+    calls = []
+    real = certify_module.project_to_cone
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(certify_module, "project_to_cone", counting)
+    cert = certify(x)
+    assert cert.eutaxy.tag == OUTSIDE and cert.eutaxy.nearest
+    assert cert.improving == cert.eutaxy.separator
+    assert len(calls) == 1

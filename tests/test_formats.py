@@ -4,6 +4,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from periform.formats import (
+    MAX_DIGITS,
     PFormError,
     dumps,
     format_rational,
@@ -32,6 +33,28 @@ class TestRationals:
         for bad in ["1/0", "a/b", None, 1.5, ""]:
             with pytest.raises(PFormError):
                 parse_rational(bad)
+
+    @pytest.mark.parametrize("bad", [
+        "1e3", "0.25", "1_000", True, False, "1e200000", " 1", "1 ", "+1", "1/-2",
+        "1/", "/2", "--1", "\u0661", "1/2/3", "9" * (MAX_DIGITS + 1),
+        "1/" + "9" * (MAX_DIGITS + 1), 10 ** MAX_DIGITS, -(10 ** MAX_DIGITS),
+    ])
+    def test_outside_grammar(self, bad):
+        with pytest.raises(PFormError):
+            parse_rational(bad)
+
+    def test_grammar_edges(self):
+        assert parse_rational("-0") == 0
+        assert parse_rational("007/014") == Fr(1, 2)
+        assert parse_rational(-12) == -12
+        big = "9" * MAX_DIGITS
+        assert parse_rational(big + "/" + big) == 1
+        assert parse_rational(10 ** MAX_DIGITS - 1) == 10 ** MAX_DIGITS - 1
+
+    @pytest.mark.parametrize("bad", ["2", 2.0, True, None])
+    def test_counts_are_json_integers(self, bad):
+        with pytest.raises(PFormError):
+            from_document({"format": "pform/1", "d": bad, "m": 1, "Q": [["1", "0"], ["0", "1"]]})
 
 
 class TestDocuments:

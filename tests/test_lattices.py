@@ -14,7 +14,8 @@ from periform.lattices import (
     lll_reduce,
     shortest_vectors,
 )
-from periform.periodic import PeriodicForm, generalized_min
+from periform.certify import NOT_EXTREME, certify
+from periform.periodic import PeriodicForm, density, generalized_min
 
 
 def random_pd_gram(rng, d, spread=3):
@@ -242,6 +243,13 @@ SCALE_FORMS = {
 }
 SCALES = {f"2^{k}": Fr(2) ** k for k in (1, -1, 60, -60, 1100, -1100)}
 SCALES.update({"10^400": Fr(10) ** 400, "10^-400": Fr(1, 10 ** 400)})
+# NotExtreme starts of the improve-walk benchmark pool, (d, m) = (3, 1),
+# (2, 2) and (3, 2): (Q, translation columns).
+NOT_EXTREME_FORMS = {
+    "3x1": ([[5, 1, 2], [1, 6, 1], [2, 1, 1]], []),
+    "2x2": ([[2, 1], [1, 5]], [[0, Fr(1, 3)]]),
+    "3x2": ([[6, 3, -5], [3, 5, -2], [-5, -2, 5]], [[0, 0, Fr(3, 4)]]),
+}
 
 
 class TestScaleInvariance:
@@ -263,6 +271,18 @@ class TestScaleInvariance:
         base, scaled = generalized_min(x), generalized_min(x.with_q(qs))
         assert scaled.lam == s * base.lam
         assert scaled.reps == base.reps
+
+    @pytest.mark.parametrize("s", [SCALES[k] for k in ("2^1100", "2^-1100", "10^400", "10^-400")],
+                             ids=["2^1100", "2^-1100", "10^400", "10^-400"])
+    @pytest.mark.parametrize("name", sorted(NOT_EXTREME_FORMS))
+    def test_certify_not_extreme(self, name, s):
+        """N scales like Q^{-1}, so the verified step must not start at a fixed eps."""
+        rows, tcols = NOT_EXTREME_FORMS[name]
+        x = PeriodicForm.make(PQF.from_rows(rows).scale(s), tcols)
+        cert = certify(x)
+        assert cert.verdict == NOT_EXTREME
+        stepped = x.add_tangent(cert.improving, cert.improving_epsilon)
+        assert density(stepped).center_density_squared > density(x).center_density_squared
 
     @pytest.mark.parametrize(
         "tiny", [Fr(1, 2 ** 50), Fr(1, 10 ** 400)], ids=["2^-50", "10^-400"]
