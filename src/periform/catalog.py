@@ -285,7 +285,8 @@ def sublattice_representation(q: PQF, h: Sequence[Sequence[int]]) -> PeriodicFor
             continue
         sol = solve_exact(hmat, [Fraction(v) for v in rep])
         tcols.append(sol)
-    assert len(tcols) == abs(det) - 1
+    if len(tcols) != abs(det) - 1:
+        raise RuntimeError("the coset count does not match the index")
     return PeriodicForm.make(q_sub, tcols)
 
 

@@ -38,7 +38,7 @@ from .periodic import (
     generalized_min,
     gradient_p,
 )
-from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
+from .simplex import OPTIMAL, solve_lp
 
 __all__ = [
     "VoronoiDomain",
@@ -60,8 +60,8 @@ __all__ = [
 ]
 
 # Relative float nnls residual above which the target is taken to be outside
-# the cone and sent to the exact projection; it only decides the order of
-# the exact steps, never a verdict.
+# the cone and sent straight to the exact projection; it only decides whether
+# the float relative-interior solve is tried, never a verdict.
 _TRIAGE_RESIDUAL = 1e-6
 
 INTERIOR = "interior"
@@ -96,17 +96,16 @@ class EutaxyStatus:
     interior: ``witness`` holds strictly positive coefficients, one per
     generator, reproducing the target exactly.
     boundary: ``face`` lists the generator indices of the minimal face F(X).
-    outside: ``separator`` is an exact functional s with <s, g> >= 0 for all
-    generators and <s, target> < 0; ``nearest`` says that s is the residual
-    of the exact nearest-point projection, which ``improving_direction``
-    then returns as it is.
+    outside: ``separator`` is the residual s of the exact nearest-point
+    projection of the target onto the domain, with <s, g> >= 0 for all
+    generators and <s, target> < 0, both checked exactly; it is the
+    improving direction.
     """
 
     tag: str
     witness: tuple[Fraction, ...] | None = None
     face: tuple[int, ...] | None = None
     separator: TangentVector | None = None
-    nearest: bool = False
 
 
 @dataclass(frozen=True)
@@ -245,91 +244,6 @@ def _uniform_witness(
     return None
 
 
-def _functional_from_coords(y: Sequence[Fraction], d: int, m: int) -> TangentVector:
-    """The tangent vector s with <s, v> = dot(y, plain_flatten(v)) for all v."""
-    tri = []
-    pos = 0
-    for i in range(d):
-        tri.append(Fraction(y[pos]))
-        pos += 1
-        for _ in range(i + 1, d):
-            tri.append(Fraction(y[pos]) / 2)
-            pos += 1
-    cols = []
-    for _ in range(m - 1):
-        cols.append(tuple(Fraction(v) for v in y[pos : pos + d]))
-        pos += d
-    return TangentVector(SymForm(d, tuple(tri)), tuple(cols))
-
-
-def _membership_lp(
-    gens: Sequence[TangentVector], target: TangentVector
-) -> tuple[bool, tuple[Fraction, ...] | None, TangentVector | None]:
-    """Is target in cone(gens)?  Returns (member, coefficients, separator)."""
-    rows = [list(col) for col in zip(*(g.flatten() for g in gens))]
-    rhs = list(target.flatten())
-    res = solve_lp(rows, rhs, [Fraction(0)] * len(gens))
-    if res.status == OPTIMAL:
-        return True, res.x, None
-    assert res.status == INFEASIBLE
-    s = _functional_from_coords(res.farkas, target.d, target.m)
-    if inner(s, target) > 0:
-        s = s.scale(-1)
-    if not _is_separator(gens, target, s):
-        raise RuntimeError("the Farkas vector does not separate")
-    return False, None, s
-
-
-def _relint_lp(
-    gens: Sequence[TangentVector], target: TangentVector
-) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """max mu s.t. sum beta_g g + mu * sum(gens) = target, beta >= 0, mu >= 0.
-
-    The optimum is positive exactly when the target admits an all-positive
-    combination, i.e. lies in the relative interior of the cone.
-    """
-    n = len(gens)
-    total = gens[0]
-    for g in gens[1:]:
-        total = total.add(g)
-    cols = [g.flatten() for g in gens] + [total.flatten()]
-    rows = [list(coords) for coords in zip(*cols)]
-    rhs = list(target.flatten())
-    cost = [Fraction(0)] * n + [Fraction(-1)]
-    res = solve_lp(rows, rhs, cost)
-    if res.status == UNBOUNDED:
-        # mu can grow without bound, so positive combinations surely exist;
-        # recover a concrete witness by pinning mu = 1.
-        pinned = [row + [Fraction(0)] for row in rows]
-        pinned.append([Fraction(0)] * n + [Fraction(1), Fraction(1)])
-        rhs2 = rhs + [Fraction(1)]
-        res2 = solve_lp(pinned, rhs2, [Fraction(0)] * (n + 2))
-        assert res2.status == OPTIMAL
-        beta = res2.x[:n]
-        return Fraction(1), tuple(b + 1 for b in beta)
-    assert res.status == OPTIMAL
-    mu = res.x[n]
-    beta = res.x[:n]
-    return mu, tuple(b + mu for b in beta)
-
-
-def _minimal_face(
-    gens: Sequence[TangentVector], target: TangentVector
-) -> tuple[int, ...]:
-    """Indices of generators carrying positive weight in some representation."""
-    n = len(gens)
-    rows = [list(col) for col in zip(*(g.flatten() for g in gens))]
-    rhs = list(target.flatten())
-    face = []
-    for k in range(n):
-        cost = [Fraction(0)] * n
-        cost[k] = Fraction(-1)
-        res = solve_lp(rows, rhs, cost)
-        if res.status == UNBOUNDED or (res.status == OPTIMAL and res.x[k] > 0):
-            face.append(k)
-    return tuple(face)
-
-
 def _is_witness(
     gens: Sequence[TangentVector],
     alpha: Sequence[Fraction],
@@ -354,6 +268,32 @@ def _is_separator(
     return inner(target, s) < 0 and all(inner(g, s) >= 0 for g in gens)
 
 
+def _positive_support(
+    gens: Sequence[TangentVector], target: TangentVector
+) -> tuple[Fraction, ...]:
+    """x >= 0 of largest support with sum_k x_k g_k = x_n target, n = len(gens).
+
+    One LP over the columns v = gens + [-target] (Freund, Roundy & Todd,
+    1985): maximize sum z s.t. sum_k (z + s)_k v_k = 0, z <= 1, z, s >= 0.
+    Scaling up a solution shows that at every optimum z_k = 1 exactly on the
+    columns positive in some solution of sum x_k v_k = 0, x >= 0, and 0
+    elsewhere, so x = z + s has the largest support there is.
+    """
+    cols = [g.flatten() for g in gens] + [target.scale(-1).flatten()]
+    k = len(cols)
+    zero, one = Fraction(0), Fraction(1)
+    rows = [list(coords) * 2 + [zero] * k for coords in zip(*cols)]
+    for j in range(k):  # z_j + w_j = 1
+        cap = [zero] * (3 * k)
+        cap[j] = cap[2 * k + j] = one
+        rows.append(cap)
+    rhs = [zero] * (len(rows) - k) + [one] * k
+    res = solve_lp(rows, rhs, [-one] * k + [zero] * (2 * k))
+    if res.status != OPTIMAL:
+        raise RuntimeError("the support LP has no optimum")
+    return tuple(z + s for z, s in zip(res.x[:k], res.x[k : 2 * k]))
+
+
 def _classify(
     gens: Sequence[TangentVector], target: TangentVector, ambient: int
 ) -> EutaxyStatus:
@@ -362,29 +302,29 @@ def _classify(
     if c is not None:
         return EutaxyStatus(INTERIOR, witness=(c,) * len(gens))
     image = FloatImage(gens, target)
-    if image.residual() > _TRIAGE_RESIDUAL:
-        n = project_to_cone(gens, target).residual
-        if not n.is_zero() and _is_separator(gens, target, n):
-            return EutaxyStatus(OUTSIDE, separator=n, nearest=True)
-    alpha = image.positive_combination(ambient)
-    if alpha is not None and _is_witness(gens, alpha, target):
-        return EutaxyStatus(INTERIOR, witness=alpha)
+    if image.residual() <= _TRIAGE_RESIDUAL:
+        alpha = image.positive_combination(ambient)
+        if alpha is not None and _is_witness(gens, alpha, target):
+            return EutaxyStatus(INTERIOR, witness=alpha)
     return _exact_status(gens, target)
 
 
 def _exact_status(
     gens: Sequence[TangentVector], target: TangentVector
 ) -> EutaxyStatus:
-    """The exact simplex: membership, then the relative interior, then F(X)."""
-    member, _, separator = _membership_lp(gens, target)
-    if not member:
-        return EutaxyStatus(OUTSIDE, separator=separator)
-    mu, alpha = _relint_lp(gens, target)
-    if mu > 0:
+    """Membership by the exact projection, then one support LP for members."""
+    n = project_to_cone(gens, target).residual
+    if not n.is_zero():
+        if not _is_separator(gens, target, n):
+            raise RuntimeError("the cone projection gave no separator")
+        return EutaxyStatus(OUTSIDE, separator=n)
+    x = _positive_support(gens, target)
+    if all(x):
+        alpha = tuple(v / x[-1] for v in x[:-1])
         if not _is_witness(gens, alpha, target):
-            raise RuntimeError("the relative-interior LP gave no witness")
+            raise RuntimeError("the support LP gave no witness")
         return EutaxyStatus(INTERIOR, witness=alpha)
-    return EutaxyStatus(BOUNDARY, face=_minimal_face(gens, target))
+    return EutaxyStatus(BOUNDARY, face=tuple(k for k, v in enumerate(x[:-1]) if v))
 
 
 def eutaxy_status(
@@ -396,14 +336,15 @@ def eutaxy_status(
     or hands over to the next:
 
     1. a uniform-coefficient shortcut catches the strongly eutactic shape;
-    2. float triage: a float nnls of the target onto the cone.  A clearly
-       nonzero residual sends it to the exact projection, whose nonzero
-       residual is the separator (outside).  Otherwise a float solve of the
-       relative-interior LP, repaired exactly, proposes a strictly positive
-       witness (interior);
-    3. the exact simplex, for whatever step 2 did not verify (the boundary,
-       tiny margins): the membership LP, the relative-interior LP, and one
-       LP per generator for the minimal face.
+    2. float triage: a float nnls of the target onto the cone.  Unless its
+       residual is clearly nonzero, a float solve of the relative-interior
+       LP, repaired exactly, proposes a strictly positive witness (interior);
+    3. the exact path, for whatever step 2 did not verify (the outside, the
+       boundary, tiny margins): the exact nearest-point projection decides
+       membership, and its nonzero residual is the separator (outside).  For
+       a member, one exact LP finds the largest support of a nonnegative
+       combination of the generators and -target that sums to zero: all of
+       it gives a witness (interior), and its generators are F(X) otherwise.
 
     The relative-interior test rests on the standard fact that relint of a
     finitely generated cone is the set of strictly positive combinations of
@@ -421,72 +362,21 @@ def improving_direction(
     """A density-improving direction when (Q^{-1}, 0) is outside the domain.
 
     N is the nearest point to -(Q^{-1}, 0) in the dual cone P(X), obtained
-    via the Moreau identity N = -(Q^{-1},0) + proj_{V(X)}((Q^{-1},0)).  An
-    outside status found by that projection carries N as its separator, and
-    N is returned as it is; otherwise the projection runs here.  The
-    returned N satisfies, verified exactly, <g, N> >= 0 for every generator
-    and <(Q^{-1},0), N> < 0.  Eutactic input yields None.
+    via the Moreau identity N = -(Q^{-1},0) + proj_{V(X)}((Q^{-1},0)).  It
+    is the separator of the outside status, which ``eutaxy_status`` checked
+    exactly: <g, N> >= 0 for every generator and <(Q^{-1},0), N> < 0.
+    Eutactic input yields None.
     """
-    if domain is None:
-        domain = voronoi_domain(x)
     if status is None:
         status = eutaxy_status(x, domain)
     if status.tag != OUTSIDE:
         return None
-    if status.nearest:
-        return status.separator
-    target = _det_gradient_target(x)
-    n = project_to_cone(domain.generators, target).residual
-    if n.is_zero() or not _is_separator(domain.generators, target, n):
-        raise RuntimeError("the cone projection gave no improving direction")
-    return n
+    return status.separator
 
 
 # ---------------------------------------------------------------------------
 # Uncertainty set and the translational criterion.
 # ---------------------------------------------------------------------------
-
-
-def _implicit_equality(
-    gens: Sequence[TangentVector],
-    eq_idx: Sequence[int],
-    ineq_idx: Sequence[int],
-    k: int,
-) -> bool:
-    """Is <g_k, N> = 0 forced on {N : <g_eq, N> = 0, <g_ineq, N> >= 0}?
-
-    Solved as: maximize <g_k, N> subject to the cone constraints and the
-    cap <g_k, N> <= 1; the inequality is implicit iff the optimum is 0.
-    """
-    d, m = gens[0].d, gens[0].m
-    dim = ambient_dim(d, m)
-    ineq = [i for i in ineq_idx]
-    nslack = len(ineq) + 1  # one slack per inequality plus the cap
-    ncols = 2 * dim + nslack
-    rows = []
-    rhs = []
-    for i in eq_idx:
-        coords = list(gens[i].flatten(weighted=True))
-        rows.append(coords + [-v for v in coords] + [Fraction(0)] * nslack)
-        rhs.append(Fraction(0))
-    for pos, i in enumerate(ineq):
-        coords = list(gens[i].flatten(weighted=True))
-        slack = [Fraction(0)] * nslack
-        slack[pos] = Fraction(-1)
-        rows.append(coords + [-v for v in coords] + slack)
-        rhs.append(Fraction(0))
-    coords = list(gens[k].flatten(weighted=True))
-    cap = [Fraction(0)] * nslack
-    cap[-1] = Fraction(1)
-    rows.append(coords + [-v for v in coords] + cap)
-    rhs.append(Fraction(1))
-    cost = [Fraction(0)] * ncols
-    for pos, v in enumerate(coords):
-        cost[pos] -= v
-        cost[dim + pos] += v
-    res = solve_lp(rows, rhs, cost)
-    assert res.status == OPTIMAL
-    return res.objective == 0
 
 
 def uncertainty_space(
@@ -497,9 +387,14 @@ def uncertainty_space(
     """Basis of the linear hull of the uncertainty set U(X), and linearity.
 
     Eutactic (interior) case: U(X) is the orthogonal complement of the
-    domain span, a genuine subspace.  Boundary case: U(X) is the face of the
-    dual cone orthogonal to the minimal face F(X); the basis spans its
-    linear hull and ``is_subspace`` records whether the cone is linear.
+    domain span, a genuine subspace.  Boundary case: U(X) is the face
+    {N : <g, N> = 0 on F(X), <g, N> >= 0 elsewhere} of the dual cone, and
+    its linear hull is the orthogonal complement of the face generators.
+    No other generator is an implicit equality there: F(X) is a face of the
+    polyhedral domain C, so C meets span F(X) in F(X) alone, and a
+    functional exposing F(X) lies in U(X) and is positive on every other
+    generator.  There is such a generator, or the target would be interior,
+    so ``is_subspace`` is False.
     """
     if domain is None:
         domain = voronoi_domain(x)
@@ -509,15 +404,8 @@ def uncertainty_space(
         raise ValueError("uncertainty set is defined only inside the domain")
     if status.tag == INTERIOR:
         return domain.nullspace, True
-    face = set(status.face)
-    others = [i for i in range(len(domain.generators)) if i not in face]
-    implicit = [
-        k for k in others
-        if _implicit_equality(domain.generators, sorted(face), others, k)
-    ]
-    span_rows = [domain.generators[i] for i in sorted(face) + implicit]
-    _, basis = rank_span(span_rows)
-    return basis, len(implicit) == len(others)
+    _, basis = rank_span([domain.generators[i] for i in status.face])
+    return basis, False
 
 
 def translational_criterion(
@@ -667,17 +555,15 @@ def _verified_improvement_step(
 ) -> Fraction:
     """Backtrack eps from 2^k until delta(X + eps N) > delta(X), exactly.
 
-    The Q-part of N scales like Q^{-1}, so a fixed start misses the
-    admissible steps of a form rescaled far enough (about 2^-2200 for Q
-    scaled by 2^-1100); the start 2^k is the ratio of the largest entries
-    of Q and of the Q-part of N instead.  Comparison is on the exact
+    The Q-part of N scales like Q^{-1}, so the admissible steps scale like
+    lam^2 (about 2^-2200 for Q scaled by 2^-1100) and a fixed start misses
+    them; the start is lam^2 rounded to a power of two, exactly 1 on the
+    min-one forms ``improve`` certifies.  Comparison is on the exact
     rational center density squared, which is scale-invariant, so no
     rescaling enters the verdict.
     """
     before = density(x, lam).center_density_squared
-    eps = Fraction(1)
-    if not n.qpart.is_zero():
-        eps = Fraction(2) ** (_log2_size(x.q.form) - _log2_size(n.qpart))
+    eps = Fraction(2) ** (2 * log2_magnitude(lam))
     for _ in range(256):
         try:
             cand = x.add_tangent(n, eps)
@@ -688,11 +574,6 @@ def _verified_improvement_step(
             return eps
         eps /= 2
     raise RuntimeError("no verified improvement step found along N")
-
-
-def _log2_size(f: SymForm) -> int:
-    """log2 of the largest entry of a nonzero form, up to one."""
-    return max(log2_magnitude(v) for v in f.upper if v)
 
 
 def periodic_extreme_by_theorem(q: PQF) -> bool:

@@ -206,9 +206,10 @@ def project_to_cone(
     point = _combine(gens, active, [alpha[i] for i in active])
     residual = point.sub(target)
     # Exact optimality certificate.
-    for g in gens:
-        assert inner(g, residual) >= 0
-    assert inner(point, residual) == 0
+    if any(inner(g, residual) < 0 for g in gens):
+        raise RuntimeError("cone projection residual is negative on a generator")
+    if inner(point, residual) != 0:
+        raise RuntimeError("cone projection residual is not orthogonal to the point")
     return ConeProjection(point, coeffs, residual)
 
 

@@ -327,7 +327,8 @@ def _reduce(q: PQF) -> _Reduction:
     den = lcm(*(v.denominator for v in qred.form.upper))
     gram = tuple(tuple(int(v * den) for v in row) for row in qred.form.rows())
     res = ldl(qred.form)
-    assert res.perm == tuple(range(q.d))
+    if res.perm != tuple(range(q.d)):
+        raise RuntimeError("LDL pivoted a positive definite form")
     top = max(res.pivots)
     if min(res.pivots) * 2 ** MAX_PIVOT_SPAN_BITS < top:
         raise ValueError(

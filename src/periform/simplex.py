@@ -121,8 +121,8 @@ def solve_lp(
     )
     t.basis = [n + r for r in range(m)]
     t.set_cost([Fraction(0)] * n + [Fraction(1)] * m)
-    status = t.run_bland(lambda j: True)
-    assert status == OPTIMAL  # phase 1 is bounded below by 0
+    if t.run_bland(lambda j: True) != OPTIMAL:
+        raise RuntimeError("phase 1 is bounded below by 0, yet unbounded")
     phase1_value = -t.cost_rhs
     if phase1_value > 0:
         # Farkas: y = c_B^t B^{-1}, read off the artificial columns.

@@ -4,13 +4,14 @@ import pytest
 
 from helpers import e8_gram
 from periform.certify import (
+    BOUNDARY,
     INCONCLUSIVE,
     INTERIOR,
     ISOLATED_EXTREME,
     NOT_EXTREME,
     OUTSIDE,
-    _minimal_face,
-    _relint_lp,
+    VoronoiDomain,
+    _classify,
     certify,
     eutaxy_status,
     floating_components,
@@ -22,7 +23,7 @@ from periform.certify import (
     uncertainty_space,
     voronoi_domain,
 )
-from periform.linalg import PQF, SymForm, TangentVector, inner
+from periform.linalg import PQF, SymForm, TangentVector, inner, rank_span
 from periform.periodic import OverlapError, PeriodicForm, density, generalized_min
 
 A2 = PQF.from_rows([[2, 1], [1, 2]])
@@ -115,9 +116,9 @@ class TestEutaxyStatus:
             TangentVector.make(SymForm.outer([0, 1])),
         ]
         target = TangentVector.make(SymForm.outer([1, 0]))
-        mu, _alpha = _relint_lp(gens, target)
-        assert mu == 0
-        assert _minimal_face(gens, target) == (0,)
+        st = _classify(gens, target, 3)
+        assert st.tag == BOUNDARY
+        assert st.face == (0,)
 
 
 class TestStrongEutaxy:
@@ -181,9 +182,12 @@ class TestUncertainty:
             TangentVector.make(SymForm.outer([1, 0])),
             TangentVector.make(SymForm.outer([0, 1])),
         ]
-        from periform.certify import _implicit_equality
-
-        assert not _implicit_equality(gens, [0], [1], 1)
+        target = TangentVector.make(SymForm.outer([1, 0]))
+        dom = VoronoiDomain(tuple(gens), (), 3, *rank_span(gens))
+        basis, is_sub = uncertainty_space(None, dom, _classify(gens, target, 3))
+        assert len(basis) == 2
+        assert all(inner(n, gens[0]) == 0 for n in basis)
+        assert not is_sub
 
 
 class TestTranslationalCriterion:

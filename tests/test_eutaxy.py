@@ -1,9 +1,11 @@
-"""The float-guided eutaxy path against the exact simplex it falls back to.
+"""The eutaxy path of ``certify`` against the exact simplex path it replaced.
 
 ``_classify`` (the steps of ``eutaxy_status``) must give the tag and the face
-that ``_exact_status`` gives, on random cones and on catalog forms, and every
-witness and separator it returns must pass the exact checks written here,
-independently of the ones in ``certify``.
+that ``reference_status`` gives, on random cones and on catalog forms, and
+every witness and separator it returns must pass the exact checks written
+here, independently of the ones in ``certify``.  On the boundary,
+``uncertainty_space`` must give the basis that the implicit-equality LPs of
+``reference_uncertainty`` give.
 """
 
 import importlib
@@ -26,15 +28,17 @@ from periform.certify import (
     BOUNDARY,
     INTERIOR,
     OUTSIDE,
+    VoronoiDomain,
     _classify,
     _det_gradient_target,
-    _exact_status,
     certify,
     eutaxy_status,
+    uncertainty_space,
     voronoi_domain,
 )
-from periform.linalg import PQF, SymForm, TangentVector, ambient_dim, inner
+from periform.linalg import PQF, SymForm, TangentVector, ambient_dim, inner, rank_span
 from periform.periodic import PeriodicForm
+from reference_eutaxy import reference_status, reference_uncertainty
 
 # The module, not the function the package exports under the same name.
 certify_module = importlib.import_module("periform.certify")
@@ -68,7 +72,9 @@ def certificate_holds(gens, target, status):
     if status.tag == INTERIOR:
         return is_witness(gens, target, status.witness)
     if status.tag == OUTSIDE:
-        return is_separator(gens, target, status.separator)
+        # The nearest-point residual N is orthogonal to the cone point target + N.
+        n = status.separator
+        return is_separator(gens, target, n) and inner(n, n.add(target)) == 0
     return status.tag == BOUNDARY and status.face is not None
 
 
@@ -107,7 +113,7 @@ def random_cone(seed):
     if kind == "interior":
         gens = [vec() for _ in range(k)]
         target = combination(gens, [positive() for _ in gens])
-    elif kind == "boundary":  # one exact LP per generator finds the face: keep it small
+    elif kind == "boundary":  # the reference takes one exact LP per generator: keep it small
         ff = inner(f, f)
         face = [g.sub(f.scale(inner(g, f) / ff)) for g in (vec() for _ in range(k // 2 + 1))]
         rest = [g.scale(-1) if inner(g, f) < 0 else g for g in (vec() for _ in range(k // 2 + 1))]
@@ -137,24 +143,46 @@ def random_cone(seed):
     return [rescale(g, 1) for g in gens], rescale(target, 1 / scale), dim
 
 
+def domain_of(gens, dim):
+    rank, nullspace = rank_span(gens)
+    return VoronoiDomain(tuple(gens), (), dim, rank, nullspace)
+
+
+def count_lps(monkeypatch):
+    """The list that each ``solve_lp`` call from ``certify`` appends to."""
+    calls = []
+    real = certify_module.solve_lp
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(certify_module, "solve_lp", counting)
+    return calls
+
+
 @pytest.mark.parametrize("seed", range(80))
-def test_matches_exact_path(seed):
+def test_matches_exact_path(seed, monkeypatch):
+    """Same tag and face as the reference; on the boundary F(X) takes one
+    exact LP and U(X) none."""
     gens, target, dim = random_cone(seed)
-    expected = _exact_status(gens, target)
+    expected = reference_status(gens, target)
+    calls = count_lps(monkeypatch)
     got = _classify(gens, target, dim)
     assert (got.tag, got.face) == (expected.tag, expected.face)
     assert certificate_holds(gens, target, got)
-    if got.tag == OUTSIDE and got.nearest:
-        # The nearest-point residual N is orthogonal to the cone point target + N.
-        assert inner(got.separator, got.separator.add(target)) == 0
+    if got.tag == BOUNDARY:
+        assert len(calls) == 1
+        uncertainty_space(None, domain_of(gens, dim), got)
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("seed", [s for s in range(80) if KINDS[s % 4] != "boundary"])
 def test_clear_cases_skip_the_simplex(seed, monkeypatch):
-    """Interior and outside cones are decided by steps 1 and 2: the exact
-    simplex is never entered."""
+    """Interior and outside cones are decided by the float path or by the
+    exact projection: the exact simplex is never entered."""
     gens, target, dim = random_cone(seed)
-    expected = _exact_status(gens, target)
+    expected = reference_status(gens, target)
     if expected.tag == BOUNDARY:
         return
 
@@ -165,6 +193,24 @@ def test_clear_cases_skip_the_simplex(seed, monkeypatch):
     got = _classify(gens, target, dim)
     assert got.tag == expected.tag
     assert certificate_holds(gens, target, got)
+
+
+# ---------------------------------------------------------------------------
+# The boundary: U(X) against the implicit-equality LPs of the reference.
+# ---------------------------------------------------------------------------
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [s for s in range(200) if KINDS[s % 4] == "boundary"])
+def test_boundary_uncertainty_matches_reference(seed):
+    """No non-face generator is an implicit equality, so the basis is the
+    complement of the face generators and the uncertainty cone is not linear.
+    Slow: the reference takes one exact LP per non-face generator."""
+    gens, target, dim = random_cone(seed)
+    status = _classify(gens, target, dim)
+    assert status.tag == BOUNDARY
+    basis, is_subspace, implicit = reference_uncertainty(gens, status.face)
+    assert implicit == [] and not is_subspace
+    assert uncertainty_space(None, domain_of(gens, dim), status) == (basis, False)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +266,7 @@ def garbage_verdicts():
 def exact_verdicts():
     return [
         [st.tag, list(st.face or ()), True]
-        for st in (_exact_status(gens, target) for gens, target, _ in garbage_cases())
+        for st in (reference_status(gens, target) for gens, target, _ in garbage_cases())
     ]
 
 
@@ -280,6 +326,6 @@ def test_improving_direction_reuses_the_projection(monkeypatch):
 
     monkeypatch.setattr(certify_module, "project_to_cone", counting)
     cert = certify(x)
-    assert cert.eutaxy.tag == OUTSIDE and cert.eutaxy.nearest
+    assert cert.eutaxy.tag == OUTSIDE
     assert cert.improving == cert.eutaxy.separator
     assert len(calls) == 1
