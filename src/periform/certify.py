@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
 from typing import Sequence
 
 import numpy as np
@@ -19,24 +21,22 @@ import numpy as np
 from .cones import FloatImage, project_to_cone
 from .linalg import (
     PQF,
-    RANK_PRIME,
-    SymForm,
     TangentVector,
     ambient_dim,
-    independent_rows_modp,
     inner,
+    int_matrix,
+    integer_row,
     log2_magnitude,
+    rank_complement,
     rank_span,
-    residues,
 )
 from .periodic import (
     GenMinResult,
-    MinRep,
+    MinBlock,
     OverlapError,
     PeriodicForm,
     density,
     generalized_min,
-    gradient_p,
 )
 from .simplex import OPTIMAL, solve_lp
 
@@ -74,19 +74,41 @@ NOT_EXTREME = "NotExtreme"
 INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VoronoiDomain:
-    """Conic hull of the minimum-constraint gradients at X."""
+    """Conic hull of the minimum-constraint gradients at X.
 
-    generators: tuple[TangentVector, ...]
-    reps: tuple[MinRep, ...]
-    ambient: int
+    Row k of ``matrix`` / ``den`` is the gradient at the k-th canonical
+    representation in weighted coordinates (``TangentVector.flatten``).  The
+    matrix is int64 when no entry and no column sum can pass 2^63, and holds
+    Python ints otherwise.
+    """
+
+    matrix: np.ndarray
+    den: int
+    d: int
+    m: int
     rank: int
     nullspace: tuple[TangentVector, ...]
 
     @property
+    def ambient(self) -> int:
+        return ambient_dim(self.d, self.m)
+
+    @property
     def is_full_dimensional(self) -> bool:
         return self.rank == self.ambient
+
+    @cached_property
+    def generators(self) -> tuple[TangentVector, ...]:
+        """The rows as tangent vectors: ``gradient_p`` at each representation."""
+        tri = [(a, b) for a in range(self.d) for b in range(a, self.d)]
+        dens = [self.den * (1 if a == b else 2) for a, b in tri]
+        dens += [self.den] * (self.ambient - len(tri))
+        return tuple(
+            TangentVector.unflatten(list(map(Fraction, row, dens)), self.d, self.m)
+            for row in self.matrix.tolist()
+        )
 
 
 @dataclass(frozen=True)
@@ -129,31 +151,52 @@ class Certificate:
 
 
 # ---------------------------------------------------------------------------
-# The lattice case: sums and ranks over the rank-1 forms of Min Q.
+# The generalized Voronoi domain: one integer row per representation.
 # ---------------------------------------------------------------------------
 
 
-def _minvec_rank1_full(vectors: Sequence[Sequence[int]], d: int) -> bool:
-    """Do the forms w w^t span all of S^d?  Certified via a modular rank."""
-    target = d * (d + 1) // 2
-    xs = residues(vectors)
-    cols = [xs[:, i] * xs[:, j] % RANK_PRIME for i in range(d) for j in range(i, d)]
-    mat = np.stack(cols, axis=1)
-    return len(independent_rows_modp(mat, target)) == target
+def _gradient_matrix(x: PeriodicForm, blocks: Sequence[MinBlock]) -> tuple[np.ndarray, int]:
+    """(M, den): row k of M / den is grad p at the k-th representation.
 
-
-def _outer_sum(vectors: Sequence[Sequence[int]], d: int) -> list[list[int]]:
-    """sum of x x^t over the integer vectors, exactly.
-
-    int64 only when n * max|x|^2 bounds every partial sum below 2^63.
+    In block (i, j), w = (c - tden v) / tden with c / tden = t_i - t_j, so a
+    row holds w w^t over tden^2 (off-diagonal entries doubled) and +-2Qw
+    over qden tden at columns i and j, for Q = qnum / qden, all brought to
+    one denominator.  M is filled in place, one column at a time: Leech has
+    98280 rows of 300 entries, and whole-matrix temporaries would each take
+    as much memory as M.
     """
-    try:
-        xs = np.array(vectors, dtype=np.int64)
-    except OverflowError:
-        xs = None
-    if xs is not None and len(vectors) * max(int(xs.max()), -int(xs.min())) ** 2 < 2 ** 63:
-        return (xs.T @ xs).tolist()
-    return [[sum(x[i] * x[j] for x in vectors) for j in range(d)] for i in range(d)]
+    d, m = x.d, x.m
+    tri = [(a, c) for a in range(d) for c in range(a, d)]
+    nq = len(tri)
+    qden = lcm(*(v.denominator for v in x.q.form.upper))
+    qnum = [[int(x.q.form.entry(a, b) * qden) for b in range(d)] for a in range(d)]
+    qmax = max(abs(v) for row in qnum for v in row)
+    tdens = [lcm(*(v.denominator for v in b.t)) for b in blocks]
+    den = lcm(*(t * t if b.i == b.j else t * lcm(t, qden) for b, t in zip(blocks, tdens)))
+    vs = [int_matrix(b.vs) for b in blocks]
+    # wmax bounds |c - tden v|, so |entry| <= 2 den wmax max(wmax, d qmax);
+    # int64 only when the column sums of such entries stay below 2^63.
+    wmax = [max(map(abs, integer_row(b.t))) + t * int(np.abs(v).max())
+            for b, t, v in zip(blocks, tdens, vs)]
+    rows = sum(len(v) for v in vs)
+    bound = 2 * den * max(w * max(w, d * qmax) for w in wmax)
+    dtype = np.int64 if rows * bound < 2 ** 63 else object
+    matrix = np.zeros((rows, ambient_dim(d, m)), dtype=dtype)
+    start = 0
+    for b, t, v in zip(blocks, tdens, vs):
+        # Column-major, so that each w[:, a] read below is contiguous.
+        w = np.asfortranarray(np.array(integer_row(b.t), dtype=dtype) - t * v.astype(dtype))
+        part = matrix[start : start + len(v)]
+        start += len(v)
+        fq = den // (t * t)
+        for k, (a, c) in enumerate(tri):
+            np.multiply(w[:, a], w[:, c] * (fq if a == c else 2 * fq), out=part[:, k])
+        if b.i != b.j:
+            grad = (w @ np.array(qnum, dtype=dtype).T) * (2 * den // (qden * t))
+            part[:, nq + (b.i - 1) * d : nq + b.i * d] = grad
+            if b.j != m:
+                part[:, nq + (b.j - 1) * d : nq + b.j * d] = -grad
+    return matrix, den
 
 
 def voronoi_domain(x: PeriodicForm, gen_min: GenMinResult | None = None) -> VoronoiDomain:
@@ -162,57 +205,29 @@ def voronoi_domain(x: PeriodicForm, gen_min: GenMinResult | None = None) -> Voro
         gen_min = generalized_min(x)
     if gen_min.lam == 0:
         raise OverlapError("Voronoi domain undefined for lambda = 0")
-    gens = tuple(gradient_p(x, rep) for rep in gen_min.reps)
-    rank, nullspace = rank_span(gens)
-    return VoronoiDomain(gens, gen_min.reps, ambient_dim(x.d, x.m), rank, nullspace)
+    matrix, den = _gradient_matrix(x, gen_min.blocks)
+    rank, complement = rank_complement(matrix)
+    nullspace = tuple(TangentVector.unflatten(c, x.d, x.m) for c in complement)
+    return VoronoiDomain(matrix, den, x.d, x.m, rank, nullspace)
 
 
 def is_m_perfect(
     x: PeriodicForm, gen_min: GenMinResult | None = None
 ) -> tuple[bool, int, int]:
     """(perfect, rank, ambient): is the Voronoi domain full-dimensional?"""
-    if gen_min is None:
-        gen_min = generalized_min(x)
-    if gen_min.lam == 0:
-        raise OverlapError("perfection undefined for lambda = 0")
-    if x.m == 1:
-        # Lattice case: generators are the rank-1 forms of Min Q, and a
-        # modular full-rank certificate avoids exact elimination on large
-        # minimum sets (the Leech lattice has 98280 of them).
-        vecs = [tuple(int(c) for c in rep.w) for rep in gen_min.reps]
-        ambient = ambient_dim(x.d, 1)
-        if _minvec_rank1_full(vecs, x.d):
-            return True, ambient, ambient
     dom = voronoi_domain(x, gen_min)
     return dom.is_full_dimensional, dom.rank, dom.ambient
 
 
-def strong_eutaxy(
-    q: PQF, min_vectors: Sequence[Sequence[int]] | None = None
-) -> tuple[bool, Fraction | None]:
+def strong_eutaxy(q: PQF) -> tuple[bool, Fraction | None]:
     """Is Q^{-1} = alpha * sum over the full Min Q (both signs) of x x^t?
 
-    ``min_vectors`` (one per +/- pair) skips the enumeration when the caller
-    already has Min Q.
+    The generators of the lattice domain are x x^t, one per +/- pair, so
+    this is the uniform witness c there, with alpha = c / 2.
     """
-    if min_vectors is None:
-        from .lattices import shortest_vectors
-
-        min_vectors = shortest_vectors(q).vectors
-    d = q.d
-    ssum = _outer_sum(min_vectors, d)  # one representative per +/- pair
-    s2 = SymForm.from_rows([[2 * ssum[i][j] for j in range(d)] for i in range(d)])
-    qinv = q.inverse()
-    pivot = next(
-        ((i, j) for i in range(d) for j in range(i, d) if s2.entry(i, j) != 0),
-        None,
-    )
-    if pivot is None:
-        return False, None
-    alpha = qinv.entry(*pivot) / s2.entry(*pivot)
-    if alpha > 0 and s2.scale(alpha) == qinv:
-        return True, alpha
-    return False, None
+    x = PeriodicForm.lattice(q)
+    c = _uniform_witness(voronoi_domain(x), _det_gradient_target(x))
+    return (False, None) if c is None else (True, c / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -226,20 +241,15 @@ def _det_gradient_target(x: PeriodicForm) -> TangentVector:
     )
 
 
-def _uniform_witness(
-    gens: Sequence[TangentVector], target: TangentVector
-) -> Fraction | None:
-    """c > 0 with c * sum(gens) = target, if it exists (strong-eutaxy shape)."""
-    total = gens[0]
-    for g in gens[1:]:
-        total = total.add(g)
-    denom = inner(total, total)
-    if denom == 0:
+def _uniform_witness(domain: VoronoiDomain, target: TangentVector) -> Fraction | None:
+    """c > 0 with c * sum(generators) = target, if it exists (strong-eutaxy shape)."""
+    total = [Fraction(v, domain.den) for v in domain.matrix.sum(axis=0).tolist()]
+    goal = target.flatten(weighted=True)
+    k = next((k for k, v in enumerate(total) if v), None)
+    if k is None:
         return None
-    c = inner(target, total) / denom
-    if c <= 0:
-        return None
-    if total.scale(c).sub(target).is_zero():
+    c = goal[k] / total[k]
+    if c > 0 and all(c * v == g for v, g in zip(total, goal)):
         return c
     return None
 
@@ -277,9 +287,16 @@ def _positive_support(
     1985): maximize sum z s.t. sum_k (z + s)_k v_k = 0, z <= 1, z, s >= 0.
     Scaling up a solution shows that at every optimum z_k = 1 exactly on the
     columns positive in some solution of sum x_k v_k = 0, x >= 0, and 0
-    elsewhere, so x = z + s has the largest support there is.
+    elsewhere, so x = z + s has the largest support there is.  Each column
+    enters as the primitive integer vector on its ray, which changes no
+    support and keeps the tableau entries small; x is scaled back.
     """
-    cols = [g.flatten() for g in gens] + [target.scale(-1).flatten()]
+    cols, scales = [], []
+    for coords in [g.flatten() for g in gens] + [target.scale(-1).flatten()]:
+        row = integer_row(coords)
+        g = gcd(*row) or 1
+        cols.append([v // g for v in row])
+        scales.append(Fraction(lcm(*(c.denominator for c in coords)), g))
     k = len(cols)
     zero, one = Fraction(0), Fraction(1)
     rows = [list(coords) * 2 + [zero] * k for coords in zip(*cols)]
@@ -291,16 +308,15 @@ def _positive_support(
     res = solve_lp(rows, rhs, [-one] * k + [zero] * (2 * k))
     if res.status != OPTIMAL:
         raise RuntimeError("the support LP has no optimum")
-    return tuple(z + s for z, s in zip(res.x[:k], res.x[k : 2 * k]))
+    return tuple(
+        f * (z + s) for f, z, s in zip(scales, res.x[:k], res.x[k : 2 * k])
+    )
 
 
 def _classify(
     gens: Sequence[TangentVector], target: TangentVector, ambient: int
 ) -> EutaxyStatus:
-    """The three steps of ``eutaxy_status`` for any target and generators."""
-    c = _uniform_witness(gens, target)
-    if c is not None:
-        return EutaxyStatus(INTERIOR, witness=(c,) * len(gens))
+    """Steps 2 and 3 of ``eutaxy_status`` for any target and generators."""
     image = FloatImage(gens, target)
     if image.residual() <= _TRIAGE_RESIDUAL:
         alpha = image.positive_combination(ambient)
@@ -352,7 +368,11 @@ def eutaxy_status(
     """
     if domain is None:
         domain = voronoi_domain(x)
-    return _classify(domain.generators, _det_gradient_target(x), domain.ambient)
+    target = _det_gradient_target(x)
+    c = _uniform_witness(domain, target)
+    if c is not None:
+        return EutaxyStatus(INTERIOR, witness=(c,) * len(domain.matrix))
+    return _classify(domain.generators, target, domain.ambient)
 
 
 def improving_direction(
@@ -411,7 +431,7 @@ def uncertainty_space(
 def translational_criterion(
     x: PeriodicForm,
     basis: Sequence[TangentVector],
-    reps: Sequence[MinRep] | None = None,
+    blocks: Sequence[MinBlock] | None = None,
 ) -> tuple[bool, tuple[int, int] | None]:
     """Does the hull of U(X) consist of purely translational changes fixing
     some touching pair?
@@ -421,11 +441,11 @@ def translational_criterion(
     vectors in Min X) the condition is purely Q^N = 0.  Checking the hull is
     sufficient but possibly conservative for non-linear U(X).
     """
-    if reps is None:
-        reps = generalized_min(x).reps
-    if not reps:
+    if blocks is None:
+        blocks = generalized_min(x).blocks
+    if not blocks:
         raise OverlapError("criterion undefined without minimum representations")
-    pairs = sorted({(r.i, r.j) for r in reps})
+    pairs = sorted({(b.i, b.j) for b in blocks})
     zero = (Fraction(0),) * x.d
 
     def col(n: TangentVector, k: int):
@@ -446,14 +466,14 @@ def translational_criterion(
 
 
 def floating_components(
-    x: PeriodicForm, reps: Sequence[MinRep] | None = None
+    x: PeriodicForm, blocks: Sequence[MinBlock] | None = None
 ) -> tuple[tuple[int, ...], ...]:
     """Connected components of the touching graph on translate indices."""
-    if reps is None:
+    if blocks is None:
         gm = generalized_min(x)
         if gm.lam == 0:
             raise OverlapError("touching graph undefined for lambda = 0")
-        reps = gm.reps
+        blocks = gm.blocks
     parent = list(range(x.m + 1))
 
     def find(a: int) -> int:
@@ -462,9 +482,9 @@ def floating_components(
             a = parent[a]
         return a
 
-    for r in reps:
-        if r.i != r.j:
-            ra, rb = find(r.i), find(r.j)
+    for b in blocks:
+        if b.i != b.j:
+            ra, rb = find(b.i), find(b.j)
             if ra != rb:
                 parent[ra] = rb
     groups: dict[int, list[int]] = {}
@@ -485,41 +505,15 @@ def certify(x: PeriodicForm) -> Certificate:
     gm = generalized_min(x)
     if gm.lam == 0:
         raise OverlapError("certification requires lambda > 0")
-    floating = floating_components(x, gm.reps)
-
-    if x.m == 1:
-        # Strongly eutactic + modular-certified perfect skips the domain
-        # build entirely; essential for minimum sets the size of Leech's.
-        vecs = [tuple(int(c) for c in rep.w) for rep in gm.reps]
-        strong, alpha = strong_eutaxy(x.q, vecs)
-        if strong:
-            if _minvec_rank1_full(vecs, x.d):
-                ambient = ambient_dim(x.d, 1)
-                status = EutaxyStatus(
-                    INTERIOR, witness=(2 * alpha,) * len(gm.reps)
-                )
-                return Certificate(
-                    ISOLATED_EXTREME,
-                    lam=gm.lam,
-                    perfect=True,
-                    rank=ambient,
-                    ambient=ambient,
-                    eutaxy=status,
-                    floating=floating,
-                )
-
+    floating = floating_components(x, gm.blocks)
     domain = voronoi_domain(x, gm)
-    perfect, rank, ambient = (
-        domain.is_full_dimensional,
-        domain.rank,
-        domain.ambient,
-    )
     status = eutaxy_status(x, domain)
+    perfect = domain.is_full_dimensional
     base = dict(
         lam=gm.lam,
         perfect=perfect,
-        rank=rank,
-        ambient=ambient,
+        rank=domain.rank,
+        ambient=domain.ambient,
         eutaxy=status,
         floating=floating,
     )
@@ -533,7 +527,7 @@ def certify(x: PeriodicForm) -> Certificate:
     if status.tag == INTERIOR and perfect:
         return Certificate(ISOLATED_EXTREME, **base)
     basis, is_subspace = uncertainty_space(x, domain, status)
-    holds, witness = translational_criterion(x, basis, gm.reps)
+    holds, witness = translational_criterion(x, basis, gm.blocks)
     if holds:
         return Certificate(
             EXTREME_TRANSLATIONAL,
@@ -579,8 +573,9 @@ def _verified_improvement_step(
 def periodic_extreme_by_theorem(q: PQF) -> bool:
     """Perfect plus strongly eutactic certifies periodic extremeness for all
     representations at once, without enumerating them."""
-    strong, _ = strong_eutaxy(q)
-    if not strong:
-        return False
-    perfect, _, _ = is_m_perfect(PeriodicForm.lattice(q))
-    return perfect
+    x = PeriodicForm.lattice(q)
+    domain = voronoi_domain(x)
+    return (
+        domain.is_full_dimensional
+        and _uniform_witness(domain, _det_gradient_target(x)) is not None
+    )

@@ -24,6 +24,7 @@ from .formats import (
     dumps,
     format_rational,
     from_document,
+    parse_integer,
     parse_rational,
     tangent_to_document,
     to_document,
@@ -283,7 +284,7 @@ def _parse_h_matrix(text: str, d: int) -> list[list[int]]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        rows.append([int(v) for v in chunk.replace(",", " ").split()])
+        rows.append([parse_integer(v) for v in chunk.replace(",", " ").split()])
     if len(rows) != d or any(len(r) != d for r in rows):
         raise PFormError(f"H must be {d} x {d}")
     return rows

@@ -28,9 +28,9 @@ from .linalg import (
     TangentVector,
     independent_rows_modp,
     inner,
+    int_matrix,
     integer_row,
     log2_magnitude,
-    residues,
     solve_exact,
 )
 
@@ -293,7 +293,7 @@ class FloatImage:
         weights = res.x[:n] + res.x[-1]
         order = [int(j) for j in np.argsort(-weights, kind="stable")]
         picked = independent_rows_modp(
-            residues([integer_row(cols[j]) for j in order]), limit
+            int_matrix([integer_row(cols[j]) for j in order]), limit
         )
         basic = [order[k] for k in picked]
         alpha: list[Fraction | None] = [None] * n

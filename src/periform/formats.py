@@ -24,6 +24,7 @@ __all__ = [
     "PFormError",
     "format_rational",
     "parse_rational",
+    "parse_integer",
     "to_document",
     "from_document",
     "dumps",
@@ -64,6 +65,13 @@ def parse_rational(s: Any) -> Fraction:
     if int(den) == 0:
         raise PFormError(f"bad rational {s[:40]!r}: zero denominator")
     return Fraction(int(num), int(den))
+
+
+def parse_integer(s: str) -> int:
+    """An integer string: ``-?[0-9]+``, at most MAX_DIGITS digits."""
+    if "/" in s:
+        raise PFormError(f"bad integer {s[:40]!r}: expected digits")
+    return parse_rational(s).numerator
 
 
 def _count(doc: dict, key: str) -> int:

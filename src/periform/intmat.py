@@ -1,4 +1,4 @@
-"""Exact integer matrix utilities: determinants, inverses, Hermite normal form.
+"""Exact integer matrix utilities: determinants, Hermite normal form, sublattices.
 
 Everything here works on plain nested sequences of Python ints and returns
 tuples, so results are hashable and safe to share between threads.
@@ -6,7 +6,6 @@ tuples, so results are hashable and safe to share between threads.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from typing import Iterator, Sequence
 
@@ -40,25 +39,6 @@ def det_bareiss(rows: Sequence[Sequence[int]]) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
-
-
-def inverse_rational(rows: Sequence[Sequence[int]]) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse of a nonsingular integer matrix, as Fractions."""
-    n = len(rows)
-    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
 
 
 def row_hnf(rows: Sequence[Sequence[int]]) -> IntMatrix:

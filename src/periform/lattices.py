@@ -20,8 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .intmat import det_bareiss, inverse_rational
-from .linalg import PQF, SymForm, RatLike, ldl
+from .intmat import det_bareiss
+from .linalg import PQF, SymForm, RatLike, _row_echelon, ldl
 
 __all__ = [
     "Unimodular",
@@ -66,8 +66,13 @@ class Unimodular:
         return tuple(sum(row[j] * x[j] for j in range(self.d)) for row in self.rows)
 
     def inverse(self) -> "Unimodular":
-        inv = inverse_rational(self.rows)
-        return Unimodular(tuple(tuple(int(v) for v in row) for row in inv))
+        """U^-1 from the reduced echelon form of [U | I], which is [I | U^-1]."""
+        n = self.d
+        _, _, ech = _row_echelon([
+            [Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(self.rows)
+        ])
+        return Unimodular(tuple(tuple(int(v) for v in row[n:]) for row in ech))
 
 
 @dataclass(frozen=True)
@@ -327,8 +332,6 @@ def _reduce(q: PQF) -> _Reduction:
     den = lcm(*(v.denominator for v in qred.form.upper))
     gram = tuple(tuple(int(v * den) for v in row) for row in qred.form.rows())
     res = ldl(qred.form)
-    if res.perm != tuple(range(q.d)):
-        raise RuntimeError("LDL pivoted a positive definite form")
     top = max(res.pivots)
     if min(res.pivots) * 2 ** MAX_PIVOT_SPAN_BITS < top:
         raise ValueError(

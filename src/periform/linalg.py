@@ -27,12 +27,12 @@ __all__ = [
     "TangentVector",
     "LDLResult",
     "ldl",
-    "det_and_inverse",
     "inner",
     "rank_span",
+    "rank_complement",
     "ambient_dim",
     "RANK_PRIME",
-    "residues",
+    "int_matrix",
     "independent_rows_modp",
     "integer_row",
     "log2_magnitude",
@@ -176,48 +176,26 @@ class LDLResult:
 
     lower: tuple[tuple[Fraction, ...], ...]
     pivots: tuple[Fraction, ...]
-    perm: tuple[int, ...]
     is_positive_definite: bool
 
 
 def ldl(q: SymForm) -> LDLResult:
-    """Exact LDL^t of a symmetric rational matrix.
+    """Exact LDL^t of a symmetric rational matrix, without pivoting.
 
-    For positive definite input, P Q P^t = L diag(D) L^t holds exactly with
-    the identity permutation.  A pivot <= 0 stops the decomposition with
-    ``is_positive_definite = False``; a zero pivot with nonzero remainder
-    triggers a symmetric pivot search so degenerate inputs still terminate
-    deterministically.
+    For positive definite input Q = L diag(D) L^t holds exactly.  The first
+    pivot <= 0 stops the decomposition with ``is_positive_definite = False``:
+    a positive definite form has only positive pivots in any order.
     """
     d = q.d
     a = [list(row) for row in q.rows()]
-    perm = list(range(d))
     lower = [[Fraction(0)] * d for _ in range(d)]
     pivots: list[Fraction] = []
     for k in range(d):
-        if a[k][k] == 0:
-            swap = next((j for j in range(k + 1, d) if a[j][j] != 0), None)
-            if swap is None:
-                # No usable diagonal pivot left: singular (zero remainder) or
-                # indefinite (nonzero remainder with zero diagonal).
-                return LDLResult(
-                    tuple(tuple(r) for r in lower),
-                    tuple(pivots),
-                    tuple(perm),
-                    False,
-                )
-            a[k], a[swap] = a[swap], a[k]
-            for row in a:
-                row[k], row[swap] = row[swap], row[k]
-            lower[k], lower[swap] = lower[swap], lower[k]
-            perm[k], perm[swap] = perm[swap], perm[k]
         piv = a[k][k]
         pivots.append(piv)
         lower[k][k] = Fraction(1)
         if piv <= 0:
-            return LDLResult(
-                tuple(tuple(r) for r in lower), tuple(pivots), tuple(perm), False
-            )
+            return LDLResult(tuple(tuple(r) for r in lower), tuple(pivots), False)
         for i in range(k + 1, d):
             lower[i][k] = a[i][k] / piv
         for i in range(k + 1, d):
@@ -231,9 +209,7 @@ def ldl(q: SymForm) -> LDLResult:
         for i in range(k + 1, d):
             a[k][i] = Fraction(0)
             a[i][k] = Fraction(0)
-    return LDLResult(
-        tuple(tuple(r) for r in lower), tuple(pivots), tuple(perm), True
-    )
+    return LDLResult(tuple(tuple(r) for r in lower), tuple(pivots), True)
 
 
 class PQF:
@@ -304,11 +280,6 @@ class PQF:
 
     def __repr__(self) -> str:
         return f"PQF({self.form.rows()!r})"
-
-
-def det_and_inverse(q: PQF) -> tuple[Fraction, SymForm]:
-    """Exact determinant and inverse; the inverse is the det-gradient direction."""
-    return q.det(), q.inverse()
 
 
 @dataclass(frozen=True)
@@ -445,13 +416,13 @@ def _row_echelon(rows: list[list[Fraction]]) -> tuple[int, list[int], list[list[
     return rank, pivcols, rows
 
 
-def residues(rows: Sequence[Sequence[int]]) -> np.ndarray:
-    """Nonempty integer rows reduced mod RANK_PRIME, as a 2-D int64 array."""
+def int_matrix(rows: Sequence[Sequence[int]]) -> np.ndarray:
+    """Nonempty integer rows as a 2-D array: int64 if every entry fits, else
+    an object array of Python ints."""
     try:
-        arr = np.array(rows, dtype=np.int64)
+        return np.array(rows, dtype=np.int64)
     except OverflowError:
-        arr = np.array([[v % RANK_PRIME for v in row] for row in rows], dtype=np.int64)
-    return arr % RANK_PRIME
+        return np.array(rows, dtype=object)
 
 
 def _eliminate_modp(block: np.ndarray, row: np.ndarray, col: int) -> None:
@@ -465,7 +436,8 @@ def _eliminate_modp(block: np.ndarray, row: np.ndarray, col: int) -> None:
 def independent_rows_modp(rows: np.ndarray, limit: int) -> list[int]:
     """Indices of rows independent mod RANK_PRIME, taken greedily, at most ``limit``.
 
-    ``rows`` holds residues as int64 (see ``residues``) and is not modified.
+    ``rows`` is an integer array, int64 or object (see ``int_matrix``), and
+    is not modified; it is reduced mod p one chunk at a time.
     Each row is reduced against the rows taken before it and is taken when
     something is left.  A set of integer rows independent mod p is independent
     over Q, so the rank over Q is at least the length of the result.
@@ -473,7 +445,7 @@ def independent_rows_modp(rows: np.ndarray, limit: int) -> list[int]:
     taken: list[int] = []
     basis: list[tuple[np.ndarray, int]] = []
     for start in range(0, rows.shape[0], _MODP_CHUNK):
-        chunk = rows[start : start + _MODP_CHUNK] % RANK_PRIME
+        chunk = (rows[start : start + _MODP_CHUNK] % RANK_PRIME).astype(np.int64, copy=False)
         for brow, col in basis:
             _eliminate_modp(chunk, brow, col)
         for r in range(chunk.shape[0]):
@@ -502,33 +474,24 @@ def log2_magnitude(v: Fraction) -> int:
     return v.numerator.bit_length() - v.denominator.bit_length()
 
 
-def rank_span(vectors: Sequence[TangentVector]) -> tuple[int, tuple[TangentVector, ...]]:
-    """Exact rank of the span and a basis of its orthogonal complement.
+def rank_complement(rows: np.ndarray) -> tuple[int, list[list[Fraction]]]:
+    """Exact rank of an integer matrix and a basis of {c : row . c = 0 for all rows}.
 
-    Orthogonality is with respect to the inner product on S^{d,m}; an empty
-    input is allowed only through the typed helpers that know (d, m), so here
-    it yields rank 0 with no basis information.
-
-    The rows independent mod RANK_PRIME are picked first; when they fill the
-    space the rank is proved.  Otherwise the reduced echelon form of the
-    picked rows gives the complement, and every input row is checked exactly
-    against it.  A row that fails the check (the prime divided one of its
-    minors) joins the picked rows, raising the rank.  The reduced echelon form
-    of a row space is unique, so the result is the one an echelon over all
-    rows gives.
+    ``rows`` is an array as ``int_matrix`` gives.  The rows independent mod
+    RANK_PRIME are picked first; when they fill the space the rank is proved.
+    Otherwise the reduced echelon form of the picked rows gives the
+    complement, and every row is checked exactly against it.  A row that
+    fails the check (the prime divided one of its minors) joins the picked
+    rows, raising the rank.  The reduced echelon form of a row space is
+    unique, so the result is the one an echelon over all rows gives.
     """
-    if not vectors:
-        return 0, ()
-    d, m = vectors[0].d, vectors[0].m
-    for v in vectors[1:]:
-        _check_same_space(vectors[0], v)
-    ncols = ambient_dim(d, m)
-    rows = [integer_row(v.flatten(weighted=True)) for v in vectors]
-    taken = independent_rows_modp(residues(rows), ncols)
+    ncols = rows.shape[1]
+    taken = independent_rows_modp(rows, ncols)
     if len(taken) == ncols:
-        return ncols, ()
+        return ncols, []
+    exact = rows.tolist()
     while True:
-        rank, pivcols, ech = _row_echelon([list(map(Fraction, rows[i])) for i in taken])
+        rank, pivcols, ech = _row_echelon([list(map(Fraction, exact[i])) for i in taken])
         complement = []
         for fc in (c for c in range(ncols) if c not in pivcols):
             coords = [Fraction(0)] * ncols
@@ -538,13 +501,30 @@ def rank_span(vectors: Sequence[TangentVector]) -> tuple[int, tuple[TangentVecto
             complement.append(coords)
         checks = [integer_row(coords) for coords in complement]
         bad = next(
-            (i for i, row in enumerate(rows)
+            (i for i, row in enumerate(exact)
              if any(sum(map(mul, row, c)) for c in checks)),
             None,
         )
         if bad is None:
-            break
+            return rank, complement
         taken.append(bad)
+
+
+def rank_span(vectors: Sequence[TangentVector]) -> tuple[int, tuple[TangentVector, ...]]:
+    """Exact rank of the span and a basis of its orthogonal complement.
+
+    Orthogonality is with respect to the inner product on S^{d,m}; an empty
+    input is allowed only through the typed helpers that know (d, m), so here
+    it yields rank 0 with no basis information.  The vectors enter
+    ``rank_complement`` as integer rows of weighted coordinates.
+    """
+    if not vectors:
+        return 0, ()
+    d, m = vectors[0].d, vectors[0].m
+    for v in vectors[1:]:
+        _check_same_space(vectors[0], v)
+    rows = int_matrix([integer_row(v.flatten(weighted=True)) for v in vectors])
+    rank, complement = rank_complement(rows)
     return rank, tuple(TangentVector.unflatten(c, d, m) for c in complement)
 
 

@@ -9,10 +9,12 @@ order data of the minimum constraints.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import floor, isqrt, pi
-from typing import Sequence
+from operator import neg
 
 from .lattices import closest_vectors, shortest_vectors
 from .linalg import PQF, RatLike, SymForm, TangentVector
@@ -20,6 +22,7 @@ from .linalg import PQF, RatLike, SymForm, TangentVector
 __all__ = [
     "PeriodicForm",
     "MinRep",
+    "MinBlock",
     "GenMinResult",
     "DensityReport",
     "OverlapError",
@@ -116,9 +119,51 @@ class MinRep:
 
 
 @dataclass(frozen=True)
+class MinBlock:
+    """The representations w = t - v of the minimum for one pair i <= j.
+
+    t = t_i - t_j, and ``vs`` holds the integer v in ascending order; for
+    i = j, t = 0 and each v is minus a canonical shortest vector.
+    """
+
+    i: int
+    j: int
+    t: tuple[Fraction, ...]
+    vs: tuple[tuple[int, ...], ...]
+
+
+class _RepView(Sequence):
+    """The MinReps of a list of blocks, built on the first item access."""
+
+    def __init__(self, blocks: tuple[MinBlock, ...]):
+        self._blocks = blocks
+
+    def __len__(self) -> int:
+        return sum(len(b.vs) for b in self._blocks)
+
+    def __getitem__(self, k):
+        return self._reps[k]
+
+    @cached_property
+    def _reps(self) -> tuple[MinRep, ...]:
+        return tuple(MinRep(b.i, b.j, v, tuple(a - c for a, c in zip(b.t, v)))
+                     for b in self._blocks for v in b.vs)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+
+@dataclass(frozen=True)
 class GenMinResult:
+    """lambda(X) and Min X as blocks, in canonical (i, j, v) order."""
+
     lam: Fraction
-    reps: tuple[MinRep, ...]
+    blocks: tuple[MinBlock, ...]
+
+    @cached_property
+    def reps(self) -> Sequence[MinRep]:
+        """Min X as MinReps, built only when an item is read."""
+        return _RepView(self.blocks)
 
 
 def generalized_min(x: PeriodicForm) -> GenMinResult:
@@ -128,34 +173,20 @@ def generalized_min(x: PeriodicForm) -> GenMinResult:
     translate index), and one CVP per pair i < j handles the rest.  lambda = 0
     is a reportable state for intersecting translates, not an error.
     """
-    d, m = x.d, x.m
-    parts: list[tuple[Fraction, list[MinRep]]] = []
-
     svp = shortest_vectors(x.q)
-    lattice_reps = []
-    for vec in svp.vectors:
-        w = tuple(Fraction(c) for c in vec)
-        v = tuple(-c for c in vec)
-        for i in range(1, m + 1):
-            lattice_reps.append(MinRep(i, i, v, w))
-    parts.append((svp.min, lattice_reps))
-
-    for i in range(1, m + 1):
+    # v = -x: ascending v is descending x.
+    lattice_vs = tuple(tuple(map(neg, vec)) for vec in reversed(svp.vectors))
+    zero = (Fraction(0),) * x.d
+    parts: list[tuple[Fraction, MinBlock]] = []
+    for i in range(1, x.m + 1):
+        parts.append((svp.min, MinBlock(i, i, zero, lattice_vs)))
         ti = x.translate(i)
-        for j in range(i + 1, m + 1):
-            tj = x.translate(j)
-            target = [a - b for a, b in zip(ti, tj)]
-            cvp = closest_vectors(x.q, target)
-            reps = [
-                MinRep(i, j, v, tuple(t - vi for t, vi in zip(target, v)))
-                for v in cvp.vectors
-            ]
-            parts.append((cvp.min, reps))
-
-    lam = min(p[0] for p in parts)
-    reps = [r for val, rs in parts if val == lam for r in rs]
-    reps.sort(key=MinRep.key)
-    return GenMinResult(lam, tuple(reps))
+        for j in range(i + 1, x.m + 1):
+            t = tuple(a - b for a, b in zip(ti, x.translate(j)))
+            cvp = closest_vectors(x.q, t)
+            parts.append((cvp.min, MinBlock(i, j, t, cvp.vectors)))
+    lam = min(val for val, _ in parts)
+    return GenMinResult(lam, tuple(block for val, block in parts if val == lam))
 
 
 def unit_ball_volume(d: int) -> float:

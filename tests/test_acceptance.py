@@ -101,7 +101,7 @@ def test_criterion_3_fluid_diamond():
         dom = voronoi_domain(x, gm)
         st = eutaxy_status(x, dom)
         basis, _ = uncertainty_space(x, dom, st)
-        floating = floating_components(x, gm.reps)
+        floating = floating_components(x, gm.blocks)
         good = (
             gm.lam == 2
             and st.tag == INTERIOR

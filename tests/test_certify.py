@@ -1,4 +1,6 @@
+import sys
 from fractions import Fraction as Fr
+from types import SimpleNamespace
 
 import pytest
 
@@ -10,7 +12,6 @@ from periform.certify import (
     ISOLATED_EXTREME,
     NOT_EXTREME,
     OUTSIDE,
-    VoronoiDomain,
     _classify,
     certify,
     eutaxy_status,
@@ -23,8 +24,15 @@ from periform.certify import (
     uncertainty_space,
     voronoi_domain,
 )
-from periform.linalg import PQF, SymForm, TangentVector, inner, rank_span
-from periform.periodic import OverlapError, PeriodicForm, density, generalized_min
+from periform.catalog import fluid_diamond, get, sublattice_representation
+from periform.linalg import PQF, SymForm, TangentVector, inner
+from periform.periodic import (
+    OverlapError,
+    PeriodicForm,
+    density,
+    generalized_min,
+    gradient_p,
+)
 
 A2 = PQF.from_rows([[2, 1], [1, 2]])
 Z2 = PQF(SymForm.identity(2))
@@ -59,6 +67,40 @@ class TestVoronoiDomain:
         x = PeriodicForm.make(Z2, [[0, 0]])
         with pytest.raises(OverlapError):
             voronoi_domain(x)
+
+    @pytest.mark.parametrize("x", [
+        LINE_HALF,
+        LINE_2_5,
+        PeriodicForm.make(PQF.from_rows([[9]]), [[Fr(1, 3)], [Fr(2, 3)]]),
+        PeriodicForm.make(PQF.from_rows([[2, 1], [1, 5]]), [[0, Fr(1, 3)]]),
+        PeriodicForm.make(A2.scale(Fr(1, 2 ** 1100)), [[Fr(1, 3), Fr(2, 3)]]),
+        PeriodicForm.lattice(PQF(A2.form.congruent([[1, 0], [2 ** 70, 1]]))),
+        sublattice_representation(A2, [[2, 0], [1, 2]]),
+        fluid_diamond(Fr(1, 4)),
+    ], ids=["line-half", "line-2/5", "3Z-three", "q25-third", "A2-2^-1100",
+            "A2-sheared", "A2-index4", "fluid-1/4"])
+    def test_generators_are_the_gradients(self, x):
+        """The integer rows, int64 or exact, are gradient_p at each rep, in order."""
+        gm = generalized_min(x)
+        dom = voronoi_domain(x, gm)
+        assert len(dom.matrix) == len(gm.reps)
+        assert dom.generators == tuple(gradient_p(x, rep) for rep in gm.reps)
+
+    def test_certify_calls_no_gradient_p(self, monkeypatch):
+        """A uniform witness and a full mod-p rank never build a tangent vector."""
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return gradient_p(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("periform") and getattr(mod, "gradient_p", None) is gradient_p:
+                monkeypatch.setattr(mod, "gradient_p", counting)
+        h = [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 1]]
+        for x in (lattice(e8_gram()), sublattice_representation(get("D", 4).form, h)):
+            assert certify(x).verdict == ISOLATED_EXTREME
+        assert calls == []
 
 
 class TestPerfection:
@@ -183,7 +225,7 @@ class TestUncertainty:
             TangentVector.make(SymForm.outer([0, 1])),
         ]
         target = TangentVector.make(SymForm.outer([1, 0]))
-        dom = VoronoiDomain(tuple(gens), (), 3, *rank_span(gens))
+        dom = SimpleNamespace(generators=tuple(gens))  # all a boundary status reads
         basis, is_sub = uncertainty_space(None, dom, _classify(gens, target, 3))
         assert len(basis) == 2
         assert all(inner(n, gens[0]) == 0 for n in basis)

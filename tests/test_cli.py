@@ -179,6 +179,16 @@ class TestRepresent:
         path = write_form(tmp_path, [[1, 0], [0, 1]])
         assert main(["represent", path, "--H", "1 1; 1 1"]) == 2
 
+    @pytest.mark.parametrize(
+        "h",
+        ["1 x; 0 2", "1.5 0; 0 2", "1_000 0; 0 2", "7" * 5000 + " 0; 0 2"],
+        ids=["letter", "1.5", "1_000", "5000-digits"],
+    )
+    def test_entry_outside_grammar_exit_2(self, tmp_path, capsys, h):
+        path = write_form(tmp_path, [[1, 0], [0, 1]])
+        assert main(["represent", path, "--H", h]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_2d_sublattice(self, tmp_path, capsys):
         path = write_form(tmp_path, [[1, 0], [0, 1]])
         assert main(["represent", path, "--H", "1 0; 0 2"]) == 0

@@ -15,7 +15,6 @@ from periform.linalg import (
     TangentVector,
     _row_echelon,
     ambient_dim,
-    det_and_inverse,
     inner,
     ldl,
     rank_span,
@@ -24,7 +23,7 @@ from periform.linalg import (
 
 
 def reconstruct(res, d):
-    """P^t L D L^t P from an LDLResult, as full rational rows."""
+    """L D L^t from an LDLResult, as full rational rows."""
     rows = [[Fr(0)] * d for _ in range(d)]
     for i in range(d):
         for j in range(d):
@@ -33,12 +32,7 @@ def reconstruct(res, d):
                 if k < len(res.pivots):
                     acc += res.lower[i][k] * res.pivots[k] * res.lower[j][k]
             rows[i][j] = acc
-    # undo the symmetric permutation: entry (perm[i], perm[j]) of the input
-    out = [[Fr(0)] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            out[res.perm[i]][res.perm[j]] = rows[i][j]
-    return tuple(tuple(r) for r in out)
+    return tuple(tuple(r) for r in rows)
 
 
 class TestLdl:
@@ -61,8 +55,7 @@ class TestLdl:
         assert res.pivots == (Fr(1), Fr(-3))
 
     def test_zero_pivot_with_pivoting(self):
-        # Leading zero but PD-after-permutation is still not PD overall;
-        # the pivot search must terminate and report correctly.
+        # A zero pivot already means not positive definite.
         res = ldl(SymForm.from_rows([[0, 1], [1, 0]]))
         assert not res.is_positive_definite
         res = ldl(SymForm.from_rows([[0, 0], [0, 1]]))
@@ -92,13 +85,15 @@ class TestLdl:
 
 class TestDetInverse:
     def test_identity(self):
-        det, inv = det_and_inverse(PQF(SymForm.identity(3)))
+        q = PQF(SymForm.identity(3))
+        det, inv = q.det(), q.inverse()
         assert det == 1
         assert inv == SymForm.identity(3)
 
     def test_hexagonal(self):
         # Adjugate by hand: inverse of [[2,1],[1,2]] is [[2/3,-1/3],[-1/3,2/3]].
-        det, inv = det_and_inverse(PQF.from_rows([[2, 1], [1, 2]]))
+        q = PQF.from_rows([[2, 1], [1, 2]])
+        det, inv = q.det(), q.inverse()
         assert det == 3
         assert inv == SymForm.from_rows([[Fr(2, 3), Fr(-1, 3)], [Fr(-1, 3), Fr(2, 3)]])
 
@@ -113,7 +108,7 @@ class TestDetInverse:
             for i in range(d)
         ]
         q = PQF.from_rows(rows)
-        det, inv = det_and_inverse(q)
+        det, inv = q.det(), q.inverse()
         assert det > 0
         prod = [inv.matvec([q.form.entry(i, j) for i in range(d)]) for j in range(d)]
         for j in range(d):

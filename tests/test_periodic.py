@@ -17,6 +17,7 @@ from periform.periodic import (
     unit_ball_volume,
 )
 from periform.lattices import shortest_vectors
+from reference_genmin import generalized_min as reference_generalized_min
 
 A2 = PQF.from_rows([[2, 1], [1, 2]])
 
@@ -120,6 +121,52 @@ class TestGeneralizedMin:
         assert res.lam == svp.min
         assert {tuple(int(c) for c in r.w) for r in res.reps} == set(svp.vectors)
         assert len(res.reps) == len(svp.vectors)
+
+
+def rep_tuples(reps):
+    return [(r.i, r.j, r.v, r.w) for r in reps]
+
+
+class TestMatchesReference:
+    """lambda and the reps view (i, j, v, w, in order) against the old
+    one-MinRep-per-representation generalized minimum."""
+
+    def check(self, x):
+        res, ref = generalized_min(x), reference_generalized_min(x)
+        assert res.lam == ref.lam
+        assert len(res.reps) == len(ref.reps)
+        assert rep_tuples(res.reps) == rep_tuples(ref.reps)
+
+    @pytest.mark.parametrize("name,params", [
+        ("Zd", (2,)), ("Zd", (3,)), ("A", (2,)), ("A", (3,)), ("D", (4,)),
+        ("Dplus", (3,)), ("Dplus", (5,)), ("E6", ()), ("E8", ()), ("Lambda9", ()),
+    ])
+    def test_catalog(self, name, params):
+        from periform.catalog import get
+
+        form = get(name, *params).form
+        self.check(form if isinstance(form, PeriodicForm) else PeriodicForm.lattice(form))
+
+    def test_fluid_diamond(self):
+        from periform.catalog import fluid_diamond
+
+        self.check(fluid_diamond(Fr(1, 4)))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random(self, seed):
+        rng = random.Random(700 + seed)
+        x = random_periodic_form(rng, dmax=4, mmax=3)
+        s = (Fr(1), Fr(2) ** 60, Fr(1, 2 ** 60))[seed % 3]
+        self.check(PeriodicForm(x.q.scale(s), x.tcols))
+
+    def test_d4_representations(self):
+        from periform.catalog import get, sublattice_representation
+        from periform.intmat import enumerate_sublattice_hnf
+
+        q = get("D", 4).form
+        for index in range(1, 5):
+            for h in enumerate_sublattice_hnf(4, index):
+                self.check(sublattice_representation(q, h))
 
 
 class TestDensity:

@@ -1,6 +1,8 @@
 """Checks on the library source itself."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import periform
@@ -17,3 +19,18 @@ def test_no_assert_in_library():
         if isinstance(node, ast.Assert)
     ]
     assert SOURCES and found == []
+
+
+def test_traced_layers_exist():
+    """Every (module, function) the benchmark traces resolves, so a rename
+    fails here instead of in a traced benchmark run."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [
+        f"{module}.{func}"
+        for module, func, _ in spans.LAYERS
+        if not callable(getattr(importlib.import_module(f"periform.{module}"), func, None))
+    ]
+    assert spans.LAYERS and missing == []
