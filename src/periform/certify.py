@@ -56,6 +56,7 @@ __all__ = [
     "translational_criterion",
     "floating_components",
     "certify",
+    "improvement_step",
     "periodic_extreme_by_theorem",
 ]
 
@@ -520,7 +521,9 @@ def certify(x: PeriodicForm) -> Certificate:
 
     if status.tag == OUTSIDE:
         n = improving_direction(x, domain, status)
-        eps = _verified_improvement_step(x, n, gm.lam)
+        eps = improvement_step(x, n, gm.lam)
+        if eps is None:
+            raise RuntimeError("no verified improvement step found along N")
         return Certificate(
             NOT_EXTREME, improving=n, improving_epsilon=eps, **base
         )
@@ -544,9 +547,9 @@ def certify(x: PeriodicForm) -> Certificate:
     )
 
 
-def _verified_improvement_step(
+def improvement_step(
     x: PeriodicForm, n: TangentVector, lam: Fraction
-) -> Fraction:
+) -> Fraction | None:
     """Backtrack eps from 2^k until delta(X + eps N) > delta(X), exactly.
 
     The Q-part of N scales like Q^{-1}, so the admissible steps scale like
@@ -554,7 +557,7 @@ def _verified_improvement_step(
     them; the start is lam^2 rounded to a power of two, exactly 1 on the
     min-one forms ``improve`` certifies.  Comparison is on the exact
     rational center density squared, which is scale-invariant, so no
-    rescaling enters the verdict.
+    rescaling enters the verdict.  None after 256 halvings without a gain.
     """
     before = density(x, lam).center_density_squared
     eps = Fraction(2) ** (2 * log2_magnitude(lam))
@@ -567,7 +570,7 @@ def _verified_improvement_step(
         if density(cand).center_density_squared > before:
             return eps
         eps /= 2
-    raise RuntimeError("no verified improvement step found along N")
+    return None
 
 
 def periodic_extreme_by_theorem(q: PQF) -> bool:

@@ -25,7 +25,6 @@ from .formats import (
     format_rational,
     from_document,
     parse_integer,
-    parse_rational,
     tangent_to_document,
     to_document,
 )
@@ -204,18 +203,7 @@ def cmd_certify(args) -> int:
 def cmd_improve(args) -> int:
     x = _read_form(args.input)
     try:
-        shrink = parse_rational(args.shrink)
-    except PFormError:
-        print(f"error: bad shrink factor {args.shrink!r}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        res = improve(
-            x,
-            steps=args.steps,
-            shrink=shrink,
-            max_denominator=args.max_denominator,
-            seed=args.seed,
-        )
+        res = improve(x, steps=args.steps, seed=args.seed)
     except OverlapError:
         print("error: lambda = 0 (translates intersect)", file=sys.stderr)
         return EXIT_DEGENERATE
@@ -319,12 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="map certify verdicts to exit codes (0 extreme, 1 not, 4 inconclusive)",
     )
     parser.add_argument("--seed", type=int, default=None, help="seed for randomized steps")
-    parser.add_argument(
-        "--max-denominator",
-        type=int,
-        default=1024,
-        help="denominator bound for snapping during improvement",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("min", help="generalized arithmetical minimum and Min X")
@@ -342,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("improve", help="iterative density improvement")
     p.add_argument("input")
     p.add_argument("--steps", type=int, default=500)
-    p.add_argument("--shrink", default="1/2", help="backtracking factor in (0,1)")
     p.set_defaults(func=cmd_improve)
 
     p = sub.add_parser("catalog", help="named lattices and periodic sets")

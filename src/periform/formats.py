@@ -7,7 +7,8 @@ printing round-trip exactly.
 
 The grammar of a rational is ``-?[0-9]+(/[0-9]+)?`` with at most MAX_DIGITS
 digits on each side of the slash; a JSON integer (not a boolean) of at most
-MAX_DIGITS digits is accepted too.  ``d`` and ``m`` are JSON integers.
+MAX_DIGITS digits is accepted too.  ``d`` and ``m`` are JSON integers; ``Q``,
+``t`` and each of their rows are JSON arrays.
 """
 
 from __future__ import annotations
@@ -111,6 +112,9 @@ def from_document(doc: Any) -> PeriodicForm:
         raise PFormError(f"missing or malformed field: {exc}") from exc
     if d < 1 or m < 1:
         raise PFormError("d and m must be positive")
+    for key, rows in (("Q", q_rows), ("t", t_rows)):
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise PFormError(f"{key} must be a JSON array of arrays")
     if len(q_rows) != d or any(len(r) != d for r in q_rows):
         raise PFormError("Q must be a d x d array")
     if len(t_rows) != m - 1 or any(len(r) != d for r in t_rows):

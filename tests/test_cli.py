@@ -99,6 +99,19 @@ class TestCertify:
         path = write_form(tmp_path, [[1, 0], [0, 1]], [[0, 0]])
         assert main(["certify", path]) == 3
 
+    @pytest.mark.parametrize("doc", [
+        '"d": 2, "m": 1, "Q": [["2", "1"], "12"]',
+        '"d": 2, "m": 2, "Q": [["1", "0"], ["0", "1"]], "t": ["01"]',
+        '"d": 1, "m": 1, "Q": 5',
+        '"d": 1, "m": 2, "Q": [["1"]], "t": null',
+        '"d": 1, "m": 2, "Q": [["1"]], "t": [5]',
+    ], ids=["Q-string-row", "t-string-row", "Q-number", "t-null", "t-number-row"])
+    def test_non_array_rows_exit_2(self, tmp_path, capsys, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"format": "pform/1", %s}' % doc)
+        assert main(["certify", str(bad)]) == 2
+        assert "error:" in capsys.readouterr().err
+
 
 def float_ok(s):
     from fractions import Fraction

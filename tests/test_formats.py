@@ -118,6 +118,20 @@ class TestDocuments:
         with pytest.raises(PFormError):
             from_document(doc)
 
+    @pytest.mark.parametrize("d, m, q, t", [
+        (2, 1, [["2", "1"], "12"], []),
+        (1, 1, ["1"], []),
+        (2, 2, [["1", "0"], ["0", "1"]], ["01"]),
+        (1, 1, 5, []),
+        (1, 2, [["1"]], None),
+        (1, 2, [["1"]], [5]),
+    ], ids=["Q-string-row", "Q-string-row-1x1", "t-string-row", "Q-number", "t-null",
+            "t-number-row"])
+    def test_rejects_non_array_rows(self, d, m, q, t):
+        doc = {"format": "pform/1", "d": d, "m": m, "Q": q, "t": t}
+        with pytest.raises(PFormError):
+            from_document(doc)
+
     def test_rejects_bad_json(self):
         with pytest.raises(PFormError):
             loads("{not json")

@@ -1,11 +1,16 @@
+import sys
 from fractions import Fraction as Fr
 
 import pytest
 
+import reference_improve
 from helpers import e8_gram
+from periform.catalog import get
 from periform.improve import improve
 from periform.linalg import PQF, SymForm
-from periform.periodic import OverlapError, PeriodicForm, density
+from periform.periodic import OverlapError, PeriodicForm, density, generalized_min
+
+DIAG = PeriodicForm.lattice(PQF.from_rows([[1, 0], [0, 2]]))
 
 
 class TestImprove:
@@ -47,11 +52,6 @@ class TestImprove:
         with pytest.raises(OverlapError):
             improve(x)
 
-    def test_bad_shrink_rejected(self):
-        x = PeriodicForm.lattice(PQF.from_rows([[1, 0], [0, 2]]))
-        with pytest.raises(ValueError):
-            improve(x, shrink=Fr(3, 2))
-
     def test_seeded_runs_reproduce(self):
         x = PeriodicForm.lattice(PQF.from_rows([[1, 0], [0, 2]]))
         r1 = improve(x, steps=500, seed=7)
@@ -59,3 +59,86 @@ class TestImprove:
         assert [s.center_density_squared for s in r1.steps] == [
             s.center_density_squared for s in r2.steps
         ]
+
+
+def catalog_form(name, *params):
+    form = get(name, *params).form
+    return PeriodicForm.lattice(form) if isinstance(form, PQF) else form
+
+
+def outcome(res):
+    steps = [
+        (s.index, s.action, s.epsilon, s.center_density_squared,
+         s.delta_over_ball, s.snapped)
+        for s in res.steps
+    ]
+    return steps, res.final, res.stalled, res.certificate.verdict, res.certificate.lam
+
+
+class TestMatchesReference:
+    """The same trajectory as the improve that ran its own line search."""
+
+    @pytest.mark.parametrize("x, steps", [
+        (DIAG, 500),
+        (PeriodicForm.make(PQF.from_rows([[1]]), [[Fr(2, 5)]]), 500),
+    ], ids=["diag(1,2)", "line-2/5"])
+    def test_walks_to_the_end(self, x, steps):
+        assert outcome(improve(x, steps=steps, seed=0)) == outcome(
+            reference_improve.improve(x, steps=steps, seed=0)
+        )
+
+    # Escapes on every form; the escape of Dplus 3 at seed 2 first tries a
+    # direction with no gain.
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("name, d", [("Zd", 2), ("Zd", 3), ("Dplus", 3), ("Dplus", 5)])
+    def test_escapes(self, name, d, seed):
+        x = catalog_form(name, d)
+        assert outcome(improve(x, steps=3, seed=seed)) == outcome(
+            reference_improve.improve(x, steps=3, seed=seed)
+        )
+
+    @pytest.mark.parametrize("scale", [Fr(2 ** 60), Fr(1, 2 ** 60)], ids=["2^60", "2^-60"])
+    def test_rescaled(self, scale):
+        x = catalog_form("Dplus", 3)
+        x = x.with_q(x.q.scale(scale))
+        assert outcome(improve(x, steps=3, seed=2)) == outcome(
+            reference_improve.improve(x, steps=3, seed=2)
+        )
+
+
+class TestStepWork:
+    def test_one_step_call_counts(self, monkeypatch):
+        """No lambda pre-check, no second search along N, and one density of
+        the accepted form."""
+        counts = {"generalized_min": 0, "density": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name, fn in (("generalized_min", generalized_min), ("density", density)):
+            wrapped = counting(name, fn)
+            for mod in ("periform.periodic", "periform.improve", "periform.certify"):
+                if hasattr(sys.modules[mod], name):
+                    monkeypatch.setattr(sys.modules[mod], name, wrapped)
+        res = improve(DIAG, steps=1)
+        assert len(res.steps) == 1 and res.steps[0].action == "improve"
+        assert counts == {"generalized_min": 7, "density": 6}
+
+    def test_improve_steps_by_the_certified_epsilon(self, monkeypatch):
+        module = sys.modules["periform.improve"]
+        certify = module.certify
+        certificates = []
+
+        def recording(x):
+            certificates.append(certify(x))
+            return certificates[-1]
+
+        monkeypatch.setattr(module, "certify", recording)
+        res = improve(DIAG, steps=500)
+        improving = [s for s in res.steps if s.action == "improve"]
+        assert improving
+        for s in improving:
+            assert s.epsilon == certificates[s.index].improving_epsilon
