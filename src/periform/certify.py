@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -27,8 +27,8 @@ from .linalg import (
     int_matrix,
     integer_row,
     log2_magnitude,
+    metric_weights,
     rank_complement,
-    rank_span,
 )
 from .periodic import (
     GenMinResult,
@@ -99,17 +99,6 @@ class VoronoiDomain:
     @property
     def is_full_dimensional(self) -> bool:
         return self.rank == self.ambient
-
-    @cached_property
-    def generators(self) -> tuple[TangentVector, ...]:
-        """The rows as tangent vectors: ``gradient_p`` at each representation."""
-        tri = [(a, b) for a in range(self.d) for b in range(a, self.d)]
-        dens = [self.den * (1 if a == b else 2) for a, b in tri]
-        dens += [self.den] * (self.ambient - len(tri))
-        return tuple(
-            TangentVector.unflatten(list(map(Fraction, row, dens)), self.d, self.m)
-            for row in self.matrix.tolist()
-        )
 
 
 @dataclass(frozen=True)
@@ -256,48 +245,55 @@ def _uniform_witness(domain: VoronoiDomain, target: TangentVector) -> Fraction |
 
 
 def _is_witness(
-    gens: Sequence[TangentVector],
-    alpha: Sequence[Fraction],
-    target: TangentVector,
+    matrix: np.ndarray, den: int, alpha: Sequence[Fraction], target: TangentVector
 ) -> bool:
-    """Exact check: every alpha_g > 0 and sum alpha_g g == target."""
-    if len(alpha) != len(gens) or not all(a > 0 for a in alpha):
+    """Exact check: every alpha_k > 0 and sum_k alpha_k row_k / den == target."""
+    if len(alpha) != len(matrix) or not all(a > 0 for a in alpha):
         return False
-    goal = target.flatten()
-    total = [Fraction(0)] * len(goal)
-    for g, a in zip(gens, alpha):
-        for i, c in enumerate(g.flatten()):
-            if c:
-                total[i] += a * c
-    return total == list(goal)
+    scale = lcm(*(a.denominator for a in alpha))
+    coeffs = [a.numerator * (scale // a.denominator) for a in alpha]
+    goal = target.flatten(weighted=True)
+    return all(
+        sum(map(mul, coeffs, col)) * g.denominator == scale * den * g.numerator
+        for col, g in zip(zip(*matrix.tolist()), goal)
+    )
 
 
-def _is_separator(
-    gens: Sequence[TangentVector], target: TangentVector, s: TangentVector
-) -> bool:
-    """Exact check: <g, s> >= 0 for every generator and <target, s> < 0."""
-    return inner(target, s) < 0 and all(inner(g, s) >= 0 for g in gens)
+def _is_separator(matrix: np.ndarray, target: TangentVector, s: TangentVector) -> bool:
+    """Exact check: <g, s> >= 0 for every generator and <target, s> < 0.
+
+    A weighted row dotted with the plain coordinates of s is a positive
+    multiple of <g, s>.
+    """
+    plain = integer_row(s.flatten())
+    return inner(target, s) < 0 and all(sum(map(mul, row, plain)) >= 0 for row in matrix.tolist())
 
 
 def _positive_support(
-    gens: Sequence[TangentVector], target: TangentVector
+    matrix: np.ndarray, den: int, target: TangentVector
 ) -> tuple[Fraction, ...]:
-    """x >= 0 of largest support with sum_k x_k g_k = x_n target, n = len(gens).
+    """x >= 0 of largest support with sum_k x_k g_k = x_n target, n = len(matrix).
 
     One LP over the columns v = gens + [-target] (Freund, Roundy & Todd,
     1985): maximize sum z s.t. sum_k (z + s)_k v_k = 0, z <= 1, z, s >= 0.
     Scaling up a solution shows that at every optimum z_k = 1 exactly on the
     columns positive in some solution of sum x_k v_k = 0, x >= 0, and 0
     elsewhere, so x = z + s has the largest support there is.  Each column
-    enters as the primitive integer vector on its ray, which changes no
-    support and keeps the tableau entries small; x is scaled back.
+    enters as the primitive integer vector on its ray in plain coordinates,
+    which changes no support and keeps the tableau entries small; x is
+    scaled back.
     """
+    # (u, f): the integer vector u = f * v on the ray of each column v.
+    goal = target.flatten()
+    tden = lcm(*(v.denominator for v in goal))
+    metric = metric_weights(target.d, target.m)
+    rays = [([w * v for w, v in zip(metric, row)], 2 * den) for row in matrix.tolist()]
+    rays.append(([-v for v in integer_row(goal)], tden))
     cols, scales = [], []
-    for coords in [g.flatten() for g in gens] + [target.scale(-1).flatten()]:
-        row = integer_row(coords)
-        g = gcd(*row) or 1
-        cols.append([v // g for v in row])
-        scales.append(Fraction(lcm(*(c.denominator for c in coords)), g))
+    for u, f in rays:
+        g = gcd(*u) or 1
+        cols.append([v // g for v in u])
+        scales.append(Fraction(f, g))
     k = len(cols)
     zero, one = Fraction(0), Fraction(1)
     rows = [list(coords) * 2 + [zero] * k for coords in zip(*cols)]
@@ -314,31 +310,35 @@ def _positive_support(
     )
 
 
-def _classify(
-    gens: Sequence[TangentVector], target: TangentVector, ambient: int
-) -> EutaxyStatus:
-    """Steps 2 and 3 of ``eutaxy_status`` for any target and generators."""
-    image = FloatImage(gens, target)
+def _classify(matrix: np.ndarray, den: int, target: TangentVector) -> EutaxyStatus:
+    """Steps 2 and 3 of ``eutaxy_status`` for any target and rows matrix / den."""
+    image = FloatImage(matrix, den, target.flatten(weighted=True))
     if image.residual() <= _TRIAGE_RESIDUAL:
-        alpha = image.positive_combination(ambient)
-        if alpha is not None and _is_witness(gens, alpha, target):
+        alpha = image.positive_combination(matrix.shape[1])
+        if alpha is not None and _is_witness(matrix, den, alpha, target):
             return EutaxyStatus(INTERIOR, witness=alpha)
-    return _exact_status(gens, target)
+    return _exact_status(matrix, den, target, image.support)
 
 
 def _exact_status(
-    gens: Sequence[TangentVector], target: TangentVector
+    matrix: np.ndarray, den: int, target: TangentVector, warm: Sequence[int]
 ) -> EutaxyStatus:
     """Membership by the exact projection, then one support LP for members."""
-    n = project_to_cone(gens, target).residual
-    if not n.is_zero():
-        if not _is_separator(gens, target, n):
+    metric = metric_weights(target.d, target.m)
+    residual = project_to_cone(
+        matrix, den, target.flatten(weighted=True), metric, warm
+    ).residual
+    if any(residual):
+        # The plain coordinates of the residual are w_i r_i / 2.
+        plain = [w * r / 2 for w, r in zip(metric, residual)]
+        n = TangentVector.unflatten(plain, target.d, target.m)
+        if not _is_separator(matrix, target, n):
             raise RuntimeError("the cone projection gave no separator")
         return EutaxyStatus(OUTSIDE, separator=n)
-    x = _positive_support(gens, target)
+    x = _positive_support(matrix, den, target)
     if all(x):
         alpha = tuple(v / x[-1] for v in x[:-1])
-        if not _is_witness(gens, alpha, target):
+        if not _is_witness(matrix, den, alpha, target):
             raise RuntimeError("the support LP gave no witness")
         return EutaxyStatus(INTERIOR, witness=alpha)
     return EutaxyStatus(BOUNDARY, face=tuple(k for k, v in enumerate(x[:-1]) if v))
@@ -373,7 +373,7 @@ def eutaxy_status(
     c = _uniform_witness(domain, target)
     if c is not None:
         return EutaxyStatus(INTERIOR, witness=(c,) * len(domain.matrix))
-    return _classify(domain.generators, target, domain.ambient)
+    return _classify(domain.matrix, domain.den, target)
 
 
 def improving_direction(
@@ -425,8 +425,8 @@ def uncertainty_space(
         raise ValueError("uncertainty set is defined only inside the domain")
     if status.tag == INTERIOR:
         return domain.nullspace, True
-    _, basis = rank_span([domain.generators[i] for i in status.face])
-    return basis, False
+    _, basis = rank_complement(domain.matrix[list(status.face)])
+    return tuple(TangentVector.unflatten(c, domain.d, domain.m) for c in basis), False
 
 
 def translational_criterion(

@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="map certify verdicts to exit codes (0 extreme, 1 not, 4 inconclusive)",
     )
-    parser.add_argument("--seed", type=int, default=None, help="seed for randomized steps")
+    parser.add_argument("--seed", type=int, default=0, help="improve's escape order (default 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("min", help="generalized arithmetical minimum and Min X")

@@ -31,6 +31,7 @@ __all__ = [
     "rank_span",
     "rank_complement",
     "ambient_dim",
+    "metric_weights",
     "RANK_PRIME",
     "int_matrix",
     "independent_rows_modp",
@@ -389,6 +390,18 @@ def inner(x: TangentVector, y: TangentVector) -> Fraction:
 def ambient_dim(d: int, m: int) -> int:
     """dim S^{d,m} = (d+1 choose 2) + (m-1) d."""
     return comb(d + 1, 2) + (m - 1) * d
+
+
+def metric_weights(d: int, m: int) -> tuple[int, ...]:
+    """The inner product in weighted coordinates, doubled to integers.
+
+    Weighted coordinates (``flatten(weighted=True)``) double the off-diagonal
+    entries, so <x, y> = sum_i w_i a_i b_i / 2 for the weighted coordinates a
+    of x and b of y, with w_i = 1 off the diagonal and 2 elsewhere; and the
+    w_i a_i / 2 are the plain coordinates of x.
+    """
+    tri = tuple(2 if i == j else 1 for i in range(d) for j in range(i, d))
+    return tri + (2,) * ((m - 1) * d)
 
 
 def _row_echelon(rows: list[list[Fraction]]) -> tuple[int, list[int], list[list[Fraction]]]:

@@ -1,8 +1,12 @@
 """Shared constructions for the test suite, independent of the catalog module."""
 
 from fractions import Fraction as Fr
+from math import lcm
 
-from periform.linalg import PQF
+import numpy as np
+
+from periform.linalg import PQF, int_matrix
+from periform.periodic import generalized_min, gradient_p
 
 
 def e8_gram() -> PQF:
@@ -22,3 +26,16 @@ def e8_gram() -> PQF:
         for i in range(8)
     ]
     return PQF.from_rows(rows)
+
+
+def stack(vectors) -> tuple[np.ndarray, int]:
+    """(matrix, den): row k of matrix / den is the weighted flattening of
+    vectors[k], the way ``voronoi_domain`` holds a cone."""
+    coords = [v.flatten(weighted=True) for v in vectors]
+    den = lcm(*(c.denominator for row in coords for c in row))
+    return int_matrix([[c.numerator * (den // c.denominator) for c in row] for row in coords]), den
+
+
+def gradients(x) -> list:
+    """The Voronoi domain generators as tangent vectors: gradient_p at each rep."""
+    return [gradient_p(x, rep) for rep in generalized_min(x).reps]

@@ -16,11 +16,33 @@ from periform.certify import (
     INTERIOR,
     OUTSIDE,
     EutaxyStatus,
-    _is_separator,
-    _is_witness,
 )
 from periform.linalg import SymForm, TangentVector, ambient_dim, inner, rank_span
 from periform.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
+
+
+def _is_witness(
+    gens: Sequence[TangentVector],
+    alpha: Sequence[Fraction],
+    target: TangentVector,
+) -> bool:
+    """Exact check: every alpha_g > 0 and sum alpha_g g == target."""
+    if len(alpha) != len(gens) or not all(a > 0 for a in alpha):
+        return False
+    goal = target.flatten()
+    total = [Fraction(0)] * len(goal)
+    for g, a in zip(gens, alpha):
+        for i, c in enumerate(g.flatten()):
+            if c:
+                total[i] += a * c
+    return total == list(goal)
+
+
+def _is_separator(
+    gens: Sequence[TangentVector], target: TangentVector, s: TangentVector
+) -> bool:
+    """Exact check: <g, s> >= 0 for every generator and <target, s> < 0."""
+    return inner(target, s) < 0 and all(inner(g, s) >= 0 for g in gens)
 
 
 def _functional_from_coords(y: Sequence[Fraction], d: int, m: int) -> TangentVector:

@@ -4,7 +4,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from helpers import e8_gram
+import numpy as np
+
+from helpers import e8_gram, gradients, stack
 from periform.certify import (
     BOUNDARY,
     INCONCLUSIVE,
@@ -13,6 +15,7 @@ from periform.certify import (
     NOT_EXTREME,
     OUTSIDE,
     _classify,
+    _det_gradient_target,
     certify,
     eutaxy_status,
     floating_components,
@@ -25,7 +28,7 @@ from periform.certify import (
     voronoi_domain,
 )
 from periform.catalog import fluid_diamond, get, sublattice_representation
-from periform.linalg import PQF, SymForm, TangentVector, inner
+from periform.linalg import PQF, SymForm, TangentVector, inner, metric_weights
 from periform.periodic import (
     OverlapError,
     PeriodicForm,
@@ -48,20 +51,25 @@ def lattice(q):
     return PeriodicForm.lattice(q)
 
 
+def rows_of(dom):
+    """The generators of a domain as rows of weighted coordinates."""
+    return {tuple(Fr(v, dom.den) for v in row) for row in dom.matrix.tolist()}
+
+
 class TestVoronoiDomain:
     def test_z2(self):
         dom = voronoi_domain(lattice(Z2))
         assert dom.rank == 2
         assert dom.ambient == 3
-        qparts = {g.qpart for g in dom.generators}
-        assert qparts == {SymForm.outer([1, 0]), SymForm.outer([0, 1])}
+        assert rows_of(dom) == {
+            TangentVector.make(SymForm.outer(v)).flatten(weighted=True) for v in ([1, 0], [0, 1])
+        }
 
     def test_two_point_line(self):
         dom = voronoi_domain(LINE_HALF)
         assert dom.ambient == 2
         assert dom.rank == 2
-        gens = {(g.qpart.entry(0, 0), g.tcols[0][0]) for g in dom.generators}
-        assert gens == {(Fr(1, 4), Fr(1)), (Fr(1, 4), Fr(-1))}
+        assert rows_of(dom) == {(Fr(1, 4), Fr(1)), (Fr(1, 4), Fr(-1))}
 
     def test_overlap_rejected(self):
         x = PeriodicForm.make(Z2, [[0, 0]])
@@ -84,7 +92,10 @@ class TestVoronoiDomain:
         gm = generalized_min(x)
         dom = voronoi_domain(x, gm)
         assert len(dom.matrix) == len(gm.reps)
-        assert dom.generators == tuple(gradient_p(x, rep) for rep in gm.reps)
+        assert dom.matrix.tolist() == [
+            [dom.den * c for c in gradient_p(x, rep).flatten(weighted=True)]
+            for rep in gm.reps
+        ]
 
     def test_certify_calls_no_gradient_p(self, monkeypatch):
         """A uniform witness and a full mod-p rank never build a tangent vector."""
@@ -119,11 +130,12 @@ class TestPerfection:
 
 class TestEutaxyStatus:
     def test_z2_interior_with_witness(self):
-        dom = voronoi_domain(lattice(Z2))
-        st = eutaxy_status(lattice(Z2), dom)
+        x = lattice(Z2)
+        dom = voronoi_domain(x)
+        st = eutaxy_status(x, dom)
         assert st.tag == INTERIOR
         combo = None
-        for g, a in zip(dom.generators, st.witness):
+        for g, a in zip(gradients(x), st.witness):
             assert a > 0
             combo = g.scale(a) if combo is None else combo.add(g.scale(a))
         assert combo.qpart == SymForm.identity(2)
@@ -135,7 +147,7 @@ class TestEutaxyStatus:
         s = st.separator
         target = TangentVector.make(DIAG12.inverse())
         assert inner(s, target) < 0
-        for g in dom.generators:
+        for g in gradients(lattice(DIAG12)):
             assert inner(s, g) >= 0
 
     def test_unequal_coefficients_interior(self):
@@ -146,7 +158,7 @@ class TestEutaxyStatus:
         assert st.tag == INTERIOR
         target = TangentVector.make(A2_PLUS_LINE.inverse())
         combo = None
-        for g, a in zip(dom.generators, st.witness):
+        for g, a in zip(gradients(x), st.witness):
             assert a > 0
             combo = g.scale(a) if combo is None else combo.add(g.scale(a))
         assert combo.sub(target).is_zero()
@@ -158,9 +170,40 @@ class TestEutaxyStatus:
             TangentVector.make(SymForm.outer([0, 1])),
         ]
         target = TangentVector.make(SymForm.outer([1, 0]))
-        st = _classify(gens, target, 3)
+        st = _classify(*stack(gens), target)
         assert st.tag == BOUNDARY
         assert st.face == (0,)
+
+
+def sheared(q, s):
+    """The same lattice in the basis (b_1 + s b_2, b_2, ...)."""
+    u = [[int(i == j) for j in range(q.d)] for i in range(q.d)]
+    u[0][1] = s
+    return PQF(q.form.congruent(u))
+
+
+class TestOverflowGuard:
+    """Rows held as int64 may have products past 2^63: the cone questions
+    must give what they give on the same rows held as Python ints."""
+
+    def cones(self):
+        for q in (DIAG12, A2_PLUS_LINE):  # outside, interior
+            x = lattice(sheared(q, 2 ** 18))
+            dom = voronoi_domain(x)
+            yield dom.matrix, dom.den, _det_gradient_target(x)
+        big = TangentVector.make(SymForm.outer([2 ** 17, 1]))
+        matrix, den = stack([big, TangentVector.make(SymForm.outer([0, 1]))])
+        yield matrix, den, big  # boundary
+
+    def test_same_status_as_python_ints(self):
+        tags = []
+        for matrix, den, target in self.cones():
+            assert matrix.dtype == np.int64
+            assert int(np.abs(matrix).max()) > 2 ** 32
+            st = _classify(matrix, den, target)
+            assert st == _classify(matrix.astype(object), den, target)
+            tags.append(st.tag)
+        assert tags == [OUTSIDE, INTERIOR, BOUNDARY]
 
 
 class TestStrongEutaxy:
@@ -225,8 +268,9 @@ class TestUncertainty:
             TangentVector.make(SymForm.outer([0, 1])),
         ]
         target = TangentVector.make(SymForm.outer([1, 0]))
-        dom = SimpleNamespace(generators=tuple(gens))  # all a boundary status reads
-        basis, is_sub = uncertainty_space(None, dom, _classify(gens, target, 3))
+        matrix, den = stack(gens)
+        dom = SimpleNamespace(matrix=matrix, d=2, m=1)  # all a boundary status reads
+        basis, is_sub = uncertainty_space(None, dom, _classify(matrix, den, target))
         assert len(basis) == 2
         assert all(inner(n, gens[0]) == 0 for n in basis)
         assert not is_sub

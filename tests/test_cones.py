@@ -4,23 +4,39 @@ import subprocess
 import sys
 from fractions import Fraction as Fr
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import periform
+from helpers import stack
 from periform.cones import project_to_cone
-from periform.linalg import SymForm, TangentVector, inner
+from periform.linalg import SymForm, TangentVector, inner, metric_weights
 
 
 def tv1(q, t):
     return TangentVector.make(SymForm.from_rows([[Fr(q)]]), [[Fr(t)]])
 
 
+def project(gens, target):
+    """project_to_cone on the stacked rows, with point and residual as tangent vectors."""
+    d, m = target.d, target.m
+    metric = metric_weights(d, m)
+    proj = project_to_cone(*stack(gens), target.flatten(weighted=True), metric)
+
+    def tangent(coords):
+        return TangentVector.unflatten([w * v / 2 for w, v in zip(metric, coords)], d, m)
+
+    return SimpleNamespace(
+        point=tangent(proj.point), coeffs=proj.coeffs, residual=tangent(proj.residual)
+    )
+
+
 class TestProjectToCone:
     def test_point_inside_cone(self):
         gens = [tv1(1, 0), tv1(0, 1)]
         target = tv1(Fr(1, 2), Fr(1, 3))
-        proj = project_to_cone(gens, target)
+        proj = project(gens, target)
         assert proj.residual.is_zero()
         assert proj.coeffs == (Fr(1, 2), Fr(1, 3))
 
@@ -28,7 +44,7 @@ class TestProjectToCone:
         # Project (1, 0) onto the ray spanned by (4/25, 4/5): hand value.
         g = tv1(Fr(4, 25), Fr(4, 5))
         target = tv1(1, 0)
-        proj = project_to_cone([g], target)
+        proj = project([g], target)
         assert proj.point.qpart.entry(0, 0) == Fr(1, 26)
         assert proj.point.tcols[0][0] == Fr(5, 26)
         assert inner(g, proj.residual) == 0
@@ -36,14 +52,14 @@ class TestProjectToCone:
     def test_apex_when_target_in_polar(self):
         g = tv1(1, 0)
         target = tv1(-3, 0)
-        proj = project_to_cone([g], target)
+        proj = project([g], target)
         assert proj.point.is_zero()
         assert proj.coeffs == (Fr(0),)
 
     def test_duplicate_generators(self):
         g = tv1(2, 1)
         target = tv1(4, 2)
-        proj = project_to_cone([g, g, g], target)
+        proj = project([g, g, g], target)
         assert proj.residual.is_zero()
 
     @pytest.mark.parametrize("seed", range(30))
@@ -65,7 +81,7 @@ class TestProjectToCone:
             return
         gens = [g for g in gens if not g.is_zero()]
         target = rand_tv()
-        proj = project_to_cone(gens, target)
+        proj = project(gens, target)
         # Optimality: residual in the dual cone, orthogonal to the point.
         for g in gens:
             assert inner(g, proj.residual) >= 0

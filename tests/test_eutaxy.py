@@ -23,6 +23,7 @@ import pytest
 import scipy.optimize
 
 import periform
+from helpers import gradients, stack
 from periform.catalog import fluid_diamond
 from periform.certify import (
     BOUNDARY,
@@ -144,7 +145,11 @@ def random_cone(seed):
 
 def domain_of(gens):
     """All that ``uncertainty_space`` reads of a domain on the boundary."""
-    return SimpleNamespace(generators=tuple(gens))
+    return SimpleNamespace(matrix=stack(gens)[0], d=gens[0].d, m=gens[0].m)
+
+
+def classify(gens, target):
+    return _classify(*stack(gens), target)
 
 
 def count_lps(monkeypatch):
@@ -167,7 +172,7 @@ def test_matches_exact_path(seed, monkeypatch):
     gens, target, dim = random_cone(seed)
     expected = reference_status(gens, target)
     calls = count_lps(monkeypatch)
-    got = _classify(gens, target, dim)
+    got = classify(gens, target)
     assert (got.tag, got.face) == (expected.tag, expected.face)
     assert certificate_holds(gens, target, got)
     if got.tag == BOUNDARY:
@@ -189,7 +194,7 @@ def test_clear_cases_skip_the_simplex(seed, monkeypatch):
         raise AssertionError("the exact simplex ran")
 
     monkeypatch.setattr(certify_module, "solve_lp", no_lp)
-    got = _classify(gens, target, dim)
+    got = classify(gens, target)
     assert got.tag == expected.tag
     assert certificate_holds(gens, target, got)
 
@@ -205,7 +210,7 @@ def test_boundary_uncertainty_matches_reference(seed):
     complement of the face generators and the uncertainty cone is not linear.
     Slow: the reference takes one exact LP per non-face generator."""
     gens, target, dim = random_cone(seed)
-    status = _classify(gens, target, dim)
+    status = classify(gens, target)
     assert status.tag == BOUNDARY
     basis, is_subspace, implicit = reference_uncertainty(gens, status.face)
     assert implicit == [] and not is_subspace
@@ -244,8 +249,7 @@ def garbage_cases():
     ]
     cases = []
     for x in forms:
-        dom = voronoi_domain(x)
-        cases.append((dom.generators, _det_gradient_target(x), dom.ambient))
+        cases.append((gradients(x), _det_gradient_target(x), voronoi_domain(x).ambient))
     e11 = TangentVector.make(SymForm.outer([1, 0]))
     e22 = TangentVector.make(SymForm.outer([0, 1]))
     cases.append(([e11, e22], e11, 3))  # on a proper face: boundary
@@ -257,7 +261,7 @@ def garbage_verdicts():
     """[tag, face, certificate holds] per case, checked without ``assert``."""
     out = []
     for gens, target, dim in garbage_cases():
-        st = _classify(gens, target, dim)
+        st = classify(gens, target)
         out.append([st.tag, list(st.face or ()), bool(certificate_holds(gens, target, st))])
     return out
 
@@ -311,7 +315,7 @@ def test_lambda9_interior_without_simplex(s, monkeypatch):
     monkeypatch.setattr(certify_module, "solve_lp", no_lp)
     st = eutaxy_status(x, dom)
     assert st.tag == INTERIOR
-    assert is_witness(dom.generators, _det_gradient_target(x), st.witness)
+    assert is_witness(gradients(x), _det_gradient_target(x), st.witness)
 
 
 def test_improving_direction_reuses_the_projection(monkeypatch):
@@ -327,4 +331,23 @@ def test_improving_direction_reuses_the_projection(monkeypatch):
     cert = certify(x)
     assert cert.eutaxy.tag == OUTSIDE
     assert cert.improving == cert.eutaxy.separator
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("x", [
+    PeriodicForm.make(PQF.from_rows([[1]]), [[Fr(2, 5)]]),
+    PeriodicForm.lattice(PQF.from_rows([[1, 0], [0, 2]])),
+], ids=["line-2/5", "diag12"])
+def test_one_nnls_per_cone(x, monkeypatch):
+    """The exact projection starts from the active set of the triage nnls
+    instead of running a second one."""
+    calls = []
+    real = scipy.optimize.nnls
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "nnls", counting)
+    assert certify(x).eutaxy.tag == OUTSIDE
     assert len(calls) == 1

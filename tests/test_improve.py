@@ -60,6 +60,13 @@ class TestImprove:
             s.center_density_squared for s in r2.steps
         ]
 
+    def test_default_seed_is_zero(self):
+        """With no seed the escape order is seed 0's, so runs reproduce."""
+        res = improve(DIAG)
+        assert res.final == improve(DIAG, seed=0).final
+        half = Fr(1, 2)
+        assert res.final.q.form.rows() == ((1, half), (half, 1))
+
 
 def catalog_form(name, *params):
     form = get(name, *params).form

@@ -34,3 +34,19 @@ def test_traced_layers_exist():
         if not callable(getattr(importlib.import_module(f"periform.{module}"), func, None))
     ]
     assert spans.LAYERS and missing == []
+
+
+def test_exports_resolve():
+    """Every name in ``periform.__all__`` and in each module's ``__all__``
+    resolves, so a deleted helper fails here and not in ``import *``."""
+    modules = [periform] + [
+        importlib.import_module(f"periform.{path.stem}")
+        for path in SOURCES if path.stem != "__init__"
+    ]
+    missing = [
+        f"{mod.__name__}.{name}"
+        for mod in modules
+        for name in getattr(mod, "__all__", ())
+        if not hasattr(mod, name)
+    ]
+    assert len(modules) == len(SOURCES) and missing == []
