@@ -4,6 +4,9 @@ Parameter space of m-translate periodic point sets, packing invariants
 (generalized arithmetical minimum, density), and local-optimality
 certificates (perfection, eutaxy, strong eutaxy, improving directions,
 floating detection), all carried by exact rational arithmetic.
+
+``periform.certify`` is the function ``certify``, not the module of that
+name; import the certificate stages with ``from periform.certify import ...``.
 """
 
 from .catalog import (

@@ -14,6 +14,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
+from .formats import parse_integer
 from .intmat import det_bareiss, row_hnf, transpose
 from .linalg import PQF, RatLike, SymForm, solve_exact
 from .periodic import PeriodicForm
@@ -298,7 +299,7 @@ def sublattice_representation(q: PQF, h: Sequence[Sequence[int]]) -> PeriodicFor
 def _dim_param(params, minimum: int, name: str) -> int:
     if len(params) != 1:
         raise ValueError(f"{name} takes exactly one parameter (the dimension)")
-    d = int(params[0])
+    d = parse_integer(params[0])
     if d < minimum:
         raise ValueError(f"{name} requires dimension >= {minimum}")
     return d
@@ -334,7 +335,7 @@ def get(name: str, *params) -> CatalogEntry:
         )
     if name == "Dplus":
         if len(params) == 2 and params[1] == "lattice":
-            d = int(params[0])
+            d = parse_integer(params[0])
             if d < 8 or d % 2:
                 raise ValueError("the Dplus lattice variant needs even d >= 8")
             rows = _dplus_basis_rows(d)

@@ -1,11 +1,19 @@
 """Local-optimality certificates for periodic forms.
 
 The decision tree follows the first-order geometry of the density function
-on the space of periodic forms: the generalized Voronoi domain (conic hull
-of the active constraint gradients), membership of the determinant gradient
-(Q^{-1}, 0) in it, and the uncertainty directions where first-order analysis
-is silent.  Every verdict ships exact rational witnesses that third parties
-can re-verify without re-solving anything.
+on the space of periodic forms.  ``voronoi_domain(x)`` computes, once, every
+fact about X that the later stages read: Min X, the generalized Voronoi
+domain (conic hull of the active constraint gradients) with its rank and
+nullspace, and the determinant gradient (Q^{-1}, 0).  Each stage then takes
+only what it needs: ``eutaxy_status(domain)`` places the target in the
+domain, ``uncertainty_space(domain, status)`` gives the directions where
+first-order analysis is silent, and ``translational_criterion(basis,
+blocks)`` may still certify them; ``certify`` chains the stages.  Every
+verdict ships exact rational witnesses that third parties can re-verify
+without re-solving anything.
+
+The package binds ``periform.certify`` to the function ``certify``; the
+names of this module are imported with ``from periform.certify import ...``.
 """
 
 from __future__ import annotations
@@ -31,7 +39,6 @@ from .linalg import (
     rank_complement,
 )
 from .periodic import (
-    GenMinResult,
     MinBlock,
     OverlapError,
     PeriodicForm,
@@ -77,14 +84,20 @@ INCONCLUSIVE = "Inconclusive"
 
 @dataclass(frozen=True, eq=False)
 class VoronoiDomain:
-    """Conic hull of the minimum-constraint gradients at X.
+    """Min X and the conic hull of its constraint gradients: what every later
+    stage of a certificate reads.
 
-    Row k of ``matrix`` / ``den`` is the gradient at the k-th canonical
-    representation in weighted coordinates (``TangentVector.flatten``).  The
-    matrix is int64 when no entry and no column sum can pass 2^63, and holds
-    Python ints otherwise.
+    ``lam`` and ``blocks`` are lambda(X) > 0 and Min X (``generalized_min``);
+    ``target`` is the determinant gradient (Q^{-1}, 0).  Row k of ``matrix``
+    / ``den`` is the gradient at the k-th canonical representation in
+    weighted coordinates (``TangentVector.flatten``).  The matrix is int64
+    when no entry and no column sum can pass 2^63, and holds Python ints
+    otherwise.
     """
 
+    lam: Fraction
+    blocks: tuple[MinBlock, ...]
+    target: TangentVector
     matrix: np.ndarray
     den: int
     d: int
@@ -161,21 +174,20 @@ def _gradient_matrix(x: PeriodicForm, blocks: Sequence[MinBlock]) -> tuple[np.nd
     qden = lcm(*(v.denominator for v in x.q.form.upper))
     qnum = [[int(x.q.form.entry(a, b) * qden) for b in range(d)] for a in range(d)]
     qmax = max(abs(v) for row in qnum for v in row)
-    tdens = [lcm(*(v.denominator for v in b.t)) for b in blocks]
-    den = lcm(*(t * t if b.i == b.j else t * lcm(t, qden) for b, t in zip(blocks, tdens)))
+    scaled = [integer_row(b.t) for b in blocks]  # (tden, c) per block
+    den = lcm(*(t * t if b.i == b.j else t * lcm(t, qden) for b, (t, _) in zip(blocks, scaled)))
     vs = [int_matrix(b.vs) for b in blocks]
     # wmax bounds |c - tden v|, so |entry| <= 2 den wmax max(wmax, d qmax);
     # int64 only when the column sums of such entries stay below 2^63.
-    wmax = [max(map(abs, integer_row(b.t))) + t * int(np.abs(v).max())
-            for b, t, v in zip(blocks, tdens, vs)]
+    wmax = [max(map(abs, c)) + t * int(np.abs(v).max()) for (t, c), v in zip(scaled, vs)]
     rows = sum(len(v) for v in vs)
     bound = 2 * den * max(w * max(w, d * qmax) for w in wmax)
     dtype = np.int64 if rows * bound < 2 ** 63 else object
     matrix = np.zeros((rows, ambient_dim(d, m)), dtype=dtype)
     start = 0
-    for b, t, v in zip(blocks, tdens, vs):
+    for b, (t, c), v in zip(blocks, scaled, vs):
         # Column-major, so that each w[:, a] read below is contiguous.
-        w = np.asfortranarray(np.array(integer_row(b.t), dtype=dtype) - t * v.astype(dtype))
+        w = np.asfortranarray(np.array(c, dtype=dtype) - t * v.astype(dtype))
         part = matrix[start : start + len(v)]
         start += len(v)
         fq = den // (t * t)
@@ -189,23 +201,24 @@ def _gradient_matrix(x: PeriodicForm, blocks: Sequence[MinBlock]) -> tuple[np.nd
     return matrix, den
 
 
-def voronoi_domain(x: PeriodicForm, gen_min: GenMinResult | None = None) -> VoronoiDomain:
-    """Generators (one per canonical minimum representation) plus rank data."""
-    if gen_min is None:
-        gen_min = generalized_min(x)
+def voronoi_domain(x: PeriodicForm) -> VoronoiDomain:
+    """Min X, its generators (one per canonical representation) with their
+    rank and nullspace, and the target (Q^{-1}, 0), each computed once."""
+    gen_min = generalized_min(x)
     if gen_min.lam == 0:
         raise OverlapError("Voronoi domain undefined for lambda = 0")
     matrix, den = _gradient_matrix(x, gen_min.blocks)
     rank, complement = rank_complement(matrix)
     nullspace = tuple(TangentVector.unflatten(c, x.d, x.m) for c in complement)
-    return VoronoiDomain(matrix, den, x.d, x.m, rank, nullspace)
+    target = TangentVector.make(x.q.inverse(), [[0] * x.d for _ in range(x.m - 1)])
+    return VoronoiDomain(
+        gen_min.lam, gen_min.blocks, target, matrix, den, x.d, x.m, rank, nullspace
+    )
 
 
-def is_m_perfect(
-    x: PeriodicForm, gen_min: GenMinResult | None = None
-) -> tuple[bool, int, int]:
+def is_m_perfect(x: PeriodicForm) -> tuple[bool, int, int]:
     """(perfect, rank, ambient): is the Voronoi domain full-dimensional?"""
-    dom = voronoi_domain(x, gen_min)
+    dom = voronoi_domain(x)
     return dom.is_full_dimensional, dom.rank, dom.ambient
 
 
@@ -215,8 +228,7 @@ def strong_eutaxy(q: PQF) -> tuple[bool, Fraction | None]:
     The generators of the lattice domain are x x^t, one per +/- pair, so
     this is the uniform witness c there, with alpha = c / 2.
     """
-    x = PeriodicForm.lattice(q)
-    c = _uniform_witness(voronoi_domain(x), _det_gradient_target(x))
+    c = _uniform_witness(voronoi_domain(PeriodicForm.lattice(q)))
     return (False, None) if c is None else (True, c / 2)
 
 
@@ -225,16 +237,10 @@ def strong_eutaxy(q: PQF) -> tuple[bool, Fraction | None]:
 # ---------------------------------------------------------------------------
 
 
-def _det_gradient_target(x: PeriodicForm) -> TangentVector:
-    return TangentVector.make(
-        x.q.inverse(), [[0] * x.d for _ in range(x.m - 1)]
-    )
-
-
-def _uniform_witness(domain: VoronoiDomain, target: TangentVector) -> Fraction | None:
+def _uniform_witness(domain: VoronoiDomain) -> Fraction | None:
     """c > 0 with c * sum(generators) = target, if it exists (strong-eutaxy shape)."""
     total = [Fraction(v, domain.den) for v in domain.matrix.sum(axis=0).tolist()]
-    goal = target.flatten(weighted=True)
+    goal = domain.target.flatten(weighted=True)
     k = next((k for k, v in enumerate(total) if v), None)
     if k is None:
         return None
@@ -250,8 +256,7 @@ def _is_witness(
     """Exact check: every alpha_k > 0 and sum_k alpha_k row_k / den == target."""
     if len(alpha) != len(matrix) or not all(a > 0 for a in alpha):
         return False
-    scale = lcm(*(a.denominator for a in alpha))
-    coeffs = [a.numerator * (scale // a.denominator) for a in alpha]
+    scale, coeffs = integer_row(alpha)
     goal = target.flatten(weighted=True)
     return all(
         sum(map(mul, coeffs, col)) * g.denominator == scale * den * g.numerator
@@ -265,7 +270,7 @@ def _is_separator(matrix: np.ndarray, target: TangentVector, s: TangentVector) -
     A weighted row dotted with the plain coordinates of s is a positive
     multiple of <g, s>.
     """
-    plain = integer_row(s.flatten())
+    _, plain = integer_row(s.flatten())
     return inner(target, s) < 0 and all(sum(map(mul, row, plain)) >= 0 for row in matrix.tolist())
 
 
@@ -284,11 +289,10 @@ def _positive_support(
     scaled back.
     """
     # (u, f): the integer vector u = f * v on the ray of each column v.
-    goal = target.flatten()
-    tden = lcm(*(v.denominator for v in goal))
+    tden, goal = integer_row(target.flatten())
     metric = metric_weights(target.d, target.m)
     rays = [([w * v for w, v in zip(metric, row)], 2 * den) for row in matrix.tolist()]
-    rays.append(([-v for v in integer_row(goal)], tden))
+    rays.append(([-v for v in goal], tden))
     cols, scales = [], []
     for u, f in rays:
         g = gcd(*u) or 1
@@ -313,11 +317,12 @@ def _positive_support(
 def _classify(matrix: np.ndarray, den: int, target: TangentVector) -> EutaxyStatus:
     """Steps 2 and 3 of ``eutaxy_status`` for any target and rows matrix / den."""
     image = FloatImage(matrix, den, target.flatten(weighted=True))
-    if image.residual() <= _TRIAGE_RESIDUAL:
-        alpha = image.positive_combination(matrix.shape[1])
+    residual, support = image.residual()
+    if residual <= _TRIAGE_RESIDUAL:
+        alpha = image.positive_combination()
         if alpha is not None and _is_witness(matrix, den, alpha, target):
             return EutaxyStatus(INTERIOR, witness=alpha)
-    return _exact_status(matrix, den, target, image.support)
+    return _exact_status(matrix, den, target, support)
 
 
 def _exact_status(
@@ -344,10 +349,8 @@ def _exact_status(
     return EutaxyStatus(BOUNDARY, face=tuple(k for k, v in enumerate(x[:-1]) if v))
 
 
-def eutaxy_status(
-    x: PeriodicForm, domain: VoronoiDomain | None = None
-) -> EutaxyStatus:
-    """Classify (Q^{-1}, 0) against the generalized Voronoi domain, exactly.
+def eutaxy_status(domain: VoronoiDomain) -> EutaxyStatus:
+    """Classify the target (Q^{-1}, 0) against the Voronoi domain, exactly.
 
     Three steps; each returns only a certificate checked in exact arithmetic
     or hands over to the next:
@@ -367,31 +370,21 @@ def eutaxy_status(
     finitely generated cone is the set of strictly positive combinations of
     all its generators.
     """
-    if domain is None:
-        domain = voronoi_domain(x)
-    target = _det_gradient_target(x)
-    c = _uniform_witness(domain, target)
+    c = _uniform_witness(domain)
     if c is not None:
         return EutaxyStatus(INTERIOR, witness=(c,) * len(domain.matrix))
-    return _classify(domain.matrix, domain.den, target)
+    return _classify(domain.matrix, domain.den, domain.target)
 
 
-def improving_direction(
-    x: PeriodicForm, domain: VoronoiDomain | None = None,
-    status: EutaxyStatus | None = None,
-) -> TangentVector | None:
+def improving_direction(status: EutaxyStatus) -> TangentVector | None:
     """A density-improving direction when (Q^{-1}, 0) is outside the domain.
 
     N is the nearest point to -(Q^{-1}, 0) in the dual cone P(X), obtained
     via the Moreau identity N = -(Q^{-1},0) + proj_{V(X)}((Q^{-1},0)).  It
     is the separator of the outside status, which ``eutaxy_status`` checked
     exactly: <g, N> >= 0 for every generator and <(Q^{-1},0), N> < 0.
-    Eutactic input yields None.
+    A target in the domain yields None.
     """
-    if status is None:
-        status = eutaxy_status(x, domain)
-    if status.tag != OUTSIDE:
-        return None
     return status.separator
 
 
@@ -401,9 +394,7 @@ def improving_direction(
 
 
 def uncertainty_space(
-    x: PeriodicForm,
-    domain: VoronoiDomain | None = None,
-    status: EutaxyStatus | None = None,
+    domain: VoronoiDomain, status: EutaxyStatus
 ) -> tuple[tuple[TangentVector, ...], bool]:
     """Basis of the linear hull of the uncertainty set U(X), and linearity.
 
@@ -417,10 +408,6 @@ def uncertainty_space(
     generator.  There is such a generator, or the target would be interior,
     so ``is_subspace`` is False.
     """
-    if domain is None:
-        domain = voronoi_domain(x)
-    if status is None:
-        status = eutaxy_status(x, domain)
     if status.tag == OUTSIDE:
         raise ValueError("uncertainty set is defined only inside the domain")
     if status.tag == INTERIOR:
@@ -430,52 +417,32 @@ def uncertainty_space(
 
 
 def translational_criterion(
-    x: PeriodicForm,
-    basis: Sequence[TangentVector],
-    blocks: Sequence[MinBlock] | None = None,
+    basis: Sequence[TangentVector], blocks: Sequence[MinBlock]
 ) -> tuple[bool, tuple[int, int] | None]:
     """Does the hull of U(X) consist of purely translational changes fixing
     some touching pair?
 
     Tests containment of the linear hull in {N : Q^N = 0, t_i^N = t_j^N} for
     each pair (i, j) carrying a minimum representation; for i = j (lattice
-    vectors in Min X) the condition is purely Q^N = 0.  Checking the hull is
-    sufficient but possibly conservative for non-linear U(X).
+    vectors in Min X) the condition is purely Q^N = 0.  The last translate
+    is pinned, so t_m^N = 0.  Checking the hull is sufficient but possibly
+    conservative for non-linear U(X).
     """
-    if blocks is None:
-        blocks = generalized_min(x).blocks
     if not blocks:
         raise OverlapError("criterion undefined without minimum representations")
-    pairs = sorted({(b.i, b.j) for b in blocks})
-    zero = (Fraction(0),) * x.d
 
-    def col(n: TangentVector, k: int):
-        return zero if k == x.m else n.tcols[k - 1]
+    def col(n: TangentVector, k: int) -> tuple[Fraction, ...]:
+        return n.tcols[k - 1] if k < n.m else (Fraction(0),) * n.d
 
-    for (i, j) in pairs:
-        ok = True
-        for n in basis:
-            if not n.qpart.is_zero():
-                ok = False
-                break
-            if i != j and col(n, i) != col(n, j):
-                ok = False
-                break
-        if ok:
+    for i, j in sorted({(b.i, b.j) for b in blocks}):
+        if all(n.qpart.is_zero() and (i == j or col(n, i) == col(n, j)) for n in basis):
             return True, (i, j)
     return False, None
 
 
-def floating_components(
-    x: PeriodicForm, blocks: Sequence[MinBlock] | None = None
-) -> tuple[tuple[int, ...], ...]:
-    """Connected components of the touching graph on translate indices."""
-    if blocks is None:
-        gm = generalized_min(x)
-        if gm.lam == 0:
-            raise OverlapError("touching graph undefined for lambda = 0")
-        blocks = gm.blocks
-    parent = list(range(x.m + 1))
+def floating_components(blocks: Sequence[MinBlock], m: int) -> tuple[tuple[int, ...], ...]:
+    """Connected components of the touching graph on translate indices 1..m."""
+    parent = list(range(m + 1))
 
     def find(a: int) -> int:
         while parent[a] != a:
@@ -489,7 +456,7 @@ def floating_components(
             if ra != rb:
                 parent[ra] = rb
     groups: dict[int, list[int]] = {}
-    for i in range(1, x.m + 1):
+    for i in range(1, m + 1):
         groups.setdefault(find(i), []).append(i)
     return tuple(sorted(tuple(sorted(g)) for g in groups.values()))
 
@@ -497,40 +464,36 @@ def floating_components(
 def certify(x: PeriodicForm) -> Certificate:
     """Full local-optimality analysis of a periodic form with lambda > 0.
 
-    Decision tree: target outside the domain gives NotExtreme with a
-    verified improving direction; interior plus full-dimensional domain
-    gives IsolatedExtreme; otherwise the purely-translational criterion can
-    still certify (possibly non-isolated) extremeness, and failing that the
-    verdict is an honest Inconclusive carrying F(X) and U(X).
+    One Voronoi domain, then the stages that read it.  Decision tree: target
+    outside the domain gives NotExtreme with a verified improving direction;
+    interior plus full-dimensional domain gives IsolatedExtreme; otherwise
+    the purely-translational criterion can still certify (possibly
+    non-isolated) extremeness, and failing that the verdict is an honest
+    Inconclusive carrying F(X) and U(X).  lambda = 0 raises OverlapError.
     """
-    gm = generalized_min(x)
-    if gm.lam == 0:
-        raise OverlapError("certification requires lambda > 0")
-    floating = floating_components(x, gm.blocks)
-    domain = voronoi_domain(x, gm)
-    status = eutaxy_status(x, domain)
-    perfect = domain.is_full_dimensional
+    domain = voronoi_domain(x)
+    status = eutaxy_status(domain)
     base = dict(
-        lam=gm.lam,
-        perfect=perfect,
+        lam=domain.lam,
+        perfect=domain.is_full_dimensional,
         rank=domain.rank,
         ambient=domain.ambient,
         eutaxy=status,
-        floating=floating,
+        floating=floating_components(domain.blocks, domain.m),
     )
 
     if status.tag == OUTSIDE:
-        n = improving_direction(x, domain, status)
-        eps = improvement_step(x, n, gm.lam)
+        n = improving_direction(status)
+        eps = improvement_step(x, n, domain.lam)
         if eps is None:
             raise RuntimeError("no verified improvement step found along N")
         return Certificate(
             NOT_EXTREME, improving=n, improving_epsilon=eps, **base
         )
-    if status.tag == INTERIOR and perfect:
+    if status.tag == INTERIOR and domain.is_full_dimensional:
         return Certificate(ISOLATED_EXTREME, **base)
-    basis, is_subspace = uncertainty_space(x, domain, status)
-    holds, witness = translational_criterion(x, basis, gm.blocks)
+    basis, is_subspace = uncertainty_space(domain, status)
+    holds, witness = translational_criterion(basis, domain.blocks)
     if holds:
         return Certificate(
             EXTREME_TRANSLATIONAL,
@@ -576,9 +539,5 @@ def improvement_step(
 def periodic_extreme_by_theorem(q: PQF) -> bool:
     """Perfect plus strongly eutactic certifies periodic extremeness for all
     representations at once, without enumerating them."""
-    x = PeriodicForm.lattice(q)
-    domain = voronoi_domain(x)
-    return (
-        domain.is_full_dimensional
-        and _uniform_witness(domain, _det_gradient_target(x)) is not None
-    )
+    domain = voronoi_domain(PeriodicForm.lattice(q))
+    return domain.is_full_dimensional and _uniform_witness(domain) is not None

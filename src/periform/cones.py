@@ -23,13 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import mul
 from typing import Sequence
 
 import numpy as np
 
-from .linalg import independent_rows_modp, log2_magnitude, solve_exact
+from .linalg import independent_rows_modp, integer_row, log2_magnitude, solve_exact
 
 __all__ = ["ConeProjection", "project_to_cone", "FloatImage"]
 
@@ -64,12 +63,6 @@ def _pow2(k: int) -> Fraction:
     return Fraction(1 << k) if k >= 0 else Fraction(1, 1 << -k)
 
 
-def _integer_coeffs(coeffs: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """(s, c): c = s * coeffs in integers, s the lcm of the denominators."""
-    s = lcm(*(c.denominator for c in coeffs))
-    return s, [c.numerator * (s // c.denominator) for c in coeffs]
-
-
 def project_to_cone(
     matrix: np.ndarray,
     den: int,
@@ -93,7 +86,7 @@ def project_to_cone(
     if not n:
         raise ValueError("cone needs at least one generator")
     wrows = [[w * v for w, v in zip(metric, row)] for row in rows]
-    gscale, b = _integer_coeffs(goal)
+    gscale, b = integer_row(goal)
     rhs = [_dot(wr, b) for wr in wrows]
 
     def solve_active(active: list[int]) -> list[Fraction]:
@@ -108,7 +101,7 @@ def project_to_cone(
 
     def combine(beta: dict[int, Fraction]) -> tuple[int, list[int]]:
         """(s, p): p = s * sum_k beta_k row_k in integers."""
-        s, ints = _integer_coeffs(list(beta.values()))
+        s, ints = integer_row(list(beta.values()))
         p = [0] * len(b)
         for k, c in zip(beta, ints):
             p = [a + c * v for a, v in zip(p, rows[k])]
@@ -201,7 +194,6 @@ class FloatImage:
     def __init__(self, matrix: np.ndarray, den: int, goal: Sequence[Fraction]):
         self.matrix, self.den, self.goal = matrix, den, tuple(goal)
         self.rows = matrix.tolist()
-        self.support: tuple[int, ...] = ()  # positive columns of the nnls
         mags = [[log2_magnitude(Fraction(v, den)) if v else None for v in row]
                 for row in self.rows]
         row_shift = [
@@ -225,34 +217,34 @@ class FloatImage:
             for v, r in zip(self.goal, row_shift)
         ])
 
-    def residual(self) -> float:
-        """nnls residual of the target onto the cone, relative to the target.
+    def residual(self) -> tuple[float, tuple[int, ...]]:
+        """(r, support): the nnls residual of the target onto the cone,
+        relative to the target, and the columns the nnls weighs positively,
+        the warm start of the exact projection.
 
-        The columns the nnls weighs positively are kept in ``support``, the
-        warm start of the exact projection.  0.0 when nnls stops at its
-        iteration limit, which leaves the question to the relative-interior
-        LP and the exact path behind it.
+        (0.0, ()) when nnls stops at its iteration limit, which leaves the
+        question to the relative-interior LP and the exact path behind it.
         """
         from scipy.optimize import nnls
 
         try:
             weights, rnorm = nnls(self.a, self.b)
         except RuntimeError:
-            return 0.0
-        self.support = tuple(int(j) for j in np.flatnonzero(weights > _SUPPORT_WEIGHT))
+            return 0.0, ()
+        support = tuple(int(j) for j in np.flatnonzero(weights > _SUPPORT_WEIGHT))
         bnorm = float(np.linalg.norm(self.b))
-        return rnorm / bnorm if bnorm > 0 else 0.0
+        return (rnorm / bnorm if bnorm > 0 else 0.0), support
 
-    def positive_combination(self, limit: int) -> tuple[Fraction, ...] | None:
+    def positive_combination(self) -> tuple[Fraction, ...] | None:
         """Proposed exact weights alpha > 0 with sum_k alpha_k row_k / den = target,
         unverified.
 
         HiGHS solves max mu s.t. sum beta_g g + mu * sum(gens) = target,
-        beta >= 0, 0 <= mu <= 1, on the float image.  At most ``limit``
-        rows independent mod RANK_PRIME, taken in order of falling float
-        weight, are basic.  The other weights are rounded to dyadic rationals
-        and the basic ones solved for exactly.  None when the float LP finds
-        no margin or the exact system has no solution.
+        beta >= 0, 0 <= mu <= 1, on the float image.  Rows independent mod
+        RANK_PRIME, taken in order of falling float weight and no more than
+        there are coordinates, are basic.  The other weights are rounded to
+        dyadic rationals and the basic ones solved for exactly.  None when
+        the float LP finds no margin or the exact system has no solution.
         """
         from scipy.optimize import linprog
 
@@ -273,7 +265,7 @@ class FloatImage:
         # scaled by 2^-goal_shift, so alpha_j = w_j * 2^(goal_shift - col_shift[j]).
         weights = res.x[:n] + res.x[-1]
         order = [int(j) for j in np.argsort(-weights, kind="stable")]
-        basic = [order[k] for k in independent_rows_modp(self.matrix[order], limit)]
+        basic = [order[k] for k in independent_rows_modp(self.matrix[order], len(self.goal))]
         alpha: list[Fraction | None] = [None] * n
         rest = [self.den * v for v in self.goal]  # den * target - sum of the non-basic rows
         for j in sorted(set(range(n)) - set(basic)):

@@ -37,6 +37,7 @@ FORMAT_TAG = "pform/1"
 MAX_DIGITS = 4096
 _INT_BOUND = 10 ** MAX_DIGITS
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
 class PFormError(ValueError):
@@ -68,9 +69,9 @@ def parse_rational(s: Any) -> Fraction:
     return Fraction(int(num), int(den))
 
 
-def parse_integer(s: str) -> int:
-    """An integer string: ``-?[0-9]+``, at most MAX_DIGITS digits."""
-    if "/" in s:
+def parse_integer(s: str | int) -> int:
+    """An integer string ``-?[0-9]+`` or a non-bool int, at most MAX_DIGITS digits."""
+    if isinstance(s, str) and _INTEGER.fullmatch(s) is None:
         raise PFormError(f"bad integer {s[:40]!r}: expected digits")
     return parse_rational(s).numerator
 

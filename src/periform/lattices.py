@@ -33,6 +33,9 @@ __all__ = [
 ]
 
 RADIUS_INFLATION = 1.0 + 2.0 ** -20
+# The Lovasz constant of lll_reduce: the classic 3/4 of Lenstra, Lenstra and
+# Lovasz (1982).
+LLL_DELTA = Fraction(3, 4)
 # Reductions kept: generalized_min asks for one form's reduction for its SVP
 # and again for each translate pair; the improvement line search revisits few
 # forms.
@@ -96,15 +99,12 @@ class CloseVecResult:
 # ---------------------------------------------------------------------------
 
 
-def lll_reduce(q: PQF, delta: RatLike = Fraction(3, 4)) -> tuple[PQF, Unimodular]:
-    """delta-LLL-reduce a positive definite Gram matrix.
+def lll_reduce(q: PQF) -> tuple[PQF, Unimodular]:
+    """LLL-reduce a positive definite Gram matrix with delta = LLL_DELTA.
 
     Returns (Qred, U) with Qred = U^t Q U, size-reduced and satisfying the
     Lovasz condition on the exact rational Gram-Schmidt data.
     """
-    delta = Fraction(delta)
-    if not Fraction(1, 4) < delta < 1:
-        raise ValueError("delta must lie in (1/4, 1)")
     d = q.d
     g = [[q.form.entry(i, j) for j in range(d)] for i in range(d)]
     ucols = [[int(i == j) for i in range(d)] for j in range(d)]
@@ -171,7 +171,7 @@ def lll_reduce(q: PQF, delta: RatLike = Fraction(3, 4)) -> tuple[PQF, Unimodular
             kmax = k
             compute_gso(k)
         size_reduce(k, k - 1)
-        if bstar[k] < (delta - mu[k][k - 1] * mu[k][k - 1]) * bstar[k - 1]:
+        if bstar[k] < (LLL_DELTA - mu[k][k - 1] * mu[k][k - 1]) * bstar[k - 1]:
             swap(k)
             k = max(k - 1, 1)
         else:

@@ -476,10 +476,10 @@ def independent_rows_modp(rows: np.ndarray, limit: int) -> list[int]:
     return taken
 
 
-def integer_row(coords: Sequence[Fraction]) -> list[int]:
-    """The rational row scaled by the lcm of its denominators."""
-    den = lcm(*(v.denominator for v in coords))
-    return [v.numerator * (den // v.denominator) for v in coords]
+def integer_row(coords: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(s, c): c = s * coords in integers, s the lcm of the denominators."""
+    s = lcm(*(v.denominator for v in coords))
+    return s, [v.numerator * (s // v.denominator) for v in coords]
 
 
 def log2_magnitude(v: Fraction) -> int:
@@ -512,7 +512,7 @@ def rank_complement(rows: np.ndarray) -> tuple[int, list[list[Fraction]]]:
             for r, pc in enumerate(pivcols):
                 coords[pc] = -ech[r][fc]
             complement.append(coords)
-        checks = [integer_row(coords) for coords in complement]
+        checks = [integer_row(coords)[1] for coords in complement]
         bad = next(
             (i for i, row in enumerate(exact)
              if any(sum(map(mul, row, c)) for c in checks)),
@@ -536,7 +536,7 @@ def rank_span(vectors: Sequence[TangentVector]) -> tuple[int, tuple[TangentVecto
     d, m = vectors[0].d, vectors[0].m
     for v in vectors[1:]:
         _check_same_space(vectors[0], v)
-    rows = int_matrix([integer_row(v.flatten(weighted=True)) for v in vectors])
+    rows = int_matrix([integer_row(v.flatten(weighted=True))[1] for v in vectors])
     rank, complement = rank_complement(rows)
     return rank, tuple(TangentVector.unflatten(c, d, m) for c in complement)
 

@@ -5,7 +5,7 @@ from math import lcm
 
 import numpy as np
 
-from periform.linalg import PQF, int_matrix
+from periform.linalg import PQF, TangentVector, int_matrix
 from periform.periodic import generalized_min, gradient_p
 
 
@@ -34,6 +34,11 @@ def stack(vectors) -> tuple[np.ndarray, int]:
     coords = [v.flatten(weighted=True) for v in vectors]
     den = lcm(*(c.denominator for row in coords for c in row))
     return int_matrix([[c.numerator * (den // c.denominator) for c in row] for row in coords]), den
+
+
+def det_target(x) -> TangentVector:
+    """The determinant gradient (Q^{-1}, 0) that eutaxy places in the domain."""
+    return TangentVector.make(x.q.inverse(), [[0] * x.d for _ in range(x.m - 1)])
 
 
 def gradients(x) -> list:

@@ -98,10 +98,10 @@ def test_criterion_3_fluid_diamond():
     for alpha in (Fr(1, 4), Fr(1, 3)):
         x = fluid_diamond(alpha)
         gm = generalized_min(x)
-        dom = voronoi_domain(x, gm)
-        st = eutaxy_status(x, dom)
-        basis, _ = uncertainty_space(x, dom, st)
-        floating = floating_components(x, gm.blocks)
+        dom = voronoi_domain(x)
+        st = eutaxy_status(dom)
+        basis, _ = uncertainty_space(dom, st)
+        floating = floating_components(gm.blocks, x.m)
         good = (
             gm.lam == 2
             and st.tag == INTERIOR
@@ -117,9 +117,9 @@ def test_criterion_3_fluid_diamond():
             )
     x0 = fluid_diamond(0)
     gm0 = generalized_min(x0)
-    dom0 = voronoi_domain(x0, gm0)
-    st0 = eutaxy_status(x0, dom0)
-    basis0, _ = uncertainty_space(x0, dom0, st0)
+    dom0 = voronoi_domain(x0)
+    st0 = eutaxy_status(dom0)
+    basis0, _ = uncertainty_space(dom0, st0)
     if not (gm0.lam == 2 and len(basis0) == 1):
         ok = False
         details.append(f"alpha=0: lam={gm0.lam} dimU={len(basis0)}")

@@ -6,7 +6,7 @@ import pytest
 
 import numpy as np
 
-from helpers import e8_gram, gradients, stack
+from helpers import det_target, e8_gram, gradients, stack
 from periform.certify import (
     BOUNDARY,
     INCONCLUSIVE,
@@ -15,7 +15,6 @@ from periform.certify import (
     NOT_EXTREME,
     OUTSIDE,
     _classify,
-    _det_gradient_target,
     certify,
     eutaxy_status,
     floating_components,
@@ -49,6 +48,19 @@ LINE_2_5 = PeriodicForm.make(PQF.from_rows([[1]]), [[Fr(2, 5)]])
 
 def lattice(q):
     return PeriodicForm.lattice(q)
+
+
+def status_of(x):
+    return eutaxy_status(voronoi_domain(x))
+
+
+def uncertainty_of(x):
+    dom = voronoi_domain(x)
+    return uncertainty_space(dom, eutaxy_status(dom))
+
+
+def floating_of(x):
+    return floating_components(generalized_min(x).blocks, x.m)
 
 
 def rows_of(dom):
@@ -90,7 +102,7 @@ class TestVoronoiDomain:
     def test_generators_are_the_gradients(self, x):
         """The integer rows, int64 or exact, are gradient_p at each rep, in order."""
         gm = generalized_min(x)
-        dom = voronoi_domain(x, gm)
+        dom = voronoi_domain(x)
         assert len(dom.matrix) == len(gm.reps)
         assert dom.matrix.tolist() == [
             [dom.den * c for c in gradient_p(x, rep).flatten(weighted=True)]
@@ -132,7 +144,7 @@ class TestEutaxyStatus:
     def test_z2_interior_with_witness(self):
         x = lattice(Z2)
         dom = voronoi_domain(x)
-        st = eutaxy_status(x, dom)
+        st = eutaxy_status(dom)
         assert st.tag == INTERIOR
         combo = None
         for g, a in zip(gradients(x), st.witness):
@@ -142,7 +154,7 @@ class TestEutaxyStatus:
 
     def test_diag_outside_with_separator(self):
         dom = voronoi_domain(lattice(DIAG12))
-        st = eutaxy_status(lattice(DIAG12), dom)
+        st = eutaxy_status(dom)
         assert st.tag == OUTSIDE
         s = st.separator
         target = TangentVector.make(DIAG12.inverse())
@@ -154,7 +166,7 @@ class TestEutaxyStatus:
         # Forces the LP path: eutactic but not strongly eutactic.
         x = lattice(A2_PLUS_LINE)
         dom = voronoi_domain(x)
-        st = eutaxy_status(x, dom)
+        st = eutaxy_status(dom)
         assert st.tag == INTERIOR
         target = TangentVector.make(A2_PLUS_LINE.inverse())
         combo = None
@@ -190,7 +202,7 @@ class TestOverflowGuard:
         for q in (DIAG12, A2_PLUS_LINE):  # outside, interior
             x = lattice(sheared(q, 2 ** 18))
             dom = voronoi_domain(x)
-            yield dom.matrix, dom.den, _det_gradient_target(x)
+            yield dom.matrix, dom.den, det_target(x)
         big = TangentVector.make(SymForm.outer([2 ** 17, 1]))
         matrix, den = stack([big, TangentVector.make(SymForm.outer([0, 1]))])
         yield matrix, den, big  # boundary
@@ -225,10 +237,10 @@ class TestStrongEutaxy:
 
 class TestImprovingDirection:
     def test_eutactic_absent(self):
-        assert improving_direction(lattice(Z2)) is None
+        assert improving_direction(status_of(lattice(Z2))) is None
 
     def test_line_two_fifths(self):
-        n = improving_direction(LINE_2_5)
+        n = improving_direction(status_of(LINE_2_5))
         assert n.qpart.entry(0, 0) == Fr(-25, 26)
         assert n.tcols[0][0] == Fr(5, 26)
         # Density strictly increases at eps = 1e-3.
@@ -237,7 +249,7 @@ class TestImprovingDirection:
         assert after > before
 
     def test_diag(self):
-        n = improving_direction(lattice(DIAG12))
+        n = improving_direction(status_of(lattice(DIAG12)))
         assert n.qpart.entry(1, 1) < 0
         before = density(lattice(DIAG12)).center_density_squared
         x2 = lattice(DIAG12).add_tangent(n, Fr(1, 2))
@@ -246,19 +258,19 @@ class TestImprovingDirection:
 
 class TestUncertainty:
     def test_isolated_point_has_trivial_uncertainty(self):
-        basis, is_sub = uncertainty_space(LINE_HALF)
+        basis, is_sub = uncertainty_of(LINE_HALF)
         assert basis == ()
         assert is_sub
 
     def test_z2_offdiagonal_direction(self):
-        basis, is_sub = uncertainty_space(lattice(Z2))
+        basis, is_sub = uncertainty_of(lattice(Z2))
         assert is_sub
         assert len(basis) == 1
         assert basis[0].qpart.entry(0, 1) != 0
 
     def test_outside_rejected(self):
         with pytest.raises(ValueError):
-            uncertainty_space(lattice(DIAG12))
+            uncertainty_of(lattice(DIAG12))
 
     def test_boundary_hull_synthetic(self):
         # U for cone{e11, e22} with target e11: all N with <e11, N> = 0 and
@@ -270,7 +282,7 @@ class TestUncertainty:
         target = TangentVector.make(SymForm.outer([1, 0]))
         matrix, den = stack(gens)
         dom = SimpleNamespace(matrix=matrix, d=2, m=1)  # all a boundary status reads
-        basis, is_sub = uncertainty_space(None, dom, _classify(matrix, den, target))
+        basis, is_sub = uncertainty_space(dom, _classify(matrix, den, target))
         assert len(basis) == 2
         assert all(inner(n, gens[0]) == 0 for n in basis)
         assert not is_sub
@@ -278,28 +290,28 @@ class TestUncertainty:
 
 class TestTranslationalCriterion:
     def test_z2_fails(self):
-        basis, _ = uncertainty_space(lattice(Z2))
-        holds, witness = translational_criterion(lattice(Z2), basis)
+        basis, _ = uncertainty_of(lattice(Z2))
+        holds, witness = translational_criterion(basis, generalized_min(lattice(Z2)).blocks)
         assert not holds and witness is None
 
     def test_vacuous_holds(self):
-        holds, witness = translational_criterion(LINE_HALF, ())
+        holds, witness = translational_criterion((), generalized_min(LINE_HALF).blocks)
         assert holds and witness is not None
 
 
 class TestFloating:
     def test_lattice_single_block(self):
-        assert floating_components(lattice(A2)) == ((1,),)
+        assert floating_of(lattice(A2)) == ((1,),)
 
     def test_touching_pair(self):
-        assert floating_components(LINE_HALF) == ((1, 2),)
+        assert floating_of(LINE_HALF) == ((1, 2),)
 
     def test_permutation_invariance(self):
         # Three translates of 3Z at 0, 1/3, 2/3: chain connects everything.
         q = PQF.from_rows([[9]])
         x1 = PeriodicForm.make(q, [[Fr(1, 3)], [Fr(2, 3)]])
         x2 = PeriodicForm.make(q, [[Fr(2, 3)], [Fr(1, 3)]])
-        assert floating_components(x1) == floating_components(x2) == ((1, 2, 3),)
+        assert floating_of(x1) == floating_of(x2) == ((1, 2, 3),)
 
 
 class TestCertify:
@@ -388,7 +400,7 @@ class TestWitnessSoundness:
     def test_interior_witness_reconstructs(self, q):
         x = lattice(q)
         gm = generalized_min(x)
-        st = eutaxy_status(x)
+        st = status_of(x)
         assert st.tag == INTERIOR
         target = TangentVector.make(q.inverse())
         combo = None
@@ -416,7 +428,7 @@ class TestLemmaConsistency:
         for index in (2, 3):
             for h in list(enumerate_sublattice_hnf(d, index))[:6]:
                 x = sublattice_representation(q, h)
-                assert eutaxy_status(x).tag == INTERIOR
+                assert status_of(x).tag == INTERIOR
 
 
 class TestVoronoiSpecialization:
@@ -427,7 +439,7 @@ class TestVoronoiSpecialization:
             x = lattice(q)
             cert = certify(x)
             perfect, _, _ = is_m_perfect(x)
-            eutactic = eutaxy_status(x).tag == INTERIOR
+            eutactic = status_of(x).tag == INTERIOR
             assert (cert.verdict == ISOLATED_EXTREME) == (perfect and eutactic)
 
 

@@ -157,6 +157,25 @@ class TestCatalog:
     def test_unknown_name_exit_2(self, capsys):
         assert main(["catalog", "get", "Nope"]) == 2
 
+    @pytest.mark.parametrize("dim", ["1_0", "+3", " 3", "\u0663", "3/1", "3.0", ""],
+                             ids=["underscore", "plus", "space", "arabic-indic", "ratio",
+                                  "decimal", "empty"])
+    @pytest.mark.parametrize("name", ["Zd", "A", "D", "Dplus"])
+    def test_dimension_outside_grammar_exit_2(self, name, dim, capsys):
+        """Dimensions follow the integer grammar -?[0-9]+ and nothing wider."""
+        assert main(["catalog", "get", name, dim]) == 2
+        assert "bad integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dim", ["1_0", "+8", " 8", "\u0668"])
+    def test_dplus_lattice_dimension_outside_grammar_exit_2(self, dim, capsys):
+        assert main(["catalog", "get", "Dplus", dim, "lattice"]) == 2
+        assert "bad integer" in capsys.readouterr().err
+
+    def test_dplus_lattice(self, capsys):
+        assert main(["catalog", "get", "Dplus", "8", "lattice"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["d"] == 8 and doc["meta"]["params"] == ["8", "lattice"]
+
 
 class TestCatalogPipelines:
     def test_e8_min_line(self, tmp_path, capsys):

@@ -23,14 +23,13 @@ import pytest
 import scipy.optimize
 
 import periform
-from helpers import gradients, stack
+from helpers import det_target, gradients, stack
 from periform.catalog import fluid_diamond
 from periform.certify import (
     BOUNDARY,
     INTERIOR,
     OUTSIDE,
     _classify,
-    _det_gradient_target,
     certify,
     eutaxy_status,
     uncertainty_space,
@@ -177,7 +176,7 @@ def test_matches_exact_path(seed, monkeypatch):
     assert certificate_holds(gens, target, got)
     if got.tag == BOUNDARY:
         assert len(calls) == 1
-        uncertainty_space(None, domain_of(gens), got)
+        uncertainty_space(domain_of(gens), got)
         assert len(calls) == 1
 
 
@@ -214,7 +213,7 @@ def test_boundary_uncertainty_matches_reference(seed):
     assert status.tag == BOUNDARY
     basis, is_subspace, implicit = reference_uncertainty(gens, status.face)
     assert implicit == [] and not is_subspace
-    assert uncertainty_space(None, domain_of(gens), status) == (basis, False)
+    assert uncertainty_space(domain_of(gens), status) == (basis, False)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +248,7 @@ def garbage_cases():
     ]
     cases = []
     for x in forms:
-        cases.append((gradients(x), _det_gradient_target(x), voronoi_domain(x).ambient))
+        cases.append((gradients(x), det_target(x), voronoi_domain(x).ambient))
     e11 = TangentVector.make(SymForm.outer([1, 0]))
     e22 = TangentVector.make(SymForm.outer([0, 1]))
     cases.append(([e11, e22], e11, 3))  # on a proper face: boundary
@@ -313,9 +312,9 @@ def test_lambda9_interior_without_simplex(s, monkeypatch):
         raise AssertionError("the exact simplex ran")
 
     monkeypatch.setattr(certify_module, "solve_lp", no_lp)
-    st = eutaxy_status(x, dom)
+    st = eutaxy_status(dom)
     assert st.tag == INTERIOR
-    assert is_witness(gradients(x), _det_gradient_target(x), st.witness)
+    assert is_witness(gradients(x), det_target(x), st.witness)
 
 
 def test_improving_direction_reuses_the_projection(monkeypatch):
