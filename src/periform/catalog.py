@@ -31,6 +31,11 @@ __all__ = [
 CATALOG_NAMES = (
     "Zd", "A", "D", "Dplus", "E6", "E7", "E8", "K12", "Leech", "Lambda9",
 )
+# Size limits, checked before anything is built, so a short argument cannot
+# ask for a huge form: the largest named form is Leech (d = 24), and a
+# sublattice of index n carries n - 1 translates.
+MAX_DIMENSION = 64
+MAX_INDEX = 1024
 
 
 @dataclass(frozen=True)
@@ -271,6 +276,8 @@ def sublattice_representation(q: PQF, h: Sequence[Sequence[int]]) -> PeriodicFor
     det = det_bareiss(h)
     if det == 0:
         raise ValueError("H is singular")
+    if abs(det) > MAX_INDEX:
+        raise ValueError(f"the index |det H| is above {MAX_INDEX}")
     hcols = [tuple(h[i][j] for i in range(d)) for j in range(d)]
     q_sub = PQF(q.form.congruent(hcols))
     # Column span of H = row span of H^t; its row HNF is upper triangular,
@@ -300,8 +307,8 @@ def _dim_param(params, minimum: int, name: str) -> int:
     if len(params) != 1:
         raise ValueError(f"{name} takes exactly one parameter (the dimension)")
     d = parse_integer(params[0])
-    if d < minimum:
-        raise ValueError(f"{name} requires dimension >= {minimum}")
+    if not minimum <= d <= MAX_DIMENSION:
+        raise ValueError(f"{name} requires {minimum} <= dimension <= {MAX_DIMENSION}")
     return d
 
 
@@ -336,8 +343,10 @@ def get(name: str, *params) -> CatalogEntry:
     if name == "Dplus":
         if len(params) == 2 and params[1] == "lattice":
             d = parse_integer(params[0])
-            if d < 8 or d % 2:
-                raise ValueError("the Dplus lattice variant needs even d >= 8")
+            if not 8 <= d <= MAX_DIMENSION or d % 2:
+                raise ValueError(
+                    f"the Dplus lattice variant needs even 8 <= d <= {MAX_DIMENSION}"
+                )
             rows = _dplus_basis_rows(d)
             expected = {"det": Fraction(1), "lam": Fraction(2)}
             if d >= 10:

@@ -1,12 +1,14 @@
 """Lattice algorithmics: LLL reduction and shortest/closest vector enumeration.
 
 Each form is LLL-reduced once; shortest and closest vector searches on it
-then share that reduction.  One walker visits the lattice points of the
-reduced form with floating-point bounds (radii inflated by 1 + 2^-20) on the
-reduced Gram scaled exactly by a power of two, so the float bounds do not
-depend on the scale of the form.  A vector is accepted only after exact
-integer evaluation, so the returned minima and minimizer sets are exact and
-complete.
+then share that reduction.  LLL starts from the Gram-Schmidt data of the
+LDL factorisation the form already carries and builds U^-1 along with U, so
+a reduction factors only the reduced form, once.  One walker visits the
+lattice points of the reduced form with floating-point bounds (radii inflated
+by 1 + 2^-20) on the reduced Gram scaled exactly by a power of two, so the
+float bounds do not depend on the scale of the form.  A vector is accepted
+only after exact integer evaluation, so the returned minima and minimizer
+sets are exact and complete.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .intmat import det_bareiss
-from .linalg import PQF, SymForm, RatLike, _row_echelon, ldl
+from .linalg import PQF, SymForm, RatLike
 
 __all__ = [
     "Unimodular",
@@ -36,9 +38,9 @@ RADIUS_INFLATION = 1.0 + 2.0 ** -20
 # The Lovasz constant of lll_reduce: the classic 3/4 of Lenstra, Lenstra and
 # Lovasz (1982).
 LLL_DELTA = Fraction(3, 4)
-# Reductions kept: generalized_min asks for one form's reduction for its SVP
-# and again for each translate pair; the improvement line search revisits few
-# forms.
+# Reductions kept: one generalized_min asks for its form's reduction for the
+# SVP and again for every CVP pair, and improve's _accept re-reduces the
+# candidate that improvement_step accepted.
 _REDUCE_CACHE_SIZE = 64
 # The walker runs on the reduced Gram scaled so its largest LDL pivot lies in
 # (1/2, 2).  A pivot 2^52 times smaller than the largest is below the float
@@ -68,15 +70,6 @@ class Unimodular:
         """U x for a column vector x."""
         return tuple(sum(row[j] * x[j] for j in range(self.d)) for row in self.rows)
 
-    def inverse(self) -> "Unimodular":
-        """U^-1 from the reduced echelon form of [U | I], which is [I | U^-1]."""
-        n = self.d
-        _, _, ech = _row_echelon([
-            [Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(self.rows)
-        ])
-        return Unimodular(tuple(tuple(int(v) for v in row[n:]) for row in ech))
-
 
 @dataclass(frozen=True)
 class ShortVecResult:
@@ -99,34 +92,27 @@ class CloseVecResult:
 # ---------------------------------------------------------------------------
 
 
-def lll_reduce(q: PQF) -> tuple[PQF, Unimodular]:
+def lll_reduce(q: PQF) -> tuple[PQF, Unimodular, Unimodular]:
     """LLL-reduce a positive definite Gram matrix with delta = LLL_DELTA.
 
-    Returns (Qred, U) with Qred = U^t Q U, size-reduced and satisfying the
-    Lovasz condition on the exact rational Gram-Schmidt data.
+    Returns (Qred, U, U^-1) with Qred = U^t Q U, size-reduced and satisfying
+    the Lovasz condition on the exact rational Gram-Schmidt data.  That data
+    starts as the LDL factors Q carries (mu = L, B* = D) and is kept current
+    for every row; U^-1 is built alongside U.
     """
     d = q.d
-    g = [[q.form.entry(i, j) for j in range(d)] for i in range(d)]
+    g = [list(row) for row in q.form.rows()]
+    mu = [list(row) for row in q.ldl.lower]
+    bstar = list(q.ldl.pivots)
     ucols = [[int(i == j) for i in range(d)] for j in range(d)]
-    if d == 1:
-        return q, Unimodular(((1,),))
+    uinv = [[int(i == j) for j in range(d)] for i in range(d)]
 
-    mu = [[Fraction(0)] * d for _ in range(d)]
-    bstar = [Fraction(0)] * d
-
-    def compute_gso(k: int) -> None:
-        bstar[k] = g[k][k]
-        for j in range(k):
-            u = g[k][j]
-            for i in range(j):
-                u -= mu[j][i] * mu[k][i] * bstar[i]
-            mu[k][j] = u / bstar[j]
-            bstar[k] -= mu[k][j] * mu[k][j] * bstar[j]
-
-    def translate(k: int, j: int, r: int) -> None:
-        # b_k <- b_k - r b_j, applied to Gram, transform and mu rows.
-        if r == 0:
+    def size_reduce(k: int, j: int) -> None:
+        # b_k <- b_k - r b_j, applied to Gram, U, U^-1 and mu; |mu_kj| > 1/2
+        # makes r nonzero.
+        if 2 * abs(mu[k][j]) <= 1:
             return
+        r = floor(mu[k][j] + Fraction(1, 2))
         gkk = g[k][k] - 2 * r * g[k][j] + r * r * g[j][j]
         for i in range(d):
             if i != k:
@@ -136,21 +122,17 @@ def lll_reduce(q: PQF) -> tuple[PQF, Unimodular]:
         g[k][k] = gkk
         for i in range(d):
             ucols[k][i] -= r * ucols[j][i]
+            uinv[j][i] += r * uinv[k][i]
         for i in range(j):
             mu[k][i] -= r * mu[j][i]
         mu[k][j] -= r
-
-    def size_reduce(k: int, j: int) -> None:
-        mukj = mu[k][j]
-        if 2 * abs(mukj) > 1:
-            r = floor(mukj + Fraction(1, 2))
-            translate(k, j, r)
 
     def swap(k: int) -> None:
         g[k], g[k - 1] = g[k - 1], g[k]
         for row in g:
             row[k], row[k - 1] = row[k - 1], row[k]
         ucols[k], ucols[k - 1] = ucols[k - 1], ucols[k]
+        uinv[k], uinv[k - 1] = uinv[k - 1], uinv[k]
         for j in range(k - 1):
             mu[k][j], mu[k - 1][j] = mu[k - 1][j], mu[k][j]
         muu = mu[k][k - 1]
@@ -158,18 +140,13 @@ def lll_reduce(q: PQF) -> tuple[PQF, Unimodular]:
         mu[k][k - 1] = muu * bstar[k - 1] / bnew
         bstar[k] = bstar[k - 1] * bstar[k] / bnew
         bstar[k - 1] = bnew
-        for i in range(k + 1, kmax + 1):
+        for i in range(k + 1, d):
             t = mu[i][k]
             mu[i][k] = mu[i][k - 1] - muu * t
             mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
 
-    compute_gso(0)
-    kmax = 0
     k = 1
     while k < d:
-        if k > kmax:
-            kmax = k
-            compute_gso(k)
         size_reduce(k, k - 1)
         if bstar[k] < (LLL_DELTA - mu[k][k - 1] * mu[k][k - 1]) * bstar[k - 1]:
             swap(k)
@@ -181,7 +158,7 @@ def lll_reduce(q: PQF) -> tuple[PQF, Unimodular]:
 
     qred = PQF(SymForm.from_rows(g))
     urows = tuple(tuple(ucols[j][i] for j in range(d)) for i in range(d))
-    return qred, Unimodular(urows)
+    return qred, Unimodular(urows), Unimodular(tuple(map(tuple, uinv)))
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +305,10 @@ class _Reduction:
 
 @lru_cache(maxsize=_REDUCE_CACHE_SIZE)
 def _reduce(q: PQF) -> _Reduction:
-    qred, u = lll_reduce(q)
+    qred, u, uinv = lll_reduce(q)
     den = lcm(*(v.denominator for v in qred.form.upper))
     gram = tuple(tuple(int(v * den) for v in row) for row in qred.form.rows())
-    res = ldl(qred.form)
+    res = qred.ldl
     top = max(res.pivots)
     if min(res.pivots) * 2 ** MAX_PIVOT_SPAN_BITS < top:
         raise ValueError(
@@ -341,7 +318,7 @@ def _reduce(q: PQF) -> _Reduction:
     scale = Fraction(2) ** (top.denominator.bit_length() - top.numerator.bit_length())
     return _Reduction(
         u=u.rows,
-        uinv=u.inverse().rows,
+        uinv=uinv.rows,
         gram=gram,
         den=den,
         scale=scale,

@@ -214,17 +214,20 @@ def ldl(q: SymForm) -> LDLResult:
 
 
 class PQF:
-    """A positive definite quadratic form, carrying its LDL certificate."""
+    """A positive definite quadratic form with its exact LDL factorisation.
 
-    __slots__ = ("form", "ldl_pivots", "_ldl")
+    ``ldl`` (Q = L diag(D) L^t) is computed once, as the positive-definiteness
+    check; ``det``, ``solve`` and ``lattices.lll_reduce`` read it.
+    """
+
+    __slots__ = ("form", "ldl")
 
     def __init__(self, form: SymForm):
         res = ldl(form)
         if not res.is_positive_definite:
             raise ValueError("form is not positive definite")
         self.form = form
-        self.ldl_pivots = res.pivots
-        self._ldl = res
+        self.ldl = res
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[RatLike]]) -> "PQF":
@@ -236,7 +239,7 @@ class PQF:
 
     def det(self) -> Fraction:
         out = Fraction(1)
-        for p in self.ldl_pivots:
+        for p in self.ldl.pivots:
             out *= p
         return out
 
@@ -250,13 +253,13 @@ class PQF:
         """Solve Q x = b exactly via the stored LDL factors."""
         d = self.d
         y = [_frac(v) for v in b]
-        low = self._ldl.lower
+        low = self.ldl.lower
         # Forward: L z = b
         for i in range(d):
             for j in range(i):
                 y[i] -= low[i][j] * y[j]
         for i in range(d):
-            y[i] /= self.ldl_pivots[i]
+            y[i] /= self.ldl.pivots[i]
         # Back: L^t x = z
         for i in reversed(range(d)):
             for j in range(i + 1, d):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from periform.catalog import MAX_DIMENSION, MAX_INDEX
 from periform.cli import main
 from periform.formats import dumps, loads
 from periform.linalg import PQF
@@ -171,6 +172,22 @@ class TestCatalog:
         assert main(["catalog", "get", "Dplus", dim, "lattice"]) == 2
         assert "bad integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dim", ["65", "99999999"])
+    @pytest.mark.parametrize("name", ["Zd", "A", "D", "Dplus"])
+    def test_dimension_above_limit_exit_2(self, name, dim, capsys):
+        """A short argument cannot ask for a huge form: rejected before building."""
+        assert main(["catalog", "get", name, dim]) == 2
+        assert f"dimension <= {MAX_DIMENSION}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dim", ["66", "99999998"])
+    def test_dplus_lattice_dimension_above_limit_exit_2(self, dim, capsys):
+        assert main(["catalog", "get", "Dplus", dim, "lattice"]) == 2
+        assert f"d <= {MAX_DIMENSION}" in capsys.readouterr().err
+
+    def test_dimension_at_limit(self, capsys):
+        assert main(["catalog", "get", "Zd", str(MAX_DIMENSION)]) == 0
+        assert json.loads(capsys.readouterr().out)["d"] == MAX_DIMENSION
+
     def test_dplus_lattice(self, capsys):
         assert main(["catalog", "get", "Dplus", "8", "lattice"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -220,6 +237,19 @@ class TestRepresent:
         path = write_form(tmp_path, [[1, 0], [0, 1]])
         assert main(["represent", path, "--H", h]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("h", ["1025 0; 0 1", "100000000 0; 0 1", "32 1; 1 33"],
+                             ids=["1025", "10^8", "det-1055"])
+    def test_index_above_limit_exit_2(self, tmp_path, capsys, h):
+        """|det H| - 1 translates: the index is bounded before any is built."""
+        path = write_form(tmp_path, [[1, 0], [0, 1]])
+        assert main(["represent", path, "--H", h]) == 2
+        assert f"above {MAX_INDEX}" in capsys.readouterr().err
+
+    def test_index_at_limit(self, tmp_path, capsys):
+        path = write_form(tmp_path, [[1, 0], [0, 1]])
+        assert main(["represent", path, "--H", f"{MAX_INDEX} 0; 0 1"]) == 0
+        assert json.loads(capsys.readouterr().out)["m"] == MAX_INDEX
 
     def test_2d_sublattice(self, tmp_path, capsys):
         path = write_form(tmp_path, [[1, 0], [0, 1]])

@@ -1,10 +1,16 @@
+import importlib.util
 import random
+import re
+import sys
 from fractions import Fraction as Fr
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 import periform.lattices as lattices
+import periform.linalg as linalg
+import reference_lll
 from periform.catalog import get, sublattice_representation
 from periform.intmat import det_bareiss
 from periform.linalg import PQF, SymForm
@@ -97,12 +103,12 @@ def e8_gram():
 class TestLll:
     def test_identity(self):
         q = PQF(SymForm.identity(3))
-        qred, u = lll_reduce(q)
+        qred, u, _ = lll_reduce(q)
         assert qred.form == SymForm.identity(3)
         assert u.rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
     def test_one_size_reduction(self):
-        qred, u = lll_reduce(PQF.from_rows([[2, 2], [2, 4]]))
+        qred, u, _ = lll_reduce(PQF.from_rows([[2, 2], [2, 4]]))
         assert qred.form.rows() == ((2, 0), (0, 2))
         assert abs(det_bareiss(u.rows)) == 1
 
@@ -111,7 +117,7 @@ class TestLll:
         rng = random.Random(seed)
         d = rng.randint(1, 6)
         q = random_pd_gram(rng, d)
-        qred, u = lll_reduce(q)
+        qred, u, _ = lll_reduce(q)
         # Qred = U^t Q U exactly, hence same determinant.
         cols = [u.column(j) for j in range(d)]
         assert qred.form == q.form.congruent(cols)
@@ -133,6 +139,94 @@ class TestLll:
                 assert 2 * abs(mu[k][j]) <= 1
             if k > 0:
                 assert bstar[k] >= (Fr(3, 4) - mu[k][k - 1] ** 2) * bstar[k - 1]
+
+
+def random_rational_pd(rng, d):
+    """Q = B^t B + diag(1/k) for a random rational B: PD, non-integral."""
+    b = [[Fr(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(d)] for _ in range(d)]
+    rows = [
+        [sum(b[k][i] * b[k][j] for k in range(d)) + (Fr(1, rng.randint(1, 7)) if i == j else 0)
+         for j in range(d)]
+        for i in range(d)
+    ]
+    return PQF.from_rows(rows)
+
+
+def improve_walk_pool(seed):
+    """The ``improve-walk`` benchmark's starts at ``seed``, round 0."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    return [x.q for x, _ in workloads.ImproveWalk().inputs(seed, 0)]
+
+
+def assert_matches_reference(q):
+    """(Qred, U, U^-1) and the walk's reduction as the lazy-GSO LLL gives them."""
+    qred, u, uinv = lll_reduce(q)
+    ref_qred, ref_u = reference_lll.lll_reduce(q)
+    assert (qred, u.rows) == (ref_qred, ref_u.rows)
+    assert uinv.rows == ref_u.inverse().rows
+    d = q.d
+    assert [[sum(u.rows[i][k] * uinv.rows[k][j] for k in range(d)) for j in range(d)]
+            for i in range(d)] == [[int(i == j) for j in range(d)] for i in range(d)]
+    try:
+        ref = reference_lll.reduce(q)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            lattices._reduce.__wrapped__(q)
+        return
+    assert lattices._reduce.__wrapped__(q) == ref
+
+
+REFERENCE_SCALES = {
+    "1": Fr(1), "2^60": Fr(2) ** 60, "2^-60": Fr(1, 2 ** 60),
+    "2^1100": Fr(2) ** 1100, "2^-1100": Fr(1, 2 ** 1100),
+    "10^400": Fr(10) ** 400, "10^-400": Fr(1, 10 ** 400),
+}
+
+
+class TestMatchesReference:
+    """The same reduction as the LLL that rebuilt the Gram-Schmidt data lazily."""
+
+    @pytest.mark.parametrize("scale", REFERENCE_SCALES.values(), ids=REFERENCE_SCALES)
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_random_forms(self, d, scale):
+        rng = random.Random(f"reference lll {d}")
+        for _ in range(2):
+            assert_matches_reference(random_pd_gram(rng, d).scale(scale))
+            assert_matches_reference(random_rational_pd(rng, d).scale(scale))
+
+    @pytest.mark.parametrize("tiny", [Fr(1, 2 ** 53), Fr(1, 2 ** 60), Fr(1, 10 ** 400)],
+                             ids=["2^-53", "2^-60", "10^-400"])
+    def test_pivot_span_limit(self, tiny):
+        """The same ValueError where the reduced pivots span past the limit."""
+        assert_matches_reference(PQF.from_rows([[tiny, 0], [0, 1]]))
+        assert_matches_reference(PQF.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, tiny]]))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_improve_walk_pool(self, seed):
+        for q in improve_walk_pool(seed):
+            assert_matches_reference(q)
+
+
+def test_reduce_factors_once(monkeypatch):
+    """A fresh reduction factors only the reduced form, and eliminates nothing."""
+    q = random_pd_gram(random.Random(5), 6)
+    calls = {"ldl": 0, "_row_echelon": 0}
+    for name in calls:
+        real = getattr(linalg, name)
+
+        def counting(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        for mod in (linalg, lattices):
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counting)
+    lattices._reduce.__wrapped__(q)
+    assert calls == {"ldl": 1, "_row_echelon": 0}
 
 
 class TestShortestVectors:

@@ -50,3 +50,17 @@ def test_exports_resolve():
         if not hasattr(mod, name)
     ]
     assert len(modules) == len(SOURCES) and missing == []
+
+
+def test_no_private_cross_module_imports():
+    """No module imports another's private name (``from .mod import _name``):
+    what a module shares is public, so it is also what its tests pin."""
+    found = [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert SOURCES and found == []
