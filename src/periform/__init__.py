@@ -43,7 +43,6 @@ from .improve import ImproveResult, ImproveStep, improve
 from .lattices import (
     CloseVecResult,
     ShortVecResult,
-    Unimodular,
     closest_vectors,
     lll_reduce,
     shortest_vectors,
@@ -101,7 +100,6 @@ __all__ = [
     "ShortVecResult",
     "SymForm",
     "TangentVector",
-    "Unimodular",
     "VoronoiDomain",
     "ambient_dim",
     "certify",

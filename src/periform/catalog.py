@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
-from .formats import parse_integer
+from .formats import MAX_DIMENSION, MAX_INDEX, parse_integer
 from .intmat import det_bareiss, row_hnf, transpose
 from .linalg import PQF, RatLike, SymForm, solve_exact
 from .periodic import PeriodicForm
@@ -31,11 +31,6 @@ __all__ = [
 CATALOG_NAMES = (
     "Zd", "A", "D", "Dplus", "E6", "E7", "E8", "K12", "Leech", "Lambda9",
 )
-# Size limits, checked before anything is built, so a short argument cannot
-# ask for a huge form: the largest named form is Leech (d = 24), and a
-# sublattice of index n carries n - 1 translates.
-MAX_DIMENSION = 64
-MAX_INDEX = 1024
 
 
 @dataclass(frozen=True)

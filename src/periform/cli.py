@@ -237,10 +237,8 @@ def cmd_improve(args) -> int:
     lines.append(f"final verdict: {res.certificate.verdict}")
     if res.stalled:
         lines.append("stalled: no strictly improving step found")
-    lines.append(
-        "final delta/volB = "
-        + f"{density(res.final).delta_over_ball:.10f}"
-    )
+    final = density(res.final, res.certificate.lam)
+    lines.append(f"final delta/volB = {final.delta_over_ball:.10f}")
     _emit(payload, args, lines)
     return EXIT_OK
 

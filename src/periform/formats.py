@@ -8,7 +8,8 @@ printing round-trip exactly.
 The grammar of a rational is ``-?[0-9]+(/[0-9]+)?`` with at most MAX_DIGITS
 digits on each side of the slash; a JSON integer (not a boolean) of at most
 MAX_DIGITS digits is accepted too.  ``d`` and ``m`` are JSON integers; ``Q``,
-``t`` and each of their rows are JSON arrays.
+``t`` and each of their rows are JSON arrays, with 1 <= d <= MAX_DIMENSION
+and 1 <= m <= MAX_INDEX.
 """
 
 from __future__ import annotations
@@ -35,6 +36,11 @@ __all__ = [
 
 FORMAT_TAG = "pform/1"
 MAX_DIGITS = 4096
+# Size limits of documents and of catalog forms, checked before anything is
+# built: the largest named form is Leech (d = 24), a sublattice of index n
+# carries n - 1 translates, and generalized_min runs m(m-1)/2 CVPs.
+MAX_DIMENSION = 64
+MAX_INDEX = 1024
 _INT_BOUND = 10 ** MAX_DIGITS
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 _INTEGER = re.compile(r"-?[0-9]+")
@@ -111,8 +117,10 @@ def from_document(doc: Any) -> PeriodicForm:
         t_rows = doc.get("t", [])
     except (KeyError, TypeError, ValueError) as exc:
         raise PFormError(f"missing or malformed field: {exc}") from exc
-    if d < 1 or m < 1:
-        raise PFormError("d and m must be positive")
+    if not 1 <= d <= MAX_DIMENSION:
+        raise PFormError(f"d must lie in 1..{MAX_DIMENSION}")
+    if not 1 <= m <= MAX_INDEX:
+        raise PFormError(f"m must lie in 1..{MAX_INDEX}")
     for key, rows in (("Q", q_rows), ("t", t_rows)):
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise PFormError(f"{key} must be a JSON array of arrays")

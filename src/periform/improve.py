@@ -9,7 +9,7 @@ Every acceptance test is an exact rational comparison of center densities,
 so the reported density sequence is strictly increasing by construction.
 Iterates are snapped to denominators of at most _MAX_DENOMINATOR to keep
 coordinate heights from growing without bound; a snap is kept only when it
-does not lose density.
+still beats the density before the step.
 """
 
 from __future__ import annotations
@@ -76,7 +76,8 @@ def _snap(x: PeriodicForm) -> PeriodicForm | None:
 def _accept(
     cand: PeriodicForm, floor: Fraction
 ) -> tuple[PeriodicForm, bool, DensityReport]:
-    """Rescale to minimum one, then snap if that does not fall back below floor.
+    """Rescale to minimum one, then snap if the snap still beats floor, the
+    density before the step.
 
     Returns the kept form, whether it is the snap, and its density report.
     """

@@ -1,9 +1,10 @@
 """Lattice algorithmics: LLL reduction and shortest/closest vector enumeration.
 
 Each form is LLL-reduced once; shortest and closest vector searches on it
-then share that reduction.  LLL starts from the Gram-Schmidt data of the
-LDL factorisation the form already carries and builds U^-1 along with U, so
-a reduction factors only the reduced form, once.  One walker visits the
+then share that reduction.  LLL updates the integer Gram den * Q of
+``SymForm.integer_rows`` and starts from the Gram-Schmidt data (mu, B*) of
+the LDL factorisation the form already carries; it returns U and U^-1 as
+integer rows, so a reduction factors only the reduced form, once.  One walker visits the
 lattice points of the reduced form with floating-point bounds (radii inflated
 by 1 + 2^-20) on the reduced Gram scaled exactly by a power of two, so the
 float bounds do not depend on the scale of the form.  A vector is accepted
@@ -16,17 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import floor, lcm, sqrt
+from math import floor, sqrt
 from operator import mul
 from typing import Sequence
 
 import numpy as np
 
-from .intmat import det_bareiss
-from .linalg import PQF, SymForm, RatLike
+from .linalg import PQF, SymForm, RatLike, integer_row
 
 __all__ = [
-    "Unimodular",
     "ShortVecResult",
     "CloseVecResult",
     "lll_reduce",
@@ -48,27 +47,7 @@ _REDUCE_CACHE_SIZE = 64
 # candidates; the walk refuses such forms.
 MAX_PIVOT_SPAN_BITS = 52
 
-
-@dataclass(frozen=True)
-class Unimodular:
-    """An integer basis change; rows form the matrix, |det| = 1."""
-
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if abs(det_bareiss(self.rows)) != 1:
-            raise ValueError("matrix is not unimodular")
-
-    @property
-    def d(self) -> int:
-        return len(self.rows)
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.rows)
-
-    def apply(self, x: Sequence[int]) -> tuple[int, ...]:
-        """U x for a column vector x."""
-        return tuple(sum(row[j] * x[j] for j in range(self.d)) for row in self.rows)
+IntRows = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -88,20 +67,23 @@ class CloseVecResult:
 
 
 # ---------------------------------------------------------------------------
-# LLL on the Gram matrix, exact rational arithmetic.
+# LLL on the integer Gram matrix.
 # ---------------------------------------------------------------------------
 
 
-def lll_reduce(q: PQF) -> tuple[PQF, Unimodular, Unimodular]:
+def lll_reduce(q: PQF) -> tuple[PQF, IntRows, IntRows]:
     """LLL-reduce a positive definite Gram matrix with delta = LLL_DELTA.
 
-    Returns (Qred, U, U^-1) with Qred = U^t Q U, size-reduced and satisfying
-    the Lovasz condition on the exact rational Gram-Schmidt data.  That data
-    starts as the LDL factors Q carries (mu = L, B* = D) and is kept current
-    for every row; U^-1 is built alongside U.
+    Returns (Qred, U, U^-1), U and U^-1 as integer rows, with Qred = U^t Q U
+    size-reduced and satisfying the Lovasz condition on the exact rational
+    Gram-Schmidt data.  That data starts as the LDL factors Q carries
+    (mu = L, B* = D) and is kept current for every row; U^-1 is built
+    alongside U.  The Gram updates run on the integer Gram den * Q, so only
+    mu and B* are rational.
     """
     d = q.d
-    g = [list(row) for row in q.form.rows()]
+    den, rows = q.form.integer_rows()
+    g = [list(row) for row in rows]
     mu = [list(row) for row in q.ldl.lower]
     bstar = list(q.ldl.pivots)
     ucols = [[int(i == j) for i in range(d)] for j in range(d)]
@@ -156,9 +138,9 @@ def lll_reduce(q: PQF) -> tuple[PQF, Unimodular, Unimodular]:
                 size_reduce(k, j)
             k += 1
 
-    qred = PQF(SymForm.from_rows(g))
+    upper = tuple(Fraction(g[i][j], den) for i in range(d) for j in range(i, d))
     urows = tuple(tuple(ucols[j][i] for j in range(d)) for i in range(d))
-    return qred, Unimodular(urows), Unimodular(tuple(map(tuple, uinv)))
+    return PQF(SymForm(d, upper)), urows, tuple(map(tuple, uinv))
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +272,9 @@ class _Reduction:
     power of two ``scale`` puts the largest pivot in (1/2, 2).
     """
 
-    u: tuple[tuple[int, ...], ...]
-    uinv: tuple[tuple[int, ...], ...]
-    gram: tuple[tuple[int, ...], ...]
+    u: IntRows
+    uinv: IntRows
+    gram: IntRows
     den: int
     scale: Fraction
     dvec: tuple[float, ...]
@@ -306,8 +288,7 @@ class _Reduction:
 @lru_cache(maxsize=_REDUCE_CACHE_SIZE)
 def _reduce(q: PQF) -> _Reduction:
     qred, u, uinv = lll_reduce(q)
-    den = lcm(*(v.denominator for v in qred.form.upper))
-    gram = tuple(tuple(int(v * den) for v in row) for row in qred.form.rows())
+    den, gram = qred.form.integer_rows()
     res = qred.ldl
     top = max(res.pivots)
     if min(res.pivots) * 2 ** MAX_PIVOT_SPAN_BITS < top:
@@ -317,8 +298,8 @@ def _reduce(q: PQF) -> _Reduction:
         )
     scale = Fraction(2) ** (top.denominator.bit_length() - top.numerator.bit_length())
     return _Reduction(
-        u=u.rows,
-        uinv=uinv.rows,
+        u=u,
+        uinv=uinv,
         gram=gram,
         den=den,
         scale=scale,
@@ -355,8 +336,8 @@ def closest_vectors(q: PQF, c: Sequence[RatLike]) -> CloseVecResult:
         raise ValueError("target length mismatch")
     red = _reduce(q)
     # The target in reduced coordinates is cnum / cden, integers throughout.
-    cden = lcm(*(v.denominator for v in cvec))
-    (cnum,) = _apply_rows(red.uinv, [[int(v * cden) for v in cvec]])
+    cden, cint = integer_row(cvec)
+    (cnum,) = _apply_rows(red.uinv, [cint])
     babai = tuple((2 * n + cden) // (2 * cden) for n in cnum)
     vden = red.den * cden * cden
     (init,) = _exact_values(red.gram, [[cden * b - n for b, n in zip(babai, cnum)]])

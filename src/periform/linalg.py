@@ -5,7 +5,9 @@ and stays in ``fractions.Fraction`` or Python ints; floating point never
 enters here.  Ranks are first found modulo a prime, in int64 arrays, and then
 verified exactly over Q.  Symmetric matrices are stored as their upper
 triangle, so symmetry holds by construction and the inner product doubles
-off-diagonal contributions.
+off-diagonal contributions.  ``SymForm.integer_rows`` is the one place a
+form's denominators are cleared: LLL, congruences and the Voronoi domain all
+work on the integer Gram den * Q it returns.
 """
 
 from __future__ import annotations
@@ -156,19 +158,27 @@ class SymForm:
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.upper)
 
+    def integer_rows(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(den, rows): rows = den * Q in Python ints, den the lcm of the
+        entries' denominators."""
+        den, upper = integer_row(self.upper)
+        d = self.d
+        return den, tuple(
+            tuple(upper[_tri_index(d, min(i, j), max(i, j))] for j in range(d))
+            for i in range(d)
+        )
+
     def congruent(self, u_cols: Sequence[Sequence[int]]) -> "SymForm":
         """U^t Q U for an integer matrix U given by columns."""
-        d = self.d
-        if len(u_cols) == 0 or any(len(c) != d for c in u_cols):
+        if len(u_cols) == 0 or any(len(c) != self.d for c in u_cols):
             raise ValueError("column length mismatch")
+        den, q = self.integer_rows()
+        qu = [[sum(map(mul, row, c)) for row in q] for c in u_cols]
         n = len(u_cols)
-        qu = [self.matvec(c) for c in u_cols]
-        rows = [
-            [sum((_frac(u_cols[i][k]) * qu[j][k] for k in range(d)), Fraction(0))
-             for j in range(n)]
-            for i in range(n)
-        ]
-        return SymForm.from_rows(rows)
+        return SymForm(n, tuple(
+            Fraction(sum(map(mul, u_cols[i], qu[j])), den)
+            for i in range(n) for j in range(i, n)
+        ))
 
 
 @dataclass(frozen=True)

@@ -44,3 +44,10 @@ def det_target(x) -> TangentVector:
 def gradients(x) -> list:
     """The Voronoi domain generators as tangent vectors: gradient_p at each rep."""
     return [gradient_p(x, rep) for rep in generalized_min(x).reps]
+
+
+def sized_document(d: int, m: int) -> dict:
+    """A PFORM document: identity Q of dimension d with m translates."""
+    q = [[str(int(i == j)) for j in range(d)] for i in range(d)]
+    t = [[f"{k}/{m}"] + ["0"] * (d - 1) for k in range(1, m)]
+    return {"format": "pform/1", "d": d, "m": m, "Q": q, "t": t}

@@ -1,12 +1,15 @@
+import importlib
 import json
 
 import pytest
 
+from helpers import sized_document
 from periform.catalog import MAX_DIMENSION, MAX_INDEX
 from periform.cli import main
 from periform.formats import dumps, loads
+from periform.improve import improve
 from periform.linalg import PQF
-from periform.periodic import PeriodicForm
+from periform.periodic import PeriodicForm, density
 
 
 def loads_fr(s):
@@ -55,6 +58,15 @@ class TestMin:
         bad.write_text('{"format": "pform/1", "d": 1, "m": 2, "Q": [["1"]], "t": [[%s]]}' % entry)
         assert main(["min", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("d, m", [(MAX_DIMENSION + 1, 1), (1, MAX_INDEX + 1)],
+                             ids=["d-above", "m-above"])
+    def test_size_above_limit_exit_2(self, tmp_path, capsys, d, m):
+        path = tmp_path / "sized.json"
+        path.write_text(json.dumps(sized_document(d, m)))
+        assert main(["min", str(path)]) == 2
+        assert "must lie in 1.." in capsys.readouterr().err
 
 
 class TestDensity:
@@ -136,6 +148,30 @@ class TestImproveCommand:
         path = write_form(tmp_path, [[2, 1], [1, 2]])
         assert main(["improve", path]) == 0
         assert "steps taken: 0" in capsys.readouterr().out
+
+    def test_final_density_reads_the_certificate(self, tmp_path, capsys, monkeypatch):
+        """The command adds no generalized_min call to those improve makes,
+        and prints the same final density."""
+        rows = [[1, 0], [0, 2]]
+        path = write_form(tmp_path, rows)
+        calls = []
+        real = importlib.import_module("periform.periodic").generalized_min
+
+        def counting(x):
+            calls.append(x)
+            return real(x)
+
+        for name in ("periodic", "certify", "cli"):
+            mod = importlib.import_module(f"periform.{name}")
+            if getattr(mod, "generalized_min", None) is real:
+                monkeypatch.setattr(mod, "generalized_min", counting)
+        res = improve(PeriodicForm.make(PQF.from_rows(rows), []), steps=3)
+        in_improve = len(calls)
+        expected = f"final delta/volB = {density(res.final).delta_over_ball:.10f}"
+        calls.clear()
+        assert main(["improve", path, "--steps", "3"]) == 0
+        assert len(calls) == in_improve
+        assert capsys.readouterr().out.splitlines()[-1] == expected
 
 
 class TestCatalog:
@@ -250,6 +286,21 @@ class TestRepresent:
         path = write_form(tmp_path, [[1, 0], [0, 1]])
         assert main(["represent", path, "--H", f"{MAX_INDEX} 0; 0 1"]) == 0
         assert json.loads(capsys.readouterr().out)["m"] == MAX_INDEX
+
+    def test_index_at_limit_loads_back(self, tmp_path):
+        path = write_form(tmp_path, [[1, 0], [0, 1]])
+        out = tmp_path / "rep.json"
+        assert main(["represent", path, "--H", f"{MAX_INDEX} 0; 0 1", "-o", str(out)]) == 0
+        assert loads(out.read_text()).m == MAX_INDEX
+
+    @pytest.mark.slow
+    def test_index_at_limit_min(self, tmp_path, capsys):
+        """m = MAX_INDEX through `periform min`: m(m-1)/2 CVPs, about a minute."""
+        path = write_form(tmp_path, [[1, 0], [0, 1]])
+        out = tmp_path / "rep.json"
+        assert main(["represent", path, "--H", f"{MAX_INDEX} 0; 0 1", "-o", str(out)]) == 0
+        assert main(["min", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("lambda = 1, ")
 
     def test_2d_sublattice(self, tmp_path, capsys):
         path = write_form(tmp_path, [[1, 0], [0, 1]])

@@ -3,8 +3,11 @@ from fractions import Fraction as Fr
 
 import pytest
 
+from helpers import sized_document
 from periform.formats import (
     MAX_DIGITS,
+    MAX_DIMENSION,
+    MAX_INDEX,
     PFormError,
     dumps,
     format_rational,
@@ -130,6 +133,23 @@ class TestDocuments:
     def test_rejects_non_array_rows(self, d, m, q, t):
         doc = {"format": "pform/1", "d": d, "m": m, "Q": q, "t": t}
         with pytest.raises(PFormError):
+            from_document(doc)
+
+    @pytest.mark.parametrize("d, m", [(MAX_DIMENSION + 1, 1), (1, MAX_INDEX + 1)],
+                             ids=["d-above", "m-above"])
+    def test_rejects_above_size_limits(self, d, m):
+        with pytest.raises(PFormError, match="must lie in 1.."):
+            from_document(sized_document(d, m))
+
+    @pytest.mark.parametrize("d, m", [(MAX_DIMENSION, 1), (1, MAX_INDEX)],
+                             ids=["d-at", "m-at"])
+    def test_accepts_size_limits(self, d, m):
+        x = from_document(sized_document(d, m))
+        assert (x.d, x.m) == (d, m)
+
+    def test_size_checked_before_rows(self):
+        doc = {"format": "pform/1", "d": MAX_DIMENSION + 1, "m": 1, "Q": [["x"]]}
+        with pytest.raises(PFormError, match="must lie in 1.."):
             from_document(doc)
 
     def test_rejects_bad_json(self):

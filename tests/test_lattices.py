@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import periform.intmat as intmat
 import periform.lattices as lattices
 import periform.linalg as linalg
 import reference_lll
@@ -15,7 +16,6 @@ from periform.catalog import get, sublattice_representation
 from periform.intmat import det_bareiss
 from periform.linalg import PQF, SymForm
 from periform.lattices import (
-    Unimodular,
     closest_vectors,
     lll_reduce,
     shortest_vectors,
@@ -48,7 +48,7 @@ def random_unimodular(rng, d, steps=12, bound=5):
             cand[i][k] += c * cand[j][k]
         if max(abs(v) for row in cand for v in row) <= bound:
             u = cand
-    return Unimodular(tuple(tuple(r) for r in u))
+    return tuple(tuple(r) for r in u)
 
 
 def brute_force_svp(q: PQF, box: int):
@@ -105,12 +105,12 @@ class TestLll:
         q = PQF(SymForm.identity(3))
         qred, u, _ = lll_reduce(q)
         assert qred.form == SymForm.identity(3)
-        assert u.rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert u == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
     def test_one_size_reduction(self):
         qred, u, _ = lll_reduce(PQF.from_rows([[2, 2], [2, 4]]))
         assert qred.form.rows() == ((2, 0), (0, 2))
-        assert abs(det_bareiss(u.rows)) == 1
+        assert abs(det_bareiss(u)) == 1
 
     @pytest.mark.parametrize("seed", range(12))
     def test_reduction_contract(self, seed):
@@ -119,8 +119,7 @@ class TestLll:
         q = random_pd_gram(rng, d)
         qred, u, _ = lll_reduce(q)
         # Qred = U^t Q U exactly, hence same determinant.
-        cols = [u.column(j) for j in range(d)]
-        assert qred.form == q.form.congruent(cols)
+        assert qred.form == q.form.congruent(list(zip(*u)))
         assert qred.det() == q.det()
         # Size reduction + Lovasz, checked on freshly recomputed GSO data.
         g = qred.form
@@ -166,10 +165,11 @@ def assert_matches_reference(q):
     """(Qred, U, U^-1) and the walk's reduction as the lazy-GSO LLL gives them."""
     qred, u, uinv = lll_reduce(q)
     ref_qred, ref_u = reference_lll.lll_reduce(q)
-    assert (qred, u.rows) == (ref_qred, ref_u.rows)
-    assert uinv.rows == ref_u.inverse().rows
+    assert (qred, u) == (ref_qred, ref_u.rows)
+    assert uinv == ref_u.inverse().rows
+    assert abs(det_bareiss(u)) == 1
     d = q.d
-    assert [[sum(u.rows[i][k] * uinv.rows[k][j] for k in range(d)) for j in range(d)]
+    assert [[sum(u[i][k] * uinv[k][j] for k in range(d)) for j in range(d)]
             for i in range(d)] == [[int(i == j) for j in range(d)] for i in range(d)]
     try:
         ref = reference_lll.reduce(q)
@@ -212,21 +212,22 @@ class TestMatchesReference:
 
 
 def test_reduce_factors_once(monkeypatch):
-    """A fresh reduction factors only the reduced form, and eliminates nothing."""
+    """A fresh reduction factors only the reduced form, eliminates nothing and
+    takes no determinant."""
     q = random_pd_gram(random.Random(5), 6)
-    calls = {"ldl": 0, "_row_echelon": 0}
+    calls = {"ldl": 0, "_row_echelon": 0, "det_bareiss": 0}
     for name in calls:
-        real = getattr(linalg, name)
+        real = getattr(intmat if name == "det_bareiss" else linalg, name)
 
         def counting(*args, _real=real, _name=name):
             calls[_name] += 1
             return _real(*args)
 
-        for mod in (linalg, lattices):
+        for mod in (intmat, linalg, lattices):
             if getattr(mod, name, None) is real:
                 monkeypatch.setattr(mod, name, counting)
     lattices._reduce.__wrapped__(q)
-    assert calls == {"ldl": 1, "_row_echelon": 0}
+    assert calls == {"ldl": 1, "_row_echelon": 0, "det_bareiss": 0}
 
 
 class TestShortestVectors:
@@ -270,14 +271,13 @@ class TestShortestVectors:
         d = rng.randint(2, 5)
         q = random_pd_gram(rng, d, spread=2)
         u = random_unimodular(rng, d)
-        cols = [u.column(j) for j in range(d)]
-        qu = PQF(q.form.congruent(cols))
+        qu = PQF(q.form.congruent(list(zip(*u))))
         res, resu = shortest_vectors(q), shortest_vectors(qu)
         assert res.min == resu.min
         # Vector sets correspond under U (up to the sign canonicalization).
         mapped = set()
         for x in resu.vectors:
-            y = u.apply(x)
+            y = tuple(sum(a * b for a, b in zip(row, x)) for row in u)
             first = next(v for v in y if v)
             mapped.add(tuple(-v for v in y) if first < 0 else y)
         assert mapped == set(res.vectors)
