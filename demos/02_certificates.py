@@ -3,12 +3,15 @@
 Three planar lattices tell the whole story: the hexagonal lattice is a
 certified isolated optimum, the square lattice is a first-order blind spot
 (eutactic but not perfect), and diag(1, 2) is refuted outright with an
-explicit density-improving direction.
+explicit density-improving direction.  The certificate carries the
+direction; ``improvement_step`` finds a step along it that provably raises
+the density.
 """
 
 from fractions import Fraction as Fr
 
 from periform import PQF, PeriodicForm, certify, density
+from periform.certify import improvement_step
 
 HEX = PeriodicForm.lattice(PQF.from_rows([[2, 1], [1, 2]]))
 SQUARE = PeriodicForm.lattice(PQF.from_rows([[1, 0], [0, 1]]))
@@ -27,7 +30,7 @@ for label, x in [("hexagonal", HEX), ("square", SQUARE), ("diag(1,2)", STRETCHED
         n = cert.improving
         qrows = [[str(v) for v in row] for row in n.qpart.rows()]
         print(f"  improving direction Q-part: {qrows}")
-        eps = cert.improving_epsilon
+        eps = improvement_step(x, n, cert.lam)
         before = density(x).center_density_squared
         after = density(x.add_tangent(n, eps)).center_density_squared
         print(f"  verified step eps = {eps}: center^2 {before} -> {after}")

@@ -18,12 +18,13 @@ from .certify import (
     ISOLATED_EXTREME,
     NOT_EXTREME,
     certify,
+    improvement_step,
 )
 from .formats import (
     PFormError,
     dumps,
     format_rational,
-    from_document,
+    loads,
     parse_integer,
     tangent_to_document,
     to_document,
@@ -53,11 +54,7 @@ def _read_form(path: str) -> PeriodicForm:
                 text = fh.read()
     except OSError as exc:
         raise PFormError(f"cannot read {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:  # bad JSON, or an integer past Python's digit limit
-        raise PFormError(f"invalid JSON in {path}: {exc}") from exc
-    return from_document(doc)
+    return loads(text)
 
 
 def _emit(payload: dict, args, text_lines) -> None:
@@ -109,8 +106,7 @@ def cmd_density(args) -> int:
     x = _read_form(args.input)
     rep = density(x)
     if rep.lam == 0:
-        print("error: lambda = 0 (translates intersect)", file=sys.stderr)
-        return EXIT_DEGENERATE
+        raise OverlapError("lambda = 0")
     payload = {
         "command": "density",
         "lambda": format_rational(rep.lam),
@@ -131,7 +127,9 @@ def cmd_density(args) -> int:
     return EXIT_OK
 
 
-def _certificate_payload(cert) -> dict:
+def _certificate_payload(cert, x: PeriodicForm) -> dict:
+    """The certificate of x, with a verified step along a NotExtreme one's
+    direction."""
     eut = {
         "tag": cert.eutaxy.tag,
     }
@@ -152,8 +150,11 @@ def _certificate_payload(cert) -> dict:
         "is_floating": cert.is_floating,
     }
     if cert.improving is not None:
+        eps = improvement_step(x, cert.improving, cert.lam)
+        if eps is None:
+            raise RuntimeError("no verified improvement step found along N")
         payload["improving_direction"] = tangent_to_document(cert.improving)
-        payload["improving_epsilon"] = format_rational(cert.improving_epsilon)
+        payload["improving_epsilon"] = format_rational(eps)
     if cert.uncertainty_basis is not None:
         payload["uncertainty_dim"] = len(cert.uncertainty_basis)
         payload["uncertainty_is_subspace"] = cert.uncertainty_is_subspace
@@ -167,12 +168,8 @@ def _certificate_payload(cert) -> dict:
 
 def cmd_certify(args) -> int:
     x = _read_form(args.input)
-    try:
-        cert = certify(x)
-    except OverlapError:
-        print("error: lambda = 0 (translates intersect)", file=sys.stderr)
-        return EXIT_DEGENERATE
-    payload = {"command": "certify", **_certificate_payload(cert)}
+    cert = certify(x)
+    payload = {"command": "certify", **_certificate_payload(cert, x)}
     lines = [
         f"verdict: {cert.verdict}",
         f"lambda = {format_rational(cert.lam)}",
@@ -187,7 +184,7 @@ def cmd_certify(args) -> int:
     if cert.improving is not None:
         lines.append(
             "improving direction found; verified step epsilon = "
-            + format_rational(cert.improving_epsilon)
+            + payload["improving_epsilon"]
         )
     _emit(payload, args, lines)
     if args.strict_exit:
@@ -201,12 +198,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_improve(args) -> int:
-    x = _read_form(args.input)
-    try:
-        res = improve(x, steps=args.steps, seed=args.seed)
-    except OverlapError:
-        print("error: lambda = 0 (translates intersect)", file=sys.stderr)
-        return EXIT_DEGENERATE
+    res = improve(_read_form(args.input), steps=args.steps, seed=args.seed)
     payload = {
         "command": "improve",
         "steps_taken": len(res.steps),
@@ -226,7 +218,7 @@ def cmd_improve(args) -> int:
             }
             for s in res.steps
         ],
-        "certificate": _certificate_payload(res.certificate),
+        "certificate": _certificate_payload(res.certificate, res.final),
     }
     lines = [f"steps taken: {len(res.steps)}"]
     for s in res.steps:
@@ -351,6 +343,9 @@ def main(argv=None) -> int:
     except PFormError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except OverlapError:
+        print("error: lambda = 0 (translates intersect)", file=sys.stderr)
+        return EXIT_DEGENERATE
 
 
 if __name__ == "__main__":

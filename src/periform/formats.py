@@ -38,7 +38,8 @@ FORMAT_TAG = "pform/1"
 MAX_DIGITS = 4096
 # Size limits of documents and of catalog forms, checked before anything is
 # built: the largest named form is Leech (d = 24), a sublattice of index n
-# carries n - 1 translates, and generalized_min runs m(m-1)/2 CVPs.
+# carries n - 1 translates, and generalized_min walks m(m-1)/2 pairs with one
+# CVP per class of t_i - t_j mod Z^d (m - 1 of them for a sublattice).
 MAX_DIMENSION = 64
 MAX_INDEX = 1024
 _INT_BOUND = 10 ** MAX_DIGITS

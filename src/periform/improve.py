@@ -1,10 +1,10 @@
 """Iterative density improvement driven by the certificates.
 
-Each round certifies the current form.  A NotExtreme verdict steps along the
-returned improving direction by the certificate's verified epsilon; an
-Inconclusive verdict attempts an escape along the uncertainty directions,
+Each round certifies the current form and searches for a step with
+``improvement_step``: along the improving direction of a NotExtreme verdict,
+or, for an Inconclusive verdict, along the uncertainty directions in turn,
 where second-order gains can hide (the square lattice inside the hexagonal
-basin is the classic case), with the same step search ``certify`` uses.
+basin is the classic case).
 Every acceptance test is an exact rational comparison of center densities,
 so the reported density sequence is strictly increasing by construction.
 Iterates are snapped to denominators of at most _MAX_DENOMINATOR to keep
@@ -21,7 +21,6 @@ from fractions import Fraction
 from .certify import (
     Certificate,
     EXTREME_TRANSLATIONAL,
-    INCONCLUSIVE,
     ISOLATED_EXTREME,
     NOT_EXTREME,
     certify,
@@ -85,9 +84,9 @@ def _accept(
     snapped = _snap(cand)
     if snapped is not None:
         stats = density(snapped)
-        if stats.lam > 0 and stats.center_density_squared > floor:
+        if stats.center_density_squared > floor:
             return snapped, True, stats
-    return cand, False, density(cand)
+    return cand, False, density(cand, Fraction(1))
 
 
 def improve(
@@ -97,10 +96,10 @@ def improve(
 
     The returned trajectory carries one entry per accepted step with its
     exact center density; the final form has been re-certified after the
-    last step.  Stalls (no strict gain found along any admissible
-    direction) are reported, never papered over.  ``seed`` orders the escape
-    directions, so a run is reproducible.  A form with lambda = 0 raises
-    OverlapError.
+    last step, and no step is searched for from it.  Stalls (no strict gain
+    found along any admissible direction) are reported, never papered over.
+    ``seed`` orders the escape directions, so a run is reproducible.  A form
+    with lambda = 0 raises OverlapError.
     """
     rng = random.Random(seed)
     x = rescale_to_min_one(x)
@@ -110,22 +109,17 @@ def improve(
     for index in range(steps):
         if cert.verdict in (ISOLATED_EXTREME, EXTREME_TRANSLATIONAL):
             break
-        eps = None
-        action = "improve"
         if cert.verdict == NOT_EXTREME:
-            direction, eps = cert.improving, cert.improving_epsilon
-        elif cert.verdict == INCONCLUSIVE and cert.uncertainty_basis:
+            action, directions = "improve", [cert.improving]
+        else:
             action = "escape"
-            directions = [
-                basis.scale(sign)
-                for basis in cert.uncertainty_basis
-                for sign in (1, -1)
-            ]
+            directions = [n.scale(sign) for n in cert.uncertainty_basis for sign in (1, -1)]
             rng.shuffle(directions)
-            for direction in directions:
-                eps = improvement_step(x, direction, cert.lam)
-                if eps is not None:
-                    break
+        eps = None
+        for direction in directions:
+            eps = improvement_step(x, direction, cert.lam)
+            if eps is not None:
+                break
         if eps is None:
             stalled = True
             break

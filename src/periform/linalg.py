@@ -462,16 +462,19 @@ def _eliminate_modp(block: np.ndarray, row: np.ndarray, col: int) -> None:
 def independent_rows_modp(rows: np.ndarray, limit: int) -> list[int]:
     """Indices of rows independent mod RANK_PRIME, taken greedily, at most ``limit``.
 
-    ``rows`` is an integer array, int64 or object (see ``int_matrix``), and
-    is not modified; it is reduced mod p one chunk at a time.
+    ``rows`` is an integer array, int16, int64 or object (see ``int_matrix``),
+    and is not modified; it is reduced mod p one chunk at a time, in int64
+    unless it holds Python ints (int16 cannot hold RANK_PRIME).
     Each row is reduced against the rows taken before it and is taken when
     something is left.  A set of integer rows independent mod p is independent
     over Q, so the rank over Q is at least the length of the result.
     """
     taken: list[int] = []
     basis: list[tuple[np.ndarray, int]] = []
+    wide = object if rows.dtype == object else np.int64
     for start in range(0, rows.shape[0], _MODP_CHUNK):
-        chunk = (rows[start : start + _MODP_CHUNK] % RANK_PRIME).astype(np.int64, copy=False)
+        chunk = rows[start : start + _MODP_CHUNK].astype(wide, copy=False)
+        chunk = (chunk % RANK_PRIME).astype(np.int64, copy=False)
         for brow, col in basis:
             _eliminate_modp(chunk, brow, col)
         for r in range(chunk.shape[0]):

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import floor, isqrt, pi
-from operator import neg
+from operator import add, neg
 
 from .lattices import closest_vectors, shortest_vectors
-from .linalg import PQF, RatLike, SymForm, TangentVector
+from .linalg import PQF, RatLike, SymForm, TangentVector, integer_row
 
 __all__ = [
     "PeriodicForm",
@@ -170,23 +170,37 @@ def generalized_min(x: PeriodicForm) -> GenMinResult:
     """lambda(X) and the complete canonical set of its representations.
 
     One SVP handles all pairs i = j (each lattice vector is recorded once per
-    translate index), and one CVP per pair i < j handles the rest.  lambda = 0
-    is a reportable state for intersecting translates, not an error.
+    translate index).  A pair i < j with t_i - t_j = r + k, r in [0, 1)^d and
+    k integral, takes the minimizers of one CVP per class r, shifted by k.
+    lambda = 0 is a reportable state for intersecting translates, not an error.
     """
     svp = shortest_vectors(x.q)
     # v = -x: ascending v is descending x.
     lattice_vs = tuple(tuple(map(neg, vec)) for vec in reversed(svp.vectors))
     zero = (Fraction(0),) * x.d
-    parts: list[tuple[Fraction, MinBlock]] = []
+    # t_i is ts[i - 1] / den, so classes are found in integers.
+    den, flat = integer_row([v for col in x.tcols for v in col])
+    ts = [flat[s : s + x.d] for s in range(0, len(flat), x.d)] + [[0] * x.d]
+    cvps, parts = {}, []  # parts: (minimum, i, j, k, r), k = r = None for i = j
     for i in range(1, x.m + 1):
-        parts.append((svp.min, MinBlock(i, i, zero, lattice_vs)))
-        ti = x.translate(i)
+        parts.append((svp.min, i, i, None, None))
         for j in range(i + 1, x.m + 1):
-            t = tuple(a - b for a, b in zip(ti, x.translate(j)))
-            cvp = closest_vectors(x.q, t)
-            parts.append((cvp.min, MinBlock(i, j, t, cvp.vectors)))
-    lam = min(val for val, _ in parts)
-    return GenMinResult(lam, tuple(block for val, block in parts if val == lam))
+            k, r = zip(*(divmod(a - b, den) for a, b in zip(ts[i - 1], ts[j - 1])))
+            if r not in cvps:
+                cvps[r] = closest_vectors(x.q, [Fraction(c, den) for c in r])
+            parts.append((cvps[r].min, i, j, k, r))
+    lam = min(part[0] for part in parts)
+    blocks = []
+    for val, i, j, k, r in parts:
+        if val != lam:
+            continue
+        if i == j:
+            blocks.append(MinBlock(i, i, zero, lattice_vs))
+        else:
+            t = tuple(a - b for a, b in zip(x.translate(i), x.translate(j)))
+            vs = tuple(tuple(map(add, v, k)) for v in cvps[r].vectors)
+            blocks.append(MinBlock(i, j, t, vs))
+    return GenMinResult(lam, tuple(blocks))
 
 
 def unit_ball_volume(d: int) -> float:
@@ -236,21 +250,17 @@ def density(x: PeriodicForm, lam: Fraction | None = None) -> DensityReport:
     return DensityReport(lam, det, m, center2, dob, dob * unit_ball_volume(d))
 
 
-def _resolve_triple(x: PeriodicForm, rep) -> tuple[int, int, tuple[int, ...]]:
-    if isinstance(rep, MinRep):
-        return rep.i, rep.j, rep.v
-    i, j, v = rep
-    return i, j, tuple(int(c) for c in v)
+def _constraint(x: PeriodicForm, rep) -> tuple[int, int, list[Fraction]]:
+    """(i, j, w = t_i - t_j - v) of a MinRep or of an (i, j, v) triple."""
+    i, j, v = (rep.i, rep.j, rep.v) if isinstance(rep, MinRep) else rep
+    if len(v) != x.d:
+        raise IndexError("integer vector length mismatch")
+    return i, j, [a - b - int(c) for a, b, c in zip(x.translate(i), x.translate(j), v)]
 
 
 def eval_p(x: PeriodicForm, rep) -> Fraction:
     """The constraint polynomial p_{i,j,v}(X) = Q[t_i - t_j - v]."""
-    i, j, v = _resolve_triple(x, rep)
-    ti, tj = x.translate(i), x.translate(j)
-    if len(v) != x.d:
-        raise IndexError("integer vector length mismatch")
-    w = [a - b - c for a, b, c in zip(ti, tj, v)]
-    return x.q.value(w)
+    return x.q.value(_constraint(x, rep)[2])
 
 
 def gradient_p(x: PeriodicForm, rep) -> TangentVector:
@@ -259,9 +269,7 @@ def gradient_p(x: PeriodicForm, rep) -> TangentVector:
     Columns with index m are omitted (the last translate is pinned), and for
     i = j the translational part vanishes.
     """
-    i, j, v = _resolve_triple(x, rep)
-    ti, tj = x.translate(i), x.translate(j)
-    w = [a - b - c for a, b, c in zip(ti, tj, v)]
+    i, j, w = _constraint(x, rep)
     qpart = SymForm.outer(w)
     cols = [[Fraction(0)] * x.d for _ in range(x.m - 1)]
     if i != j:
@@ -280,9 +288,7 @@ def hessian_quadratic(x: PeriodicForm, rep, n: TangentVector) -> Fraction:
     """
     if n.d != x.d or n.m != x.m:
         raise ValueError("tangent vector lives in a different space")
-    i, j, v = _resolve_triple(x, rep)
-    ti, tj = x.translate(i), x.translate(j)
-    w = [a - b - c for a, b, c in zip(ti, tj, v)]
+    i, j, w = _constraint(x, rep)
 
     def ncol(k: int) -> tuple[Fraction, ...]:
         return ((Fraction(0),) * x.d) if k == x.m else n.tcols[k - 1]

@@ -9,6 +9,7 @@ import numpy as np
 from helpers import det_target, e8_gram, gradients, stack
 from periform.certify import (
     BOUNDARY,
+    EXTREME_TRANSLATIONAL,
     INCONCLUSIVE,
     INTERIOR,
     ISOLATED_EXTREME,
@@ -18,6 +19,7 @@ from periform.certify import (
     certify,
     eutaxy_status,
     floating_components,
+    improvement_step,
     improving_direction,
     is_m_perfect,
     periodic_extreme_by_theorem,
@@ -88,21 +90,24 @@ class TestVoronoiDomain:
         with pytest.raises(OverlapError):
             voronoi_domain(x)
 
-    @pytest.mark.parametrize("x", [
-        LINE_HALF,
-        LINE_2_5,
-        PeriodicForm.make(PQF.from_rows([[9]]), [[Fr(1, 3)], [Fr(2, 3)]]),
-        PeriodicForm.make(PQF.from_rows([[2, 1], [1, 5]]), [[0, Fr(1, 3)]]),
-        PeriodicForm.make(A2.scale(Fr(1, 2 ** 1100)), [[Fr(1, 3), Fr(2, 3)]]),
-        PeriodicForm.lattice(PQF(A2.form.congruent([[1, 0], [2 ** 70, 1]]))),
-        sublattice_representation(A2, [[2, 0], [1, 2]]),
-        fluid_diamond(Fr(1, 4)),
+    @pytest.mark.parametrize("x, dtype", [
+        (LINE_HALF, np.int16),
+        (LINE_2_5, np.int16),
+        (PeriodicForm.make(PQF.from_rows([[9]]), [[Fr(1, 3)], [Fr(2, 3)]]), np.int16),
+        (PeriodicForm.make(PQF.from_rows([[2, 1], [1, 5]]), [[0, Fr(1, 3)]]), np.int16),
+        (PeriodicForm.make(A2.scale(Fr(1, 2 ** 1100)), [[Fr(1, 3), Fr(2, 3)]]), object),
+        (PeriodicForm.lattice(PQF(A2.form.congruent([[1, 0], [2 ** 70, 1]]))), object),
+        (sublattice_representation(A2, [[2, 0], [1, 2]]), np.int16),
+        (fluid_diamond(Fr(1, 4)), np.int16),
+        (PeriodicForm.make(A2.scale(2 ** 20), [[Fr(1, 3), Fr(2, 3)]]), np.int64),
     ], ids=["line-half", "line-2/5", "3Z-three", "q25-third", "A2-2^-1100",
-            "A2-sheared", "A2-index4", "fluid-1/4"])
-    def test_generators_are_the_gradients(self, x):
-        """The integer rows, int64 or exact, are gradient_p at each rep, in order."""
+            "A2-sheared", "A2-index4", "fluid-1/4", "A2-2^20"])
+    def test_generators_are_the_gradients(self, x, dtype):
+        """The integer rows, int16, int64 or exact, are gradient_p at each rep,
+        in order."""
         gm = generalized_min(x)
         dom = voronoi_domain(x)
+        assert dom.matrix.dtype == dtype
         assert len(dom.matrix) == len(gm.reps)
         assert dom.matrix.tolist() == [
             [dom.den * c for c in gradient_p(x, rep).flatten(weighted=True)]
@@ -333,7 +338,8 @@ class TestCertify:
         cert = certify(LINE_2_5)
         assert cert.verdict == NOT_EXTREME
         assert cert.improving is not None
-        eps = cert.improving_epsilon
+        eps = improvement_step(LINE_2_5, cert.improving, cert.lam)
+        assert eps is not None
         before = density(LINE_2_5).center_density_squared
         after = density(
             LINE_2_5.add_tangent(cert.improving, eps)
@@ -355,6 +361,30 @@ class TestCertify:
         assert cert.verdict == INCONCLUSIVE
         assert cert.uncertainty_basis
         assert cert.uncertainty_is_subspace
+
+    @pytest.mark.parametrize("x, verdict", [
+        (LINE_2_5, NOT_EXTREME),
+        (lattice(DIAG12), NOT_EXTREME),
+        (lattice(Z2), INCONCLUSIVE),
+        (lattice(A2), ISOLATED_EXTREME),
+        (fluid_diamond(Fr(1, 4)), EXTREME_TRANSLATIONAL),
+    ], ids=["line-2/5", "diag12", "Z2", "A2", "fluid-1/4"])
+    def test_one_min_and_no_density(self, monkeypatch, x, verdict):
+        """A verdict reads one Min X and searches for no step."""
+        calls = {"generalized_min": 0, "density": 0}
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name, real in (("generalized_min", generalized_min), ("density", density)):
+            for mod in ("periform.periodic", "periform.certify"):
+                if getattr(sys.modules[mod], name, None) is real:
+                    monkeypatch.setattr(sys.modules[mod], name, counting(name, real))
+        assert certify(x).verdict == verdict
+        assert calls == {"generalized_min": 1, "density": 0}
 
     def test_overlap_rejected(self):
         with pytest.raises(OverlapError):

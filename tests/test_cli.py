@@ -150,28 +150,32 @@ class TestImproveCommand:
         assert "steps taken: 0" in capsys.readouterr().out
 
     def test_final_density_reads_the_certificate(self, tmp_path, capsys, monkeypatch):
-        """The command adds no generalized_min call to those improve makes,
-        and prints the same final density."""
+        """The command adds one step search to those improve makes when the
+        final verdict is NotExtreme, for the epsilon it prints, and none
+        otherwise; and it prints the same final density."""
         rows = [[1, 0], [0, 2]]
         path = write_form(tmp_path, rows)
         calls = []
-        real = importlib.import_module("periform.periodic").generalized_min
+        real = importlib.import_module("periform.certify").improvement_step
 
-        def counting(x):
-            calls.append(x)
-            return real(x)
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
 
-        for name in ("periodic", "certify", "cli"):
+        for name in ("certify", "improve", "cli"):
             mod = importlib.import_module(f"periform.{name}")
-            if getattr(mod, "generalized_min", None) is real:
-                monkeypatch.setattr(mod, "generalized_min", counting)
-        res = improve(PeriodicForm.make(PQF.from_rows(rows), []), steps=3)
-        in_improve = len(calls)
-        expected = f"final delta/volB = {density(res.final).delta_over_ball:.10f}"
-        calls.clear()
-        assert main(["improve", path, "--steps", "3"]) == 0
-        assert len(calls) == in_improve
-        assert capsys.readouterr().out.splitlines()[-1] == expected
+            if getattr(mod, "improvement_step", None) is real:
+                monkeypatch.setattr(mod, "improvement_step", counting)
+        for steps, verdict in ((3, "NotExtreme"), (500, "IsolatedExtreme")):
+            calls.clear()
+            res = improve(PeriodicForm.make(PQF.from_rows(rows), []), steps=steps)
+            assert res.certificate.verdict == verdict
+            in_improve = len(calls)
+            expected = f"final delta/volB = {density(res.final).delta_over_ball:.10f}"
+            calls.clear()
+            assert main(["improve", path, "--steps", str(steps)]) == 0
+            assert len(calls) == in_improve + (verdict == "NotExtreme")
+            assert capsys.readouterr().out.splitlines()[-1] == expected
 
 
 class TestCatalog:
@@ -293,9 +297,8 @@ class TestRepresent:
         assert main(["represent", path, "--H", f"{MAX_INDEX} 0; 0 1", "-o", str(out)]) == 0
         assert loads(out.read_text()).m == MAX_INDEX
 
-    @pytest.mark.slow
     def test_index_at_limit_min(self, tmp_path, capsys):
-        """m = MAX_INDEX through `periform min`: m(m-1)/2 CVPs, about a minute."""
+        """m = MAX_INDEX through `periform min`: m - 1 CVPs for m(m-1)/2 pairs."""
         path = write_form(tmp_path, [[1, 0], [0, 1]])
         out = tmp_path / "rep.json"
         assert main(["represent", path, "--H", f"{MAX_INDEX} 0; 0 1", "-o", str(out)]) == 0

@@ -6,6 +6,7 @@ import pytest
 import reference_improve
 from helpers import e8_gram
 from periform.catalog import get
+from periform.certify import NOT_EXTREME, improvement_step
 from periform.improve import improve
 from periform.linalg import PQF, SymForm
 from periform.periodic import OverlapError, PeriodicForm, density, generalized_min
@@ -115,8 +116,8 @@ class TestMatchesReference:
 
 class TestStepWork:
     def test_one_step_call_counts(self, monkeypatch):
-        """No lambda pre-check, no second search along N, and one density of
-        the accepted form."""
+        """No lambda pre-check, one search along N and none in certify, and
+        one density of the accepted form."""
         counts = {"generalized_min": 0, "density": 0}
 
         def counting(name, fn):
@@ -132,20 +133,47 @@ class TestStepWork:
                     monkeypatch.setattr(sys.modules[mod], name, wrapped)
         res = improve(DIAG, steps=1)
         assert len(res.steps) == 1 and res.steps[0].action == "improve"
-        assert counts == {"generalized_min": 7, "density": 6}
+        assert counts == {"generalized_min": 6, "density": 4}
 
     def test_improve_steps_by_the_certified_epsilon(self, monkeypatch):
+        """A NotExtreme step takes the verified step along the certificate's
+        direction, from the form that was certified."""
         module = sys.modules["periform.improve"]
         certify = module.certify
-        certificates = []
+        certified = []
 
         def recording(x):
-            certificates.append(certify(x))
-            return certificates[-1]
+            certified.append((x, certify(x)))
+            return certified[-1][1]
 
         monkeypatch.setattr(module, "certify", recording)
         res = improve(DIAG, steps=500)
         improving = [s for s in res.steps if s.action == "improve"]
         assert improving
         for s in improving:
-            assert s.epsilon == certificates[s.index].improving_epsilon
+            x, cert = certified[s.index]
+            assert s.epsilon == improvement_step(x, cert.improving, cert.lam)
+
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_one_search_per_not_extreme_step(self, monkeypatch, steps):
+        """One step search per NotExtreme step, and none from the final form."""
+        searched = []
+
+        def recording(x, n, lam):
+            searched.append(x)
+            return improvement_step(x, n, lam)
+
+        for mod in ("periform.improve", "periform.certify"):
+            monkeypatch.setattr(sys.modules[mod], "improvement_step", recording)
+        res = improve(DIAG, steps=steps)
+        assert [s.action for s in res.steps] == ["improve"] * steps
+        assert res.certificate.verdict == NOT_EXTREME
+        assert len(searched) == steps
+        assert res.final not in searched
+
+    def test_not_extreme_without_a_step_stalls(self, monkeypatch):
+        monkeypatch.setattr(sys.modules["periform.improve"], "improvement_step",
+                            lambda x, n, lam: None)
+        res = improve(DIAG, steps=5)
+        assert res.stalled and res.steps == ()
+        assert res.certificate.verdict == NOT_EXTREME

@@ -20,7 +20,7 @@ from periform.lattices import (
     lll_reduce,
     shortest_vectors,
 )
-from periform.certify import NOT_EXTREME, certify
+from periform.certify import NOT_EXTREME, certify, improvement_step
 from periform.periodic import PeriodicForm, density, generalized_min
 
 
@@ -375,7 +375,9 @@ class TestScaleInvariance:
         x = PeriodicForm.make(PQF.from_rows(rows).scale(s), tcols)
         cert = certify(x)
         assert cert.verdict == NOT_EXTREME
-        stepped = x.add_tangent(cert.improving, cert.improving_epsilon)
+        eps = improvement_step(x, cert.improving, cert.lam)
+        assert eps is not None
+        stepped = x.add_tangent(cert.improving, eps)
         assert density(stepped).center_density_squared > density(x).center_density_squared
 
     @pytest.mark.parametrize(

@@ -152,6 +152,30 @@ class TestMatchesReference:
 
         self.check(fluid_diamond(Fr(1, 4)))
 
+    def test_one_cvp_per_class(self, monkeypatch):
+        """t_i - t_j of a sublattice representation of index m falls in m - 1
+        classes mod Z^d, so m - 1 CVPs serve its m(m-1)/2 pairs; translates
+        off the unit cube share a class through different integer shifts."""
+        from periform import periodic
+        from periform.catalog import get, sublattice_representation
+
+        calls = []
+        real = periodic.closest_vectors
+        monkeypatch.setattr(
+            periodic, "closest_vectors", lambda q, c: calls.append(c) or real(q, c)
+        )
+        d4 = get("D", 4).form
+        off_cube = ((Fr(-4, 3), Fr(5, 2)), (Fr(13, 3), Fr(-3, 4)))
+        for x, classes in (
+            (sublattice_representation(PQF(SymForm.identity(2)), [[8, 0], [0, 1]]), 7),
+            (sublattice_representation(d4, [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0],
+                                            [0, 0, 0, 1]]), 3),
+            (PeriodicForm(PQF.from_rows([[2, 1], [1, 3]]), off_cube), 2),
+        ):
+            calls.clear()
+            self.check(x)
+            assert len(calls) == classes
+
     @pytest.mark.parametrize("seed", range(40))
     def test_random(self, seed):
         rng = random.Random(700 + seed)
