@@ -33,7 +33,6 @@ from .linalg import (
     TangentVector,
     ambient_dim,
     inner,
-    int_matrix,
     integer_row,
     log2_magnitude,
     metric_weights,
@@ -164,9 +163,10 @@ def _gradient_matrix(x: PeriodicForm, blocks: Sequence[MinBlock]) -> tuple[np.nd
     In block (i, j), w = (c - tden v) / tden with c / tden = t_i - t_j, so a
     row holds w w^t over tden^2 (off-diagonal entries doubled) and +-2Qw
     over qden tden at columns i and j, for Q = qnum / qden, all brought to
-    one denominator.  Entries are computed in int64 (or Python ints) and
-    stored as int16 when they fit: 59 MB for Leech's 98280 rows of 300
-    entries, not 236 MB.  M is filled in place, one column at a time, since
+    one denominator.  M is int16 when every entry fits: 59 MB for Leech's
+    98280 rows of 300 entries, not 236 MB; its products are then computed in
+    int16 from the small-int v of the block, and in int64 (or Python ints)
+    otherwise.  M is filled in place, one column at a time, since
     whole-matrix temporaries would each take as much memory as M.
     """
     d, m = x.d, x.m
@@ -176,7 +176,7 @@ def _gradient_matrix(x: PeriodicForm, blocks: Sequence[MinBlock]) -> tuple[np.nd
     qmax = max(abs(v) for row in qnum for v in row)
     scaled = [integer_row(b.t) for b in blocks]  # (tden, c) per block
     den = lcm(*(t * t if b.i == b.j else t * lcm(t, qden) for b, (t, _) in zip(blocks, scaled)))
-    vs = [int_matrix(b.vs) for b in blocks]
+    vs = [b.vs for b in blocks]
     # wmax bounds |c - tden v|, so a Q-part entry is at most 2 wmax^2 den /
     # tden^2, and a translation entry (i != j only) 2 d qmax wmax den / (qden
     # tden); int64 only when the column sums of such entries stay below 2^63.
@@ -190,15 +190,17 @@ def _gradient_matrix(x: PeriodicForm, blocks: Sequence[MinBlock]) -> tuple[np.nd
     matrix = np.zeros((rows, ambient_dim(d, m)), dtype=np.int16 if bound < 2 ** 15 else dtype)
     start = 0
     for b, (t, c), v in zip(blocks, scaled, vs):
+        # In an int16 matrix, w and every product below fit int16 when t does.
+        wtype = np.int16 if matrix.dtype == np.int16 and t < 2 ** 15 else dtype
         # Column-major, so that each w[:, a] read below is contiguous.
-        w = np.asfortranarray(np.array(c, dtype=dtype) - t * v.astype(dtype))
+        w = np.asfortranarray(np.array(c, dtype=wtype) - t * v.astype(wtype))
         part = matrix[start : start + len(v)]
         start += len(v)
         fq = den // (t * t)
         for k, (a, c) in enumerate(tri):
             np.multiply(w[:, a], w[:, c] * (fq if a == c else 2 * fq), out=part[:, k])
         if b.i != b.j:
-            grad = (w @ np.array(qnum, dtype=dtype).T) * (2 * den // (qden * t))
+            grad = (w @ np.array(qnum, dtype=wtype).T) * (2 * den // (qden * t))
             part[:, nq + (b.i - 1) * d : nq + b.i * d] = grad
             if b.j != m:
                 part[:, nq + (b.j - 1) * d : nq + b.j * d] = -grad

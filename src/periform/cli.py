@@ -199,39 +199,42 @@ def cmd_certify(args) -> int:
 
 def cmd_improve(args) -> int:
     res = improve(_read_form(args.input), steps=args.steps, seed=args.seed)
-    payload = {
-        "command": "improve",
-        "steps_taken": len(res.steps),
-        "stalled": res.stalled,
-        "final_verdict": res.certificate.verdict,
-        "final_form": to_document(res.final),
-        "trajectory": [
-            {
-                "step": s.index,
-                "action": s.action,
-                "epsilon": format_rational(s.epsilon),
-                "center_density_squared": format_rational(
-                    s.center_density_squared
-                ),
-                "delta_over_ball": f"{s.delta_over_ball:.10f}",
-                "snapped": s.snapped,
-            }
-            for s in res.steps
-        ],
-        "certificate": _certificate_payload(res.certificate, res.final),
-    }
-    lines = [f"steps taken: {len(res.steps)}"]
+    if args.json:
+        # Only the JSON payload holds the final certificate's step search.
+        payload = {
+            "command": "improve",
+            "steps_taken": len(res.steps),
+            "stalled": res.stalled,
+            "final_verdict": res.certificate.verdict,
+            "final_form": to_document(res.final),
+            "trajectory": [
+                {
+                    "step": s.index,
+                    "action": s.action,
+                    "epsilon": format_rational(s.epsilon),
+                    "center_density_squared": format_rational(
+                        s.center_density_squared
+                    ),
+                    "delta_over_ball": f"{s.delta_over_ball:.10f}",
+                    "snapped": s.snapped,
+                }
+                for s in res.steps
+            ],
+            "certificate": _certificate_payload(res.certificate, res.final),
+        }
+        print(json.dumps(payload, indent=2))
+        return EXIT_OK
+    print(f"steps taken: {len(res.steps)}")
     for s in res.steps:
-        lines.append(
+        print(
             f"  step {s.index}: {s.action} eps={format_rational(s.epsilon)} "
             f"delta/volB = {s.delta_over_ball:.10f}"
         )
-    lines.append(f"final verdict: {res.certificate.verdict}")
+    print(f"final verdict: {res.certificate.verdict}")
     if res.stalled:
-        lines.append("stalled: no strictly improving step found")
+        print("stalled: no strictly improving step found")
     final = density(res.final, res.certificate.lam)
-    lines.append(f"final delta/volB = {final.delta_over_ball:.10f}")
-    _emit(payload, args, lines)
+    print(f"final delta/volB = {final.delta_over_ball:.10f}")
     return EXIT_OK
 
 

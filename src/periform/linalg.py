@@ -36,6 +36,8 @@ __all__ = [
     "metric_weights",
     "RANK_PRIME",
     "int_matrix",
+    "small_ints",
+    "affine_rows",
     "independent_rows_modp",
     "integer_row",
     "log2_magnitude",
@@ -43,6 +45,9 @@ __all__ = [
 
 RANK_PRIME = 2147483647  # 2^31 - 1: a product of two residues fits in int64
 _MODP_CHUNK = 1024  # rows reduced together by one vectorized elimination step
+# The fixed-width integer types of small_ints, narrowest first, with the
+# largest |entry| each holds.
+_SMALL_INTS = tuple((t, int(np.iinfo(t).max)) for t in (np.int8, np.int16, np.int32, np.int64))
 
 
 def _frac(v: RatLike) -> Fraction:
@@ -449,6 +454,27 @@ def int_matrix(rows: Sequence[Sequence[int]]) -> np.ndarray:
         return np.array(rows, dtype=np.int64)
     except OverflowError:
         return np.array(rows, dtype=object)
+
+
+def small_ints(rows: np.ndarray) -> np.ndarray:
+    """An integer array in the narrowest of int8, int16, int32 and int64 that
+    holds every entry, or in Python ints (object) when int64 does not."""
+    top = int(np.abs(rows).max()) if rows.size else 0
+    dtype = next((t for t, limit in _SMALL_INTS if top <= limit), object)
+    return rows.astype(dtype, copy=False)
+
+
+def affine_rows(
+    rows: np.ndarray, a: int, b: Sequence[int], top: int | None = None
+) -> np.ndarray:
+    """a x + b for each integer row x, exactly, in the narrowest type of
+    ``small_ints`` that holds |a| max|x| + max|b|.  ``top`` bounds |x| when
+    the caller knows it."""
+    if top is None:
+        top = int(np.abs(rows).max()) if rows.size else 0
+    bound = max(abs(a), 1) * max(top, 1) + max(map(abs, b), default=0)
+    dtype = next((t for t, limit in _SMALL_INTS if bound <= limit), object)
+    return rows.astype(dtype) * a + np.array(b, dtype=dtype)
 
 
 def _eliminate_modp(block: np.ndarray, row: np.ndarray, col: int) -> None:

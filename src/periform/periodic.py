@@ -14,10 +14,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import floor, isqrt, pi
-from operator import add, neg
+
+import numpy as np
 
 from .lattices import closest_vectors, shortest_vectors
-from .linalg import PQF, RatLike, SymForm, TangentVector, integer_row
+from .linalg import (
+    PQF,
+    RatLike,
+    SymForm,
+    TangentVector,
+    affine_rows,
+    integer_row,
+)
 
 __all__ = [
     "PeriodicForm",
@@ -118,18 +126,20 @@ class MinRep:
         return (self.i, self.j, self.v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MinBlock:
     """The representations w = t - v of the minimum for one pair i <= j.
 
-    t = t_i - t_j, and ``vs`` holds the integer v in ascending order; for
-    i = j, t = 0 and each v is minus a canonical shortest vector.
+    t = t_i - t_j, and the rows of ``vs`` are the integer v in ascending
+    order, as the lattice walks return them: a fixed-width integer array
+    (int8 for small vectors) or Python ints; for i = j, t = 0 and each v is
+    minus a canonical shortest vector.
     """
 
     i: int
     j: int
     t: tuple[Fraction, ...]
-    vs: tuple[tuple[int, ...], ...]
+    vs: np.ndarray
 
 
 class _RepView(Sequence):
@@ -147,7 +157,7 @@ class _RepView(Sequence):
     @cached_property
     def _reps(self) -> tuple[MinRep, ...]:
         return tuple(MinRep(b.i, b.j, v, tuple(a - c for a, c in zip(b.t, v)))
-                     for b in self._blocks for v in b.vs)
+                     for b in self._blocks for v in map(tuple, b.vs.tolist()))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Sequence) and list(self) == list(other)
@@ -171,34 +181,47 @@ def generalized_min(x: PeriodicForm) -> GenMinResult:
 
     One SVP handles all pairs i = j (each lattice vector is recorded once per
     translate index).  A pair i < j with t_i - t_j = r + k, r in [0, 1)^d and
-    k integral, takes the minimizers of one CVP per class r, shifted by k.
+    k integral, takes the minimizers of one CVP per class r, shifted by k;
+    blocks are built only for the pairs whose class attains lambda.
     lambda = 0 is a reportable state for intersecting translates, not an error.
     """
+    d = x.d
     svp = shortest_vectors(x.q)
     # v = -x: ascending v is descending x.
-    lattice_vs = tuple(tuple(map(neg, vec)) for vec in reversed(svp.vectors))
-    zero = (Fraction(0),) * x.d
-    # t_i is ts[i - 1] / den, so classes are found in integers.
+    lattice_vs = -svp.array[::-1]
+    # t_i is ts[i - 1] / den.  With f_i = ts[i - 1] mod den, the digits of
+    # codes[i - 1] - codes[j - 1] in base 2 den, each in (-den, den), are
+    # f_i - f_j: one integer names the fractional part of t_i - t_j.
     den, flat = integer_row([v for col in x.tcols for v in col])
-    ts = [flat[s : s + x.d] for s in range(0, len(flat), x.d)] + [[0] * x.d]
-    cvps, parts = {}, []  # parts: (minimum, i, j, k, r), k = r = None for i = j
-    for i in range(1, x.m + 1):
-        parts.append((svp.min, i, i, None, None))
-        for j in range(i + 1, x.m + 1):
-            k, r = zip(*(divmod(a - b, den) for a, b in zip(ts[i - 1], ts[j - 1])))
-            if r not in cvps:
-                cvps[r] = closest_vectors(x.q, [Fraction(c, den) for c in r])
-            parts.append((cvps[r].min, i, j, k, r))
-    lam = min(part[0] for part in parts)
+    ts = [flat[s : s + d] for s in range(0, len(flat), d)] + [[0] * d]
+    base = 2 * den
+    codes = [sum(a % den * base ** c for c, a in enumerate(t)) for t in ts]
+    diffs = [[ci - cj for cj in codes[i + 1 :]] for i, ci in enumerate(codes)]
+    cvps, classes = {}, {}  # class r -> its CVP; difference code -> (r, CVP)
+    for code in set().union(*diffs):
+        r, rest = [], code
+        for _ in range(d):
+            rest, digit = divmod(rest, base)
+            rest += digit >= den
+            r.append(digit % den)
+        r = tuple(r)
+        if r not in cvps:
+            cvps[r] = closest_vectors(x.q, [Fraction(c, den) for c in r])
+        classes[code] = (r, cvps[r])
+    lam = min([svp.min] + [cvp.min for cvp in cvps.values()])
+    minimal = {code: rc for code, rc in classes.items() if rc[1].min == lam}
+    zero = (Fraction(0),) * d
     blocks = []
-    for val, i, j, k, r in parts:
-        if val != lam:
-            continue
-        if i == j:
+    for i, row in enumerate(diffs, 1):
+        if svp.min == lam:
             blocks.append(MinBlock(i, i, zero, lattice_vs))
-        else:
+        for j, code in enumerate(row, i + 1):
+            if code not in minimal:
+                continue
+            r, cvp = minimal[code]
+            k = [(a - b - c) // den for a, b, c in zip(ts[i - 1], ts[j - 1], r)]
             t = tuple(a - b for a, b in zip(x.translate(i), x.translate(j)))
-            vs = tuple(tuple(map(add, v, k)) for v in cvps[r].vectors)
+            vs = affine_rows(cvp.array, 1, k) if any(k) else cvp.array
             blocks.append(MinBlock(i, j, t, vs))
     return GenMinResult(lam, tuple(blocks))
 

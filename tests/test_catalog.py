@@ -223,7 +223,6 @@ class TestSublatticeRepresentation:
         assert cert.verdict != NOT_EXTREME
 
 
-@pytest.mark.slow
 class TestLeech:
     def test_leech_invariants(self):
         entry = get("Leech")

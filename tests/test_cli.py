@@ -6,7 +6,7 @@ import pytest
 from helpers import sized_document
 from periform.catalog import MAX_DIMENSION, MAX_INDEX
 from periform.cli import main
-from periform.formats import dumps, loads
+from periform.formats import dumps, loads, to_document
 from periform.improve import improve
 from periform.linalg import PQF
 from periform.periodic import PeriodicForm, density
@@ -150,9 +150,10 @@ class TestImproveCommand:
         assert "steps taken: 0" in capsys.readouterr().out
 
     def test_final_density_reads_the_certificate(self, tmp_path, capsys, monkeypatch):
-        """The command adds one step search to those improve makes when the
-        final verdict is NotExtreme, for the epsilon it prints, and none
-        otherwise; and it prints the same final density."""
+        """Under --json the command adds one step search to those improve
+        makes when the final verdict is NotExtreme, for the epsilon it
+        prints, and none otherwise; the text report prints no epsilon and
+        adds none.  Both report the final form's density."""
         rows = [[1, 0], [0, 2]]
         path = write_form(tmp_path, rows)
         calls = []
@@ -174,8 +175,15 @@ class TestImproveCommand:
             expected = f"final delta/volB = {density(res.final).delta_over_ball:.10f}"
             calls.clear()
             assert main(["improve", path, "--steps", str(steps)]) == 0
-            assert len(calls) == in_improve + (verdict == "NotExtreme")
+            assert len(calls) == in_improve
             assert capsys.readouterr().out.splitlines()[-1] == expected
+            calls.clear()
+            assert main(["--json", "improve", path, "--steps", str(steps)]) == 0
+            assert len(calls) == in_improve + (verdict == "NotExtreme")
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["final_verdict"] == verdict
+            assert ("improving_epsilon" in doc["certificate"]) == (verdict == "NotExtreme")
+            assert doc["final_form"] == to_document(res.final)
 
 
 class TestCatalog:

@@ -329,6 +329,78 @@ class TestClosestVectors:
         )
 
 
+class TestLevelWalker:
+    """The level walker returns the node walker's points in the node walker's
+    order, on both sides of ``BATCH_MIN_DIM``."""
+
+    @staticmethod
+    def assert_same_walk(q, center=None, half=True, widen=1):
+        """``widen`` times the shortest-vector radius: the walk then shrinks
+        its radius leaf by leaf."""
+        red = lattices._reduce(q)
+        center = [0.0] * q.d if center is None else center
+        init = min(red.gram[i][i] for i in range(q.d))
+        args = (red.dvec, red.lmat, center, red.radius(widen * init, red.den), half)
+        nodes, levels = lattices._walk_nodes(*args), lattices._walk_levels(*args)
+        assert nodes.shape == levels.shape and (nodes == levels).all()
+        return nodes
+
+    @pytest.mark.parametrize(
+        "d", range(lattices.BATCH_MIN_DIM - 2, lattices.BATCH_MIN_DIM + 5)
+    )
+    def test_random_reduced_forms(self, d):
+        rng = random.Random(f"level walker {d}")
+        for spread in (1, 2):
+            q = random_pd_gram(rng, d, spread)
+            center = [rng.random() - 0.5 for _ in range(d)]
+            for c, half in ((None, True), (center, False), (center, True)):
+                self.assert_same_walk(q, c, half)
+                self.assert_same_walk(q, c, half, widen=4)
+
+    @pytest.mark.parametrize("chunk", [7, lattices._CHUNK])
+    def test_k12(self, chunk, monkeypatch):
+        """Chunks of 7 nodes split every level: the depth-first order holds."""
+        monkeypatch.setattr(lattices, "_CHUNK", chunk)
+        q = get("K12").form
+        assert len(self.assert_same_walk(q)) == 378
+        self.assert_same_walk(q, [0.5, -0.25] + [0.0] * 10, half=False)
+
+    @pytest.mark.slow
+    def test_leech(self):
+        assert len(self.assert_same_walk(get("Leech").form)) == 98280
+
+    def test_zero_prefix(self):
+        """Half mode on Z^12: every minimal vector is one unit vector, so each
+        level below a zero prefix is cut at 0 and the zero point is skipped."""
+        points = self.assert_same_walk(PQF(SymForm.identity(12)))
+        assert sorted(map(tuple, points.tolist())) == sorted(
+            tuple(int(i == j) for j in range(12)) for i in range(12)
+        )
+
+    def test_empty_walk(self):
+        q = PQF(SymForm.identity(12))
+        red = lattices._reduce(q)
+        args = (red.dvec, red.lmat, [0.5] * 12, 0.1, False)
+        assert lattices._walk_nodes(*args).shape == (0, 12)
+        assert lattices._walk_levels(*args).shape == (0, 12)
+
+    @pytest.mark.parametrize("s", [Fr(2) ** 1100, Fr(1, 2 ** 1100)], ids=["2^1100", "2^-1100"])
+    def test_exact_fallback_at_extreme_scales(self, s):
+        """At 2^1100 the reduced Gram is evaluated in Python ints, at 2^-1100
+        its denominator is; the walks and the minimizers are the unscaled ones."""
+        q = get("K12").form
+        qs = q.scale(s)
+        assert (lattices._reduce(qs).gram_ints.array is None) == (s > 1)
+        assert (self.assert_same_walk(qs) == self.assert_same_walk(q)).all()
+        c = [Fr(1, 3), Fr(-1, 2)] + [Fr(0)] * 10
+        for base, scaled in (
+            (shortest_vectors(q), shortest_vectors(qs)),
+            (closest_vectors(q, c), closest_vectors(qs, c)),
+        ):
+            assert scaled.min == s * base.min
+            assert scaled.vectors == base.vectors
+
+
 SCALE_FORMS = {
     "A2": lambda: get("A", 2).form,
     "D4": lambda: get("D", 4).form,
