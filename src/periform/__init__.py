@@ -40,13 +40,7 @@ from .certify import (
 )
 from .formats import PFormError, dumps, from_document, loads, to_document
 from .improve import ImproveResult, ImproveStep, improve
-from .lattices import (
-    CloseVecResult,
-    ShortVecResult,
-    closest_vectors,
-    lll_reduce,
-    shortest_vectors,
-)
+from .lattices import VecResult, closest_vectors, lll_reduce, shortest_vectors
 from .linalg import (
     LDLResult,
     PQF,
@@ -79,7 +73,6 @@ __all__ = [
     "BOUNDARY",
     "Certificate",
     "CatalogEntry",
-    "CloseVecResult",
     "DensityReport",
     "EXTREME_TRANSLATIONAL",
     "EutaxyStatus",
@@ -97,9 +90,9 @@ __all__ = [
     "PFormError",
     "PQF",
     "PeriodicForm",
-    "ShortVecResult",
     "SymForm",
     "TangentVector",
+    "VecResult",
     "VoronoiDomain",
     "ambient_dim",
     "certify",

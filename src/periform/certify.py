@@ -33,8 +33,10 @@ from .linalg import (
     TangentVector,
     ambient_dim,
     inner,
+    int_type,
     integer_row,
     log2_magnitude,
+    max_abs,
     metric_weights,
     rank_complement,
 )
@@ -90,9 +92,9 @@ class VoronoiDomain:
     ``lam`` and ``blocks`` are lambda(X) > 0 and Min X (``generalized_min``);
     ``target`` is the determinant gradient (Q^{-1}, 0).  Row k of ``matrix``
     / ``den`` is the gradient at the k-th canonical representation in
-    weighted coordinates (``TangentVector.flatten``).  The matrix is int16
-    when no entry can pass 2^15, int64 when no entry and no column sum can
-    pass 2^63, and holds Python ints otherwise.
+    weighted coordinates (``TangentVector.flatten``).  The matrix is in
+    ``linalg.int_type`` of a bound on its entries, and holds Python ints
+    when a column sum could pass int64.
     """
 
     lam: Fraction
@@ -163,11 +165,12 @@ def _gradient_matrix(x: PeriodicForm, blocks: Sequence[MinBlock]) -> tuple[np.nd
     In block (i, j), w = (c - tden v) / tden with c / tden = t_i - t_j, so a
     row holds w w^t over tden^2 (off-diagonal entries doubled) and +-2Qw
     over qden tden at columns i and j, for Q = qnum / qden, all brought to
-    one denominator.  M is int16 when every entry fits: 59 MB for Leech's
-    98280 rows of 300 entries, not 236 MB; its products are then computed in
-    int16 from the small-int v of the block, and in int64 (or Python ints)
-    otherwise.  M is filled in place, one column at a time, since
-    whole-matrix temporaries would each take as much memory as M.
+    one denominator.  M and its products are in ``int_type`` of a bound on
+    the entries (Leech: 98280 rows of 300 entries up to 1089, 59 MB as int16
+    against 236 MB as int64), and in Python ints when a column sum could
+    pass int64, since ``_uniform_witness`` sums the columns in int64.  M is
+    filled in place, one column at a time, since whole-matrix temporaries
+    would each take as much memory as M.
     """
     d, m = x.d, x.m
     tri = [(a, c) for a in range(d) for c in range(a, d)]
@@ -179,19 +182,19 @@ def _gradient_matrix(x: PeriodicForm, blocks: Sequence[MinBlock]) -> tuple[np.nd
     vs = [b.vs for b in blocks]
     # wmax bounds |c - tden v|, so a Q-part entry is at most 2 wmax^2 den /
     # tden^2, and a translation entry (i != j only) 2 d qmax wmax den / (qden
-    # tden); int64 only when the column sums of such entries stay below 2^63.
-    wmax = [max(map(abs, c)) + t * int(np.abs(v).max()) for (t, c), v in zip(scaled, vs)]
+    # tden).
+    wmax = [max(map(abs, c)) + t * max_abs(v) for (t, c), v in zip(scaled, vs)]
     rows = sum(len(v) for v in vs)
     bound = 2 * max(
         max(den // (t * t) * w * w, 0 if b.i == b.j else den // (qden * t) * d * qmax * w)
         for b, (t, _), w in zip(blocks, scaled, wmax)
     )
-    dtype = np.int64 if rows * bound < 2 ** 63 else object
-    matrix = np.zeros((rows, ambient_dim(d, m)), dtype=np.int16 if bound < 2 ** 15 else dtype)
+    dtype = object if int_type(rows * bound) is object else int_type(bound)
+    matrix = np.zeros((rows, ambient_dim(d, m)), dtype=dtype)
     start = 0
     for b, (t, c), v in zip(blocks, scaled, vs):
-        # In an int16 matrix, w and every product below fit int16 when t does.
-        wtype = np.int16 if matrix.dtype == np.int16 and t < 2 ** 15 else dtype
+        # Every factor below is at most the bound, except t itself.
+        wtype = dtype if dtype is object else int_type(max(bound, t))
         # Column-major, so that each w[:, a] read below is contiguous.
         w = np.asfortranarray(np.array(c, dtype=wtype) - t * v.astype(wtype))
         part = matrix[start : start + len(v)]

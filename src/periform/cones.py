@@ -1,9 +1,9 @@
 """Cones spanned by integer rows, exactly: nearest points and positive combinations.
 
 A cone is given by the rows of an integer matrix over one common denominator
-``den`` (int64 or Python ints, as ``linalg.int_matrix`` gives), and a target
-by its coordinates as Fractions.  Products of two entries may pass 2^63, so
-every exact sum of products is taken in Python ints.
+``den`` (of any type ``linalg.int_type`` names), and a target by its
+coordinates as Fractions.  Products of two entries may pass int64, so every
+exact sum of products is taken in Python ints.
 
 ``project_to_cone`` is a Lawson-Hanson style nonnegative least squares
 active-set iteration in exact rationals, warm-started from the positive

@@ -24,9 +24,9 @@ only a few short vectors still walk faster node by node (0.07-0.5 ms against
 seconds.
 
 Candidates stay integer arrays: a vector is accepted only after exact
-integer evaluation, in the narrowest fixed-width type whose bound holds every
-partial sum and in Python ints beyond int64, so the returned minima and
-minimizer sets are exact and complete.  Leech's 98 280 minimal vectors take
+integer evaluation, one einsum in ``linalg.int_type`` of a bound on every
+partial sum (Python ints beyond int64), so the returned minima and minimizer
+sets are exact and complete.  Leech's 98 280 minimal vectors take
 a few MB as an array, against about 23 MB as tuples.
 """
 
@@ -46,13 +46,15 @@ from .linalg import (
     RatLike,
     SymForm,
     affine_rows,
+    int_matrix,
+    int_type,
     integer_row,
+    max_abs,
     small_ints,
 )
 
 __all__ = [
-    "ShortVecResult",
-    "CloseVecResult",
+    "VecResult",
     "lll_reduce",
     "shortest_vectors",
     "closest_vectors",
@@ -82,26 +84,14 @@ IntRows = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True, eq=False)
-class ShortVecResult:
-    """Arithmetical minimum and all minimizers, one per +/- pair.
+class VecResult:
+    """The least value of Q[x] (shortest vectors, one per +/- pair) or of
+    Q[x - c] (closest vectors) over Z^d, and every x attaining it.
 
-    ``array`` holds the minimizers as integer rows: fixed-width, no wider
-    than a bound on its entries needs, or Python ints beyond int64.
-    ``vectors`` is the same as tuples, built when read.
+    ``array`` holds the minimizers as integer rows in ``int_type`` of a
+    bound on their entries; ``vectors`` is the same as tuples, built when
+    read.
     """
-
-    min: Fraction
-    array: np.ndarray
-
-    @cached_property
-    def vectors(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, self.array.tolist()))
-
-
-@dataclass(frozen=True, eq=False)
-class CloseVecResult:
-    """Minimal value of Q[x - c] over Z^d and every x attaining it, as
-    ``array`` and ``vectors`` are in ``ShortVecResult``."""
 
     min: Fraction
     array: np.ndarray
@@ -345,63 +335,22 @@ def _walk_levels(
     return np.concatenate(leaves)
 
 
-def _max_abs(a: np.ndarray) -> int:
-    return int(np.abs(a).max()) if a.size else 0
+def _apply_rows(m: np.ndarray, xs: np.ndarray, xtop: int) -> np.ndarray:
+    """M x for each integer row x of ``xs``, exactly, with |x_i| <= ``xtop``.
 
-
-# Fixed-width integer types, each with a bound below which a sum cannot
-# overflow it.
-_WIDTHS = ((np.int8, 2 ** 6), (np.int16, 2 ** 14), (np.int32, 2 ** 30), (np.int64, 2 ** 62))
-
-
-@dataclass(frozen=True)
-class _IntRows:
-    """Integer rows M, their largest |entry| ``top``, and M as an int64
-    ``array`` when ``top`` is below 2^62 (None otherwise)."""
-
-    rows: IntRows
-    top: int
-    array: np.ndarray | None
-
-    @staticmethod
-    def of(rows: IntRows) -> _IntRows:
-        top = max(max(map(abs, row)) for row in rows)
-        return _IntRows(rows, top, np.array(rows, dtype=np.int64) if top < 2 ** 62 else None)
-
-
-def _fixed_width(m: _IntRows, xtop: int, degree: int) -> type | None:
-    """The narrowest fixed-width type that holds M x (``degree`` 1) or x^t M x
-    (``degree`` 2) for every integer x with |x_i| <= ``xtop``, or None if
-    int64 does not.
-
-    Each entry sums d^degree terms of size at most xtop^degree max|M|, so
-    every partial sum is bounded too.  The callers let einsum widen X to that
-    type as it goes, so no wide copy of X is made.
+    Each entry sums as many terms as M has columns, each at most xtop max|M|,
+    so the einsum runs in ``int_type`` of that bound and no partial sum can
+    overflow it; einsum widens X as it goes, so no wide copy of X is made.
     """
-    bound = (len(m.rows) * max(xtop, 1)) ** degree * m.top
-    return next((dtype for dtype, limit in _WIDTHS if bound < limit), None)
+    dtype = int_type(m.shape[1] * max(xtop, 1) * max_abs(m))
+    return np.einsum("ij,kj->ik", xs, m, dtype=dtype, casting="unsafe")
 
 
-def _apply_rows(m: _IntRows, xs: np.ndarray, xtop: int) -> np.ndarray:
-    """M x for each integer row x of ``xs``, exactly, with |x_i| <= ``xtop``:
-    in a fixed-width type where no entry can overflow it, in Python ints
-    otherwise."""
-    dtype = _fixed_width(m, xtop, 1)
-    if dtype is None:
-        out = [[sum(map(mul, row, x)) for row in m.rows] for x in xs.tolist()]
-        return np.array(out, dtype=object).reshape(len(out), len(m.rows))
-    return np.einsum("ij,kj->ik", xs, m.array, dtype=dtype, casting="unsafe")
-
-
-def _exact_values(m: _IntRows, xs: np.ndarray, xtop: int) -> np.ndarray:
-    """x^t M x for each integer row x of ``xs``, exactly, with |x_i| <= ``xtop``."""
-    dtype = _fixed_width(m, xtop, 2)
-    if dtype is None:
-        return np.array(
-            [sum(map(mul, x, [sum(map(mul, row, x)) for row in m.rows])) for x in xs.tolist()],
-            dtype=object,
-        )
-    return np.einsum("ij,jk,ik->i", xs, m.array, xs, dtype=dtype, casting="unsafe")
+def _exact_values(m: np.ndarray, xs: np.ndarray, xtop: int) -> np.ndarray:
+    """x^t M x for each integer row x of ``xs``, exactly, with |x_i| <= ``xtop``,
+    as ``_apply_rows`` computes M x: d^2 terms of at most xtop^2 max|M|."""
+    dtype = int_type((m.shape[1] * max(xtop, 1)) ** 2 * max_abs(m))
+    return np.einsum("ij,jk,ik->i", xs, m, xs, dtype=dtype, casting="unsafe")
 
 
 @dataclass(frozen=True)
@@ -409,14 +358,15 @@ class _Reduction:
     """A form's LLL reduction with what every walk over it needs.
 
     ``gram / den`` is the reduced Gram Qred = U^t Q U exactly.  ``u`` maps
-    reduced coordinates to the form's (x = U y) and ``uinv`` back.  ``dvec``
-    and ``lmat`` are the float LDL factors of ``scale * Qred``, where the
-    power of two ``scale`` puts the largest pivot in (1/2, 2).
+    reduced coordinates to the form's (x = U y) and ``uinv`` back.  The
+    three are integer arrays as ``int_matrix`` gives.  ``dvec`` and ``lmat``
+    are the float LDL factors of ``scale * Qred``, where the power of two
+    ``scale`` puts the largest pivot in (1/2, 2).
     """
 
-    u: IntRows
-    uinv: IntRows
-    gram: IntRows
+    u: np.ndarray
+    uinv: np.ndarray
+    gram: np.ndarray
     den: int
     scale: Fraction
     dvec: tuple[float, ...]
@@ -430,14 +380,6 @@ class _Reduction:
         """
         scaled = num * self.scale.numerator / (den * self.scale.denominator)
         return scaled * RADIUS_INFLATION
-
-    @cached_property
-    def u_ints(self) -> _IntRows:
-        return _IntRows.of(self.u)
-
-    @cached_property
-    def gram_ints(self) -> _IntRows:
-        return _IntRows.of(self.gram)
 
 
 @lru_cache(maxsize=_REDUCE_CACHE_SIZE)
@@ -453,9 +395,9 @@ def _reduce(q: PQF) -> _Reduction:
         )
     scale = Fraction(2) ** (top.denominator.bit_length() - top.numerator.bit_length())
     return _Reduction(
-        u=u,
-        uinv=uinv,
-        gram=gram,
+        u=int_matrix(u),
+        uinv=int_matrix(uinv),
+        gram=int_matrix(gram),
         den=den,
         scale=scale,
         dvec=tuple(float(p * scale) for p in res.pivots),
@@ -481,22 +423,22 @@ def _lex_sorted(xs: np.ndarray) -> np.ndarray:
     return xs[np.lexsort(xs.T[::-1])] if len(xs) > 1 else xs
 
 
-def shortest_vectors(q: PQF) -> ShortVecResult:
+def shortest_vectors(q: PQF) -> VecResult:
     """Exact arithmetical minimum lambda(Q) and the full Min Q up to sign.
 
     Canonical representatives have their first nonzero coordinate positive;
     vectors come back lexicographically sorted.
     """
     red = _reduce(q)
-    init = min(red.gram[i][i] for i in range(q.d))
+    init = int(red.gram.diagonal().min())
     cands = _enumerate(red.dvec, red.lmat, [0.0] * q.d, red.radius(init, red.den), half=True)
-    top = _max_abs(cands)
-    best, winners = _minimizers(cands, _exact_values(red.gram_ints, cands, top))
-    xs = _apply_rows(red.u_ints, winners, top)
-    return ShortVecResult(Fraction(best, red.den), _lex_sorted(_positive_first(xs)))
+    top = max_abs(cands)
+    best, winners = _minimizers(cands, _exact_values(red.gram, cands, top))
+    xs = _apply_rows(red.u, winners, top)
+    return VecResult(Fraction(best, red.den), _lex_sorted(_positive_first(xs)))
 
 
-def closest_vectors(q: PQF, c: Sequence[RatLike]) -> CloseVecResult:
+def closest_vectors(q: PQF, c: Sequence[RatLike]) -> VecResult:
     """Exact minimum of Q[x - c] over x in Z^d, with all minimizers (ties kept)."""
     cvec = [Fraction(v) for v in c]
     if len(cvec) != q.d:
@@ -506,22 +448,22 @@ def closest_vectors(q: PQF, c: Sequence[RatLike]) -> CloseVecResult:
     # throughout, with babai the nearest integer point and |r| <= cden / 2; the
     # walk runs around r / cden.
     cden, cint = integer_row(cvec)
-    cnum = [sum(map(mul, row, cint)) for row in red.uinv]
+    cnum = [sum(map(mul, row, cint)) for row in red.uinv.tolist()]
     babai = [(2 * n + cden) // (2 * cden) for n in cnum]
     r = [n - cden * b for n, b in zip(cnum, babai)]
     vden = red.den * cden * cden
-    init = sum(map(mul, r, (sum(map(mul, row, r)) for row in red.gram)))
+    init = sum(map(mul, r, (sum(map(mul, row, r)) for row in red.gram.tolist())))
     cands = _enumerate(
         red.dvec, red.lmat, [n / cden for n in r], red.radius(init, vden), half=False
     )
     if not len(cands):  # the Babai point itself is always inside the radius
         cands = np.zeros((1, q.d), np.int64)
-    top = _max_abs(cands)
+    top = max_abs(cands)
     shifted = affine_rows(cands, cden, [-n for n in r], top)
-    vals = _exact_values(red.gram_ints, shifted, cden * top + max(map(abs, r)))
+    vals = _exact_values(red.gram, shifted, cden * top + max(map(abs, r)))
     best, winners = _minimizers(cands, vals)
-    xs = _apply_rows(red.u_ints, winners, top)
+    xs = _apply_rows(red.u, winners, top)
     if any(babai):
-        ubabai = [sum(map(mul, row, babai)) for row in red.u]
-        xs = affine_rows(xs, 1, ubabai, q.d * top * red.u_ints.top)
-    return CloseVecResult(Fraction(best, vden), _lex_sorted(xs))
+        ubabai = [sum(map(mul, row, babai)) for row in red.u.tolist()]
+        xs = affine_rows(xs, 1, ubabai, q.d * top * max_abs(red.u))
+    return VecResult(Fraction(best, vden), _lex_sorted(xs))

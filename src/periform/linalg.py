@@ -35,6 +35,8 @@ __all__ = [
     "ambient_dim",
     "metric_weights",
     "RANK_PRIME",
+    "int_type",
+    "max_abs",
     "int_matrix",
     "small_ints",
     "affine_rows",
@@ -45,9 +47,9 @@ __all__ = [
 
 RANK_PRIME = 2147483647  # 2^31 - 1: a product of two residues fits in int64
 _MODP_CHUNK = 1024  # rows reduced together by one vectorized elimination step
-# The fixed-width integer types of small_ints, narrowest first, with the
-# largest |entry| each holds.
-_SMALL_INTS = tuple((t, int(np.iinfo(t).max)) for t in (np.int8, np.int16, np.int32, np.int64))
+# The fixed-width integer types of int_type, narrowest first, with the
+# largest |value| each holds.
+_INT_TYPES = tuple((t, int(np.iinfo(t).max)) for t in (np.int8, np.int16, np.int32, np.int64))
 
 
 def _frac(v: RatLike) -> Fraction:
@@ -235,7 +237,7 @@ class PQF:
     check; ``det``, ``solve`` and ``lattices.lll_reduce`` read it.
     """
 
-    __slots__ = ("form", "ldl")
+    __slots__ = ("form", "ldl", "_hash")
 
     def __init__(self, form: SymForm):
         res = ldl(form)
@@ -243,6 +245,7 @@ class PQF:
             raise ValueError("form is not positive definite")
         self.form = form
         self.ldl = res
+        self._hash = None
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[RatLike]]) -> "PQF":
@@ -295,7 +298,11 @@ class PQF:
         return isinstance(other, PQF) and self.form == other.form
 
     def __hash__(self) -> int:
-        return hash(self.form)
+        # Hashing the Fraction entries costs a modular pow each; the form is
+        # immutable, so its hash is taken once.
+        if self._hash is None:
+            self._hash = hash(self.form)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"PQF({self.form.rows()!r})"
@@ -447,33 +454,39 @@ def _row_echelon(rows: list[list[Fraction]]) -> tuple[int, list[int], list[list[
     return rank, pivcols, rows
 
 
+def int_type(bound: int) -> type:
+    """The narrowest of int8, int16, int32 and int64 that holds every integer
+    of absolute value at most ``bound``, or ``object`` (Python ints) beyond
+    int64.  Every exact integer array of the package takes its type here."""
+    for dtype, top in _INT_TYPES:
+        if bound <= top:
+            return dtype
+    return object
+
+
+def max_abs(a: np.ndarray) -> int:
+    """The largest |entry| of an integer array, as a Python int; 0 if empty."""
+    return int(np.abs(a).max()) if a.size else 0
+
+
 def int_matrix(rows: Sequence[Sequence[int]]) -> np.ndarray:
-    """Nonempty integer rows as a 2-D array: int64 if every entry fits, else
-    an object array of Python ints."""
-    try:
-        return np.array(rows, dtype=np.int64)
-    except OverflowError:
-        return np.array(rows, dtype=object)
+    """Integer rows as a 2-D array in ``int_type`` of their largest |entry|."""
+    return np.array(rows, dtype=int_type(max((abs(v) for row in rows for v in row), default=0)))
 
 
 def small_ints(rows: np.ndarray) -> np.ndarray:
-    """An integer array in the narrowest of int8, int16, int32 and int64 that
-    holds every entry, or in Python ints (object) when int64 does not."""
-    top = int(np.abs(rows).max()) if rows.size else 0
-    dtype = next((t for t, limit in _SMALL_INTS if top <= limit), object)
-    return rows.astype(dtype, copy=False)
+    """An integer array in ``int_type`` of its largest |entry|."""
+    return rows.astype(int_type(max_abs(rows)), copy=False)
 
 
 def affine_rows(
     rows: np.ndarray, a: int, b: Sequence[int], top: int | None = None
 ) -> np.ndarray:
-    """a x + b for each integer row x, exactly, in the narrowest type of
-    ``small_ints`` that holds |a| max|x| + max|b|.  ``top`` bounds |x| when
-    the caller knows it."""
+    """a x + b for each integer row x, exactly, in ``int_type`` of
+    |a| max|x| + max|b|.  ``top`` bounds |x| when the caller knows it."""
     if top is None:
-        top = int(np.abs(rows).max()) if rows.size else 0
-    bound = max(abs(a), 1) * max(top, 1) + max(map(abs, b), default=0)
-    dtype = next((t for t, limit in _SMALL_INTS if bound <= limit), object)
+        top = max_abs(rows)
+    dtype = int_type(abs(a) * max(top, 1) + max(map(abs, b), default=0))
     return rows.astype(dtype) * a + np.array(b, dtype=dtype)
 
 
@@ -488,9 +501,9 @@ def _eliminate_modp(block: np.ndarray, row: np.ndarray, col: int) -> None:
 def independent_rows_modp(rows: np.ndarray, limit: int) -> list[int]:
     """Indices of rows independent mod RANK_PRIME, taken greedily, at most ``limit``.
 
-    ``rows`` is an integer array, int16, int64 or object (see ``int_matrix``),
-    and is not modified; it is reduced mod p one chunk at a time, in int64
-    unless it holds Python ints (int16 cannot hold RANK_PRIME).
+    ``rows`` is an integer array of any type ``int_type`` names, and is not
+    modified; it is reduced mod p one chunk at a time, in int64 unless it
+    holds Python ints (the narrower types cannot hold RANK_PRIME).
     Each row is reduced against the rows taken before it and is taken when
     something is left.  A set of integer rows independent mod p is independent
     over Q, so the rank over Q is at least the length of the result.
@@ -532,12 +545,12 @@ def log2_magnitude(v: Fraction) -> int:
 def rank_complement(rows: np.ndarray) -> tuple[int, list[list[Fraction]]]:
     """Exact rank of an integer matrix and a basis of {c : row . c = 0 for all rows}.
 
-    ``rows`` is an array as ``int_matrix`` gives.  The rows independent mod
-    RANK_PRIME are picked first; when they fill the space the rank is proved.
-    Otherwise the reduced echelon form of the picked rows gives the
-    complement, and every row is checked exactly against it.  A row that
-    fails the check (the prime divided one of its minors) joins the picked
-    rows, raising the rank.  The reduced echelon form of a row space is
+    ``rows`` is an integer array as ``independent_rows_modp`` takes.  The
+    rows independent mod RANK_PRIME are picked first; when they fill the
+    space the rank is proved.  Otherwise the reduced echelon form of the
+    picked rows gives the complement, and every row is checked exactly
+    against it.  A row that fails the check (the prime divided one of its
+    minors) joins the picked rows, raising the rank.  The reduced echelon form of a row space is
     unique, so the result is the one an echelon over all rows gives.
     """
     ncols = rows.shape[1]

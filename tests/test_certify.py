@@ -91,20 +91,20 @@ class TestVoronoiDomain:
             voronoi_domain(x)
 
     @pytest.mark.parametrize("x, dtype", [
-        (LINE_HALF, np.int16),
-        (LINE_2_5, np.int16),
+        (LINE_HALF, np.int8),
+        (LINE_2_5, np.int8),
         (PeriodicForm.make(PQF.from_rows([[9]]), [[Fr(1, 3)], [Fr(2, 3)]]), np.int16),
-        (PeriodicForm.make(PQF.from_rows([[2, 1], [1, 5]]), [[0, Fr(1, 3)]]), np.int16),
+        (PeriodicForm.make(PQF.from_rows([[2, 1], [1, 5]]), [[0, Fr(1, 3)]]), np.int8),
         (PeriodicForm.make(A2.scale(Fr(1, 2 ** 1100)), [[Fr(1, 3), Fr(2, 3)]]), object),
         (PeriodicForm.lattice(PQF(A2.form.congruent([[1, 0], [2 ** 70, 1]]))), object),
         (sublattice_representation(A2, [[2, 0], [1, 2]]), np.int16),
-        (fluid_diamond(Fr(1, 4)), np.int16),
-        (PeriodicForm.make(A2.scale(2 ** 20), [[Fr(1, 3), Fr(2, 3)]]), np.int64),
+        (fluid_diamond(Fr(1, 4)), np.int8),
+        (PeriodicForm.make(A2.scale(2 ** 20), [[Fr(1, 3), Fr(2, 3)]]), np.int32),
     ], ids=["line-half", "line-2/5", "3Z-three", "q25-third", "A2-2^-1100",
             "A2-sheared", "A2-index4", "fluid-1/4", "A2-2^20"])
     def test_generators_are_the_gradients(self, x, dtype):
-        """The integer rows, int16, int64 or exact, are gradient_p at each rep,
-        in order."""
+        """The integer rows, in ``int_type`` of a bound on their entries or
+        exact, are gradient_p at each rep, in order."""
         gm = generalized_min(x)
         dom = voronoi_domain(x)
         assert dom.matrix.dtype == dtype

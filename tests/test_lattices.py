@@ -2,10 +2,12 @@ import importlib.util
 import random
 import re
 import sys
+from dataclasses import replace
 from fractions import Fraction as Fr
 from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import periform.intmat as intmat
@@ -177,7 +179,10 @@ def assert_matches_reference(q):
         with pytest.raises(ValueError, match=re.escape(str(exc))):
             lattices._reduce.__wrapped__(q)
         return
-    assert lattices._reduce.__wrapped__(q) == ref
+    red = lattices._reduce.__wrapped__(q)
+    ints = {f: getattr(red, f) for f in ("u", "uinv", "gram")}
+    assert all(a.dtype == linalg.int_type(linalg.max_abs(a)) for a in ints.values())
+    assert replace(red, **{f: tuple(map(tuple, a.tolist())) for f, a in ints.items()}) == ref
 
 
 REFERENCE_SCALES = {
@@ -339,7 +344,7 @@ class TestLevelWalker:
         its radius leaf by leaf."""
         red = lattices._reduce(q)
         center = [0.0] * q.d if center is None else center
-        init = min(red.gram[i][i] for i in range(q.d))
+        init = int(red.gram.diagonal().min())
         args = (red.dvec, red.lmat, center, red.radius(widen * init, red.den), half)
         nodes, levels = lattices._walk_nodes(*args), lattices._walk_levels(*args)
         assert nodes.shape == levels.shape and (nodes == levels).all()
@@ -390,7 +395,7 @@ class TestLevelWalker:
         its denominator is; the walks and the minimizers are the unscaled ones."""
         q = get("K12").form
         qs = q.scale(s)
-        assert (lattices._reduce(qs).gram_ints.array is None) == (s > 1)
+        assert (lattices._reduce(qs).gram.dtype == object) == (s > 1)
         assert (self.assert_same_walk(qs) == self.assert_same_walk(q)).all()
         c = [Fr(1, 3), Fr(-1, 2)] + [Fr(0)] * 10
         for base, scaled in (
@@ -399,6 +404,42 @@ class TestLevelWalker:
         ):
             assert scaled.min == s * base.min
             assert scaled.vectors == base.vectors
+
+
+# The largest |value| of each integer type, and one past it, with the
+# narrowest type that holds it.
+TYPE_EDGES = {
+    "2^7-1": (2 ** 7 - 1, np.int8), "2^7": (2 ** 7, np.int16),
+    "2^15-1": (2 ** 15 - 1, np.int16), "2^15": (2 ** 15, np.int32),
+    "2^31-1": (2 ** 31 - 1, np.int32), "2^31": (2 ** 31, np.int64),
+    "2^63-1": (2 ** 63 - 1, np.int64), "2^63": (2 ** 63, object),
+}
+
+
+@pytest.mark.parametrize("e, dtype", TYPE_EDGES.values(), ids=TYPE_EDGES)
+class TestIntTypeEdges:
+    """Each exact product whose bound is an edge value e lands in the type
+    ``int_type(e)`` names and equals Python-int arithmetic, so a bound off by
+    one, which would overflow silently exactly here, fails."""
+
+    def test_int_type(self, e, dtype):
+        assert linalg.int_type(e) is dtype
+
+    def test_affine_rows(self, e, dtype):
+        # |x| <= e - 1 and |b| <= 1: the bound e is attained with both signs.
+        out = linalg.affine_rows(np.array([[e - 1, 1 - e], [0, 0]]), 1, [1, -1])
+        assert out.dtype == np.dtype(dtype)
+        assert out.tolist() == [[e, -e], [1, -1]]
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_apply_rows_and_exact_values(self, e, dtype, sign):
+        m = linalg.int_matrix([[sign * e]])
+        xs = np.array([[1], [-1], [0]], dtype=np.int8)
+        rows = lattices._apply_rows(m, xs, 1)
+        values = lattices._exact_values(m, xs, 1)
+        assert rows.dtype == values.dtype == np.dtype(dtype)
+        assert rows.tolist() == [[sign * e], [-sign * e], [0]]
+        assert values.tolist() == [sign * e, sign * e, 0]
 
 
 SCALE_FORMS = {

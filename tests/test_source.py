@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import periform
@@ -62,5 +63,19 @@ def test_no_private_cross_module_imports():
         if isinstance(node, ast.ImportFrom) and node.level > 0
         for alias in node.names
         if alias.name.startswith("_")
+    ]
+    assert SOURCES and found == []
+
+
+def test_integer_types_named_only_in_linalg():
+    """Only ``linalg`` names the narrow integer types or their limits, so
+    ``linalg.int_type`` is the one rule for the type of an exact integer
+    array."""
+    pattern = re.compile(r"\bnp\.(iinfo|int8|int16|int32)\b")
+    found = [
+        f"{path.name}:{n}"
+        for path in SOURCES if path.name != "linalg.py"
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
     ]
     assert SOURCES and found == []
