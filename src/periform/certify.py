@@ -175,7 +175,7 @@ def _gradient_matrix(x: PeriodicForm, blocks: Sequence[MinBlock]) -> tuple[np.nd
     d, m = x.d, x.m
     tri = [(a, c) for a in range(d) for c in range(a, d)]
     nq = len(tri)
-    qden, qnum = x.q.form.integer_rows()
+    qden, qnum = x.q.den, x.q.gram
     qmax = max(abs(v) for row in qnum for v in row)
     scaled = [integer_row(b.t) for b in blocks]  # (tden, c) per block
     den = lcm(*(t * t if b.i == b.j else t * lcm(t, qden) for b, (t, _) in zip(blocks, scaled)))

@@ -1,10 +1,11 @@
 """Lattice algorithmics: LLL reduction and shortest/closest vector enumeration.
 
 Each form is LLL-reduced once; shortest and closest vector searches on it
-then share that reduction.  LLL updates the integer Gram den * Q of
-``SymForm.integer_rows`` and starts from the Gram-Schmidt data (mu, B*) of
-the LDL factorisation the form already carries; it returns U and U^-1 as
-integer rows, so a reduction factors only the reduced form, once.
+then share that reduction.  LLL is de Weger's integral variant: it updates
+the integer Gram den * Q that the ``PQF`` keeps, starting from the leading
+minors and integral Gram-Schmidt coefficients of the form's own
+factorisation, and ends with those of the reduced form, so a reduction
+factors nothing.  It returns U and U^-1 as integer rows.
 
 Two walkers visit the lattice points of the reduced form with floating-point
 bounds (radii inflated by 1 + 2^-20) on the reduced Gram scaled exactly by a
@@ -43,6 +44,7 @@ import numpy as np
 
 from .linalg import (
     PQF,
+    LDLResult,
     RatLike,
     SymForm,
     affine_rows,
@@ -110,27 +112,33 @@ def lll_reduce(q: PQF) -> tuple[PQF, IntRows, IntRows]:
     """LLL-reduce a positive definite Gram matrix with delta = LLL_DELTA.
 
     Returns (Qred, U, U^-1), U and U^-1 as integer rows, with Qred = U^t Q U
-    size-reduced and satisfying the Lovasz condition on the exact rational
-    Gram-Schmidt data.  That data starts as the LDL factors Q carries
-    (mu = L, B* = D) and is kept current for every row; U^-1 is built
-    alongside U.  The Gram updates run on the integer Gram den * Q, so only
-    mu and B* are rational.
+    size-reduced and satisfying the Lovasz condition on the exact
+    Gram-Schmidt data.  This is de Weger's integral LLL (Cohen, Algorithm
+    2.6.7) on the integer Gram den * Q: the data is the leading minors d_i
+    and lam_kj = d_{j+1} mu_kj that Q's ``ldl`` holds, kept current for
+    every row with exact integer divisions, so nothing in the loop is
+    rational.  U^-1 is built alongside U, and Qred comes back with its
+    final (d, lam) as its factorisation.
     """
     d = q.d
-    den, rows = q.form.integer_rows()
-    g = [list(row) for row in rows]
-    mu = [list(row) for row in q.ldl.lower]
-    bstar = list(q.ldl.pivots)
+    den = q.den
+    g = [list(row) for row in q.gram]
+    dm = list(q.ldl.minors)
+    lam = [list(row) for row in q.ldl.lam]
     ucols = [[int(i == j) for i in range(d)] for j in range(d)]
     uinv = [[int(i == j) for j in range(d)] for i in range(d)]
+    # The Lovasz test B*_k < (delta - mu_{k,k-1}^2) B*_{k-1}, with B*_k =
+    # dm[k+1] / dm[k] and mu_{k,k-1} = lam[k][k-1] / dm[k], times
+    # dden dm[k] dm[k-1] > 0.
+    dnum, dden = LLL_DELTA.numerator, LLL_DELTA.denominator
 
     def size_reduce(k: int, j: int) -> None:
-        # b_k <- b_k - r b_j, applied to Gram, U, U^-1 and mu; |mu_kj| > 1/2
+        # b_k <- b_k - r b_j, applied to Gram, U, U^-1 and lam; |mu_kj| > 1/2
         # makes r = floor(mu_kj + 1/2) nonzero.
-        n, dn = mu[k][j].numerator, mu[k][j].denominator
-        if 2 * abs(n) <= dn:
+        dj, lk, lj = dm[j + 1], lam[k], lam[j]
+        if 2 * abs(lk[j]) <= dj:
             return
-        r = (2 * n + dn) // (2 * dn)
+        r = (2 * lk[j] + dj) // (2 * dj)
         gkk = g[k][k] - 2 * r * g[k][j] + r * r * g[j][j]
         for i in range(d):
             if i != k:
@@ -142,8 +150,8 @@ def lll_reduce(q: PQF) -> tuple[PQF, IntRows, IntRows]:
             ucols[k][i] -= r * ucols[j][i]
             uinv[j][i] += r * uinv[k][i]
         for i in range(j):
-            mu[k][i] -= r * mu[j][i]
-        mu[k][j] -= r
+            lk[i] -= r * lj[i]
+        lk[j] -= r * dj
 
     def swap(k: int) -> None:
         g[k], g[k - 1] = g[k - 1], g[k]
@@ -151,22 +159,23 @@ def lll_reduce(q: PQF) -> tuple[PQF, IntRows, IntRows]:
             row[k], row[k - 1] = row[k - 1], row[k]
         ucols[k], ucols[k - 1] = ucols[k - 1], ucols[k]
         uinv[k], uinv[k - 1] = uinv[k - 1], uinv[k]
+        lk, lk1 = lam[k], lam[k - 1]
         for j in range(k - 1):
-            mu[k][j], mu[k - 1][j] = mu[k - 1][j], mu[k][j]
-        muu = mu[k][k - 1]
-        bnew = bstar[k] + muu * muu * bstar[k - 1]
-        mu[k][k - 1] = muu * bstar[k - 1] / bnew
-        bstar[k] = bstar[k - 1] * bstar[k] / bnew
-        bstar[k - 1] = bnew
+            lk[j], lk1[j] = lk1[j], lk[j]
+        lkk = lk[k - 1]
+        b = (dm[k - 1] * dm[k + 1] + lkk * lkk) // dm[k]
         for i in range(k + 1, d):
-            t = mu[i][k]
-            mu[i][k] = mu[i][k - 1] - muu * t
-            mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+            li = lam[i]
+            t = li[k]
+            li[k] = (dm[k + 1] * li[k - 1] - lkk * t) // dm[k]
+            li[k - 1] = (b * t + lkk * li[k]) // dm[k + 1]
+        dm[k] = b
 
     k = 1
     while k < d:
         size_reduce(k, k - 1)
-        if bstar[k] < (LLL_DELTA - mu[k][k - 1] * mu[k][k - 1]) * bstar[k - 1]:
+        lkk = lam[k][k - 1]
+        if dden * dm[k + 1] * dm[k - 1] < dnum * dm[k] * dm[k] - dden * lkk * lkk:
             swap(k)
             k = max(k - 1, 1)
         else:
@@ -175,8 +184,14 @@ def lll_reduce(q: PQF) -> tuple[PQF, IntRows, IntRows]:
             k += 1
 
     upper = tuple(Fraction(g[i][j], den) for i in range(d) for j in range(i, d))
+    # U^t (den Q) U = g has the content of den * Q, which is prime to den, so
+    # (den, g) are the integer rows of Qred.
+    qred = PQF.from_factors(
+        SymForm(d, upper), den, tuple(map(tuple, g)),
+        LDLResult(den, tuple(dm), tuple(map(tuple, lam))),
+    )
     urows = tuple(tuple(ucols[j][i] for j in range(d)) for i in range(d))
-    return PQF(SymForm(d, upper)), urows, tuple(map(tuple, uinv))
+    return qred, urows, tuple(map(tuple, uinv))
 
 
 # ---------------------------------------------------------------------------
@@ -385,23 +400,36 @@ class _Reduction:
 @lru_cache(maxsize=_REDUCE_CACHE_SIZE)
 def _reduce(q: PQF) -> _Reduction:
     qred, u, uinv = lll_reduce(q)
-    den, gram = qred.form.integer_rows()
-    res = qred.ldl
-    top = max(res.pivots)
-    if min(res.pivots) * 2 ** MAX_PIVOT_SPAN_BITS < top:
+    n, den = q.d, qred.den
+    dm, lam = qred.ldl.minors, qred.ldl.lam
+    # Pivot k is dm[k+1] / (dm[k] den); pivots are compared by
+    # cross-multiplying, and read as floats by integer true division, which
+    # rounds correctly, as float() of their Fractions does.
+    top = low = 0
+    for k in range(1, n):
+        if dm[k + 1] * dm[top] > dm[top + 1] * dm[k]:
+            top = k
+        if dm[k + 1] * dm[low] < dm[low + 1] * dm[k]:
+            low = k
+    if (dm[low + 1] * dm[top]) << MAX_PIVOT_SPAN_BITS < dm[top + 1] * dm[low]:
         raise ValueError(
             "the LDL pivots of the LLL-reduced form span more than "
             f"2^{MAX_PIVOT_SPAN_BITS}, beyond what the float enumeration resolves"
         )
-    scale = Fraction(2) ** (top.denominator.bit_length() - top.numerator.bit_length())
+    big = Fraction(dm[top + 1], dm[top] * den)
+    e = big.denominator.bit_length() - big.numerator.bit_length()
+    up, down = (1 << e, 1) if e >= 0 else (1, 1 << -e)
     return _Reduction(
         u=int_matrix(u),
         uinv=int_matrix(uinv),
-        gram=int_matrix(gram),
+        gram=int_matrix(qred.gram),
         den=den,
-        scale=scale,
-        dvec=tuple(float(p * scale) for p in res.pivots),
-        lmat=tuple(tuple(float(v) for v in row) for row in res.lower),
+        scale=Fraction(up, down),
+        dvec=tuple(dm[k + 1] * up / (dm[k] * den * down) for k in range(n)),
+        lmat=tuple(
+            tuple(lam[i][j] / dm[j + 1] if j < i else float(i == j) for j in range(n))
+            for i in range(n)
+        ),
     )
 
 

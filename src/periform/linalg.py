@@ -7,7 +7,9 @@ verified exactly over Q.  Symmetric matrices are stored as their upper
 triangle, so symmetry holds by construction and the inner product doubles
 off-diagonal contributions.  ``SymForm.integer_rows`` is the one place a
 form's denominators are cleared: LLL, congruences and the Voronoi domain all
-work on the integer Gram den * Q it returns.
+work on the integer Gram den * Q it returns, which a ``PQF`` keeps.  A
+form is factored once, in integers: the leading minors of den * Q and the
+Gram-Schmidt coefficients they make integral (``LDLResult``).
 """
 
 from __future__ import annotations
@@ -188,64 +190,110 @@ class SymForm:
         ))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LDLResult:
-    """Outcome of the exact LDL^t decomposition attempt."""
+    """Q = L diag(D) L^t, kept as the integral Gram-Schmidt data of den * Q.
 
-    lower: tuple[tuple[Fraction, ...], ...]
-    pivots: tuple[Fraction, ...]
-    is_positive_definite: bool
+    ``minors`` are the leading principal minors d_0 = 1, d_1, ... of the
+    integer Gram den * Q, up to and including the first that is not
+    positive; ``lam[k][j]`` = d_{j+1} L_kj is an integer for every column j
+    eliminated before that minor.  D_k = d_{k+1} / (d_k den) and
+    L_kj = lam[k][j] / d_{j+1}; ``pivots`` and ``lower`` build these
+    Fractions each time they are read, and a ``PQF`` keeps none of them.
+    """
+
+    den: int
+    minors: tuple[int, ...]
+    lam: tuple[tuple[int, ...], ...]
+
+    @property
+    def is_positive_definite(self) -> bool:
+        return len(self.minors) > len(self.lam) and self.minors[-1] > 0
+
+    @property
+    def pivots(self) -> tuple[Fraction, ...]:
+        d = self.minors
+        return tuple(Fraction(d[k + 1], d[k] * self.den) for k in range(len(d) - 1))
+
+    @property
+    def lower(self) -> tuple[tuple[Fraction, ...], ...]:
+        d, n = self.minors, len(self.lam)
+        # Rows past the first minor <= 0 were never reached: no unit diagonal.
+        return tuple(
+            tuple(Fraction(row[j], d[j + 1]) if j < len(row)
+                  else Fraction(int(i == j < len(d) - 1)) for j in range(n))
+            for i, row in enumerate(self.lam)
+        )
+
+
+def _factor(den: int, rows: Sequence[Sequence[int]]) -> LDLResult:
+    """The LDLResult of the integer Gram ``rows`` = den * Q, one column at a
+    time (de Weger 1987; Cohen, Algorithm 2.6.7).
+
+    By Sylvester's identity every division is exact while the minors before
+    it are nonzero; the first minor <= 0 stops the elimination, since a
+    positive definite form has only positive leading minors.
+    """
+    n = len(rows)
+    d = [1]
+    lam: list[list[int]] = [[] for _ in range(n)]
+    for j in range(n):
+        lj = lam[j]
+        u = rows[j][j]
+        for i in range(j):
+            u = (d[i + 1] * u - lj[i] * lj[i]) // d[i]
+        d.append(u)
+        if u <= 0:
+            break
+        for k in range(j + 1, n):
+            lk = lam[k]
+            u = rows[k][j]
+            for i in range(j):
+                u = (d[i + 1] * u - lk[i] * lj[i]) // d[i]
+            lk.append(u)
+    return LDLResult(den, tuple(d), tuple(map(tuple, lam)))
 
 
 def ldl(q: SymForm) -> LDLResult:
-    """Exact LDL^t of a symmetric rational matrix, without pivoting.
+    """Exact LDL^t of a symmetric rational matrix, without pivoting, as the
+    integral data of its integer Gram (``LDLResult``).
 
     For positive definite input Q = L diag(D) L^t holds exactly.  The first
     pivot <= 0 stops the decomposition with ``is_positive_definite = False``:
     a positive definite form has only positive pivots in any order.
     """
-    d = q.d
-    a = [list(row) for row in q.rows()]
-    lower = [[Fraction(0)] * d for _ in range(d)]
-    pivots: list[Fraction] = []
-    for k in range(d):
-        piv = a[k][k]
-        pivots.append(piv)
-        lower[k][k] = Fraction(1)
-        if piv <= 0:
-            return LDLResult(tuple(tuple(r) for r in lower), tuple(pivots), False)
-        for i in range(k + 1, d):
-            lower[i][k] = a[i][k] / piv
-        for i in range(k + 1, d):
-            lik = lower[i][k]
-            if lik == 0:
-                continue
-            for j in range(k + 1, i + 1):
-                a[i][j] -= lik * piv * lower[j][k]
-            for j in range(i + 1, d):
-                a[i][j] -= lik * a[k][j]
-        for i in range(k + 1, d):
-            a[k][i] = Fraction(0)
-            a[i][k] = Fraction(0)
-    return LDLResult(tuple(tuple(r) for r in lower), tuple(pivots), True)
+    return _factor(*q.integer_rows())
 
 
 class PQF:
-    """A positive definite quadratic form with its exact LDL factorisation.
+    """A positive definite quadratic form with its integral Gram-Schmidt data.
 
-    ``ldl`` (Q = L diag(D) L^t) is computed once, as the positive-definiteness
-    check; ``det``, ``solve`` and ``lattices.lll_reduce`` read it.
+    ``den`` and ``gram`` are ``SymForm.integer_rows`` of the form, taken
+    once: LLL, the walks and the Voronoi domain read the integer Gram
+    den * Q there.  ``ldl`` factors it once; its positive leading minors are
+    the positive-definiteness check, ``det`` and ``lattices.lll_reduce``
+    read them, and ``solve`` and ``inverse`` build L and D from them.
     """
 
-    __slots__ = ("form", "ldl", "_hash")
+    __slots__ = ("form", "den", "gram", "ldl", "_hash")
 
     def __init__(self, form: SymForm):
-        res = ldl(form)
+        den, gram = form.integer_rows()
+        res = _factor(den, gram)
         if not res.is_positive_definite:
             raise ValueError("form is not positive definite")
-        self.form = form
-        self.ldl = res
-        self._hash = None
+        self.form, self.den, self.gram, self.ldl, self._hash = form, den, gram, res, None
+
+    @staticmethod
+    def from_factors(form: SymForm, den: int, gram: tuple[tuple[int, ...], ...],
+                     res: LDLResult) -> "PQF":
+        """The PQF of ``form`` from data known to be its own: (den, gram) its
+        ``integer_rows`` and ``res`` their factorisation, with positive
+        minors.  Nothing is checked, so only a caller that computed them
+        exactly may pass them, as ``lattices.lll_reduce`` does."""
+        q = object.__new__(PQF)
+        q.form, q.den, q.gram, q.ldl, q._hash = form, den, gram, res, None
+        return q
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[RatLike]]) -> "PQF":
@@ -256,10 +304,7 @@ class PQF:
         return self.form.d
 
     def det(self) -> Fraction:
-        out = Fraction(1)
-        for p in self.ldl.pivots:
-            out *= p
-        return out
+        return Fraction(self.ldl.minors[-1], self.den ** self.d)
 
     def value(self, x: Sequence[RatLike]) -> Fraction:
         return self.form.value(x)
@@ -268,25 +313,32 @@ class PQF:
         return self.form.matvec(x)
 
     def solve(self, b: Sequence[RatLike]) -> tuple[Fraction, ...]:
-        """Solve Q x = b exactly via the stored LDL factors."""
-        d = self.d
-        y = [_frac(v) for v in b]
-        low = self.ldl.lower
-        # Forward: L z = b
-        for i in range(d):
-            for j in range(i):
-                y[i] -= low[i][j] * y[j]
-        for i in range(d):
-            y[i] /= self.ldl.pivots[i]
-        # Back: L^t x = z
-        for i in reversed(range(d)):
-            for j in range(i + 1, d):
-                y[i] -= low[j][i] * y[j]
-        return tuple(y)
+        """Solve Q x = b exactly via the LDL factors."""
+        return self._solve([b])[0]
 
     def inverse(self) -> SymForm:
-        cols = [self.solve([int(i == j) for i in range(self.d)]) for j in range(self.d)]
-        return SymForm.from_rows([[cols[j][i] for j in range(self.d)] for i in range(self.d)])
+        d = self.d
+        cols = self._solve([[int(i == j) for i in range(d)] for j in range(d)])
+        return SymForm.from_rows([[cols[j][i] for j in range(d)] for i in range(d)])
+
+    def _solve(self, rhs: Sequence[Sequence[RatLike]]) -> list[tuple[Fraction, ...]]:
+        """x with Q x = b for each b in ``rhs``, from L and D built once."""
+        d, low, piv = self.d, self.ldl.lower, self.ldl.pivots
+        out = []
+        for b in rhs:
+            y = [_frac(v) for v in b]
+            # Forward: L z = b
+            for i in range(d):
+                for j in range(i):
+                    y[i] -= low[i][j] * y[j]
+            for i in range(d):
+                y[i] /= piv[i]
+            # Back: L^t x = z
+            for i in reversed(range(d)):
+                for j in range(i + 1, d):
+                    y[i] -= low[j][i] * y[j]
+            out.append(tuple(y))
+        return out
 
     def scale(self, c: RatLike) -> "PQF":
         cf = _frac(c)

@@ -5,7 +5,9 @@ echelon of [U | I]) and the uncached reduction ``reduce`` are kept here
 unchanged, as the reference that ``periform.lattices`` must match: the same
 reduced form, U, U^-1 and ``_Reduction`` fields, or the same ``ValueError``.
 Only the imports are absolute, and ``reduce`` is ``_reduce`` without its
-cache.
+cache.  ``ldl`` is the ``Fraction`` elimination that ``periform.linalg`` ran
+before it factored in integers, so the reference shares no factorisation
+with the code it checks.
 """
 
 from __future__ import annotations
@@ -17,9 +19,38 @@ from typing import Sequence
 
 from periform.intmat import det_bareiss
 from periform.lattices import LLL_DELTA, MAX_PIVOT_SPAN_BITS, _Reduction
-from periform.linalg import PQF, SymForm, _row_echelon, ldl
+from periform.linalg import PQF, SymForm, _row_echelon
 
-__all__ = ["Unimodular", "lll_reduce", "reduce"]
+__all__ = ["Unimodular", "ldl", "lll_reduce", "reduce"]
+
+
+def ldl(q: SymForm) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[Fraction, ...], bool]:
+    """(lower, pivots, is_positive_definite): exact LDL^t without pivoting,
+    stopped by the first pivot <= 0."""
+    d = q.d
+    a = [list(row) for row in q.rows()]
+    lower = [[Fraction(0)] * d for _ in range(d)]
+    pivots: list[Fraction] = []
+    for k in range(d):
+        piv = a[k][k]
+        pivots.append(piv)
+        lower[k][k] = Fraction(1)
+        if piv <= 0:
+            return tuple(tuple(r) for r in lower), tuple(pivots), False
+        for i in range(k + 1, d):
+            lower[i][k] = a[i][k] / piv
+        for i in range(k + 1, d):
+            lik = lower[i][k]
+            if lik == 0:
+                continue
+            for j in range(k + 1, i + 1):
+                a[i][j] -= lik * piv * lower[j][k]
+            for j in range(i + 1, d):
+                a[i][j] -= lik * a[k][j]
+        for i in range(k + 1, d):
+            a[k][i] = Fraction(0)
+            a[i][k] = Fraction(0)
+    return tuple(tuple(r) for r in lower), tuple(pivots), True
 
 
 @dataclass(frozen=True)
@@ -142,9 +173,9 @@ def reduce(q: PQF) -> _Reduction:
     qred, u = lll_reduce(q)
     den = lcm(*(v.denominator for v in qred.form.upper))
     gram = tuple(tuple(int(v * den) for v in row) for row in qred.form.rows())
-    res = ldl(qred.form)
-    top = max(res.pivots)
-    if min(res.pivots) * 2 ** MAX_PIVOT_SPAN_BITS < top:
+    lower, pivots, _ = ldl(qred.form)
+    top = max(pivots)
+    if min(pivots) * 2 ** MAX_PIVOT_SPAN_BITS < top:
         raise ValueError(
             "the LDL pivots of the LLL-reduced form span more than "
             f"2^{MAX_PIVOT_SPAN_BITS}, beyond what the float enumeration resolves"
@@ -156,6 +187,6 @@ def reduce(q: PQF) -> _Reduction:
         gram=gram,
         den=den,
         scale=scale,
-        dvec=tuple(float(p * scale) for p in res.pivots),
-        lmat=tuple(tuple(float(v) for v in row) for row in res.lower),
+        dvec=tuple(float(p * scale) for p in pivots),
+        lmat=tuple(tuple(float(v) for v in row) for row in lower),
     )

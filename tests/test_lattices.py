@@ -210,17 +210,30 @@ class TestMatchesReference:
         assert_matches_reference(PQF.from_rows([[tiny, 0], [0, 1]]))
         assert_matches_reference(PQF.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, tiny]]))
 
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_tall_and_nearly_singular(self, d):
+        """Forms of more than 1000 bits, and a rank-1 form plus 2^-e of a
+        positive definite one, where the reduced pivots may pass the limit."""
+        rng = random.Random(f"hard lll {d}")
+        for _ in range(2):
+            q = random_rational_pd(rng, d)
+            assert_matches_reference(q.scale(Fr(rng.getrandbits(1100) | 1, rng.getrandbits(1100) | 1)))
+            v = [rng.randint(-9, 9) for _ in range(d)]
+            for e in (20, 45, 60):
+                assert_matches_reference(PQF(SymForm.outer(v).add(q.form.scale(Fr(1, 2 ** e)))))
+
     @pytest.mark.parametrize("seed", [1, 2])
     def test_improve_walk_pool(self, seed):
         for q in improve_walk_pool(seed):
             assert_matches_reference(q)
 
 
-def test_reduce_factors_once(monkeypatch):
-    """A fresh reduction factors only the reduced form, eliminates nothing and
-    takes no determinant."""
+def test_reduce_factors_nothing(monkeypatch):
+    """A fresh reduction factors no form, eliminates nothing and takes no
+    determinant, and builds no Fraction of L or D: the reduced form comes
+    back with the integral Gram-Schmidt data the LLL loop kept."""
     q = random_pd_gram(random.Random(5), 6)
-    calls = {"ldl": 0, "_row_echelon": 0, "det_bareiss": 0}
+    calls = {"ldl": 0, "_factor": 0, "_row_echelon": 0, "det_bareiss": 0}
     for name in calls:
         real = getattr(intmat if name == "det_bareiss" else linalg, name)
 
@@ -231,8 +244,24 @@ def test_reduce_factors_once(monkeypatch):
         for mod in (intmat, linalg, lattices):
             if getattr(mod, name, None) is real:
                 monkeypatch.setattr(mod, name, counting)
-    lattices._reduce.__wrapped__(q)
-    assert calls == {"ldl": 1, "_row_echelon": 0, "det_bareiss": 0}
+    for name in ("lower", "pivots"):  # the Fractions of L and D
+        real = getattr(linalg.LDLResult, name)
+
+        def counting_read(res, _real=real, _name=name):
+            calls[_name] += 1
+            return _real.fget(res)
+
+        calls[name] = 0
+        monkeypatch.setattr(linalg.LDLResult, name, property(counting_read))
+    red = lattices._reduce.__wrapped__(q)
+    assert calls == {"ldl": 0, "_factor": 0, "_row_echelon": 0, "det_bareiss": 0,
+                     "lower": 0, "pivots": 0}
+    qred, _, _ = lll_reduce(q)
+    # What the loop kept is the reduced form's own factorisation.
+    assert (qred.den, qred.gram) == qred.form.integer_rows()
+    fresh = linalg.ldl(qred.form)
+    assert (qred.ldl.minors, qred.ldl.lam) == (fresh.minors, fresh.lam)
+    assert red.gram.tolist() == [list(row) for row in qred.gram]
 
 
 class TestShortestVectors:

@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 import periform
+import reference_lll
+from periform.intmat import det_bareiss
 from periform.linalg import (
     PQF,
     RANK_PRIME,
@@ -118,6 +120,98 @@ class TestDetInverse:
     def test_non_pd_rejected(self):
         with pytest.raises(ValueError):
             PQF.from_rows([[1, 2], [2, 1]])
+
+
+def _symmetric(rows) -> SymForm:
+    d = len(rows)
+    return SymForm.from_rows([[rows[min(i, j)][max(i, j)] for j in range(d)] for i in range(d)])
+
+
+def _gram_family(rng, d):
+    """B^t B + diag(1/k) for a random rational B: positive definite."""
+    b = [[Fr(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(d)] for _ in range(d)]
+    return SymForm.from_rows([
+        [sum(b[k][i] * b[k][j] for k in range(d)) + (Fr(1, rng.randint(1, 7)) if i == j else 0)
+         for j in range(d)]
+        for i in range(d)
+    ])
+
+
+def _factor_cases():
+    """(id, form) pairs: positive definite, indefinite and singular forms of
+    d = 1..6, at scales up to 2^+-1100 and heights past 1000 bits."""
+    rng = random.Random("integral factors")
+    cases = [
+        ("d1-one", SymForm.from_rows([[1]])),
+        ("d1-rational", SymForm.from_rows([[Fr(7, 3)]])),
+        ("d1-zero", SymForm.zero(1)),
+        ("d1-negative", SymForm.from_rows([[Fr(-2, 5)]])),
+        ("hyperbolic", SymForm.from_rows([[0, 1], [1, 0]])),
+        ("zero-first-pivot", SymForm.from_rows([[0, 0], [0, 1]])),
+        ("zero-second-pivot", SymForm.from_rows([[1, 1], [1, 1]])),
+        ("zero-middle-pivot", SymForm.from_rows([[2, 2, 1], [2, 2, 3], [1, 3, 5]])),
+        ("negative-last-pivot", SymForm.from_rows([[2, 1, 0], [1, 2, 1], [0, 1, -1]])),
+    ]
+    cases += [(f"all-zero-{d}", SymForm.zero(d)) for d in range(1, 5)]
+    for d in range(1, 7):
+        for t in range(3):
+            pd = _gram_family(rng, d)
+            cases.append((f"pd-{d}-{t}", pd))
+            cases += [(f"pd-{d}-{t}-2^{e}", pd.scale(Fr(2) ** e)) for e in (1100, -1100)]
+            # Entries of about 1100 bits over denominators of about 1100 bits.
+            tall = Fr(rng.getrandbits(1100) | 1, rng.getrandbits(1100) | 1)
+            cases.append((f"pd-{d}-{t}-tall", pd.scale(tall)))
+            # Nearly singular: a rank-1 form plus 2^-300 of the identity.
+            v = [rng.randint(-9, 9) for _ in range(d)]
+            eps = SymForm.identity(d).scale(Fr(1, 2 ** 300))
+            cases.append((f"near-singular-{d}-{t}", SymForm.outer(v).add(eps)))
+            cases.append((f"singular-{d}-{t}", SymForm.outer(v)))
+            # Random symmetric forms: mostly indefinite.
+            cases.append((f"symmetric-{d}-{t}", _symmetric(
+                [[Fr(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(d)] for _ in range(d)])))
+            cases.append((f"indefinite-{d}-{t}", pd.sub(SymForm.identity(d).scale(rng.randint(50, 500)))))
+    return cases
+
+
+FACTOR_CASES = _factor_cases()
+
+
+class TestIntegralFactors:
+    """The integral data of ``ldl`` and ``PQF`` against a Fraction elimination."""
+
+    @pytest.mark.parametrize("form", [c for _, c in FACTOR_CASES], ids=[i for i, _ in FACTOR_CASES])
+    def test_matches_fraction_ldl(self, form):
+        lower, pivots, pd = reference_lll.ldl(form)
+        res = ldl(form)
+        assert (res.lower, res.pivots, res.is_positive_definite) == (lower, pivots, pd)
+        den, rows = form.integer_rows()
+        # The minors are den^k times those of Q, and lam scales L by them.
+        for k, p in enumerate(pivots):
+            assert res.minors[k + 1] == res.minors[k] * den * p
+        for i, row in enumerate(res.lam):
+            assert [Fr(v) for v in row] == [
+                res.minors[j + 1] * lower[i][j] for j in range(len(row))]
+        if not pd:
+            with pytest.raises(ValueError, match="not positive definite"):
+                PQF(form)
+            return
+        q = PQF(form)
+        assert (q.den, q.gram) == (den, rows)
+        assert (q.ldl.minors, q.ldl.lam) == (res.minors, res.lam)
+        det = Fr(1)
+        for p in pivots:
+            det *= p
+        assert q.det() == det
+        assert q.det() == Fr(det_bareiss(rows), den ** form.d)
+
+    def test_keeps_no_fractions(self):
+        """A PQF holds its integer Gram and integral factors only; solve and
+        inverse build L and D from them."""
+        q = PQF.from_rows([[2, 1], [1, 2]])
+        assert not hasattr(q.ldl, "__dict__")
+        assert (q.den, q.gram, q.ldl.minors, q.ldl.lam) == (1, ((2, 1), (1, 2)), (1, 2, 3), ((), (1,)))
+        assert q.solve([3, 3]) == (1, 1)
+        assert q.inverse() == SymForm.from_rows([[Fr(2, 3), Fr(-1, 3)], [Fr(-1, 3), Fr(2, 3)]])
 
 
 class TestInner:
