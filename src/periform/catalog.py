@@ -12,11 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from operator import mul
 from typing import Sequence
 
 from .formats import MAX_DIMENSION, MAX_INDEX, parse_integer
-from .intmat import det_bareiss, row_hnf, transpose
-from .linalg import PQF, RatLike, SymForm, solve_exact
+from .intmat import row_hnf, transpose
+from .linalg import PQF, RatLike, SymForm, echelon, solve_exact
 from .periodic import PeriodicForm
 
 __all__ = [
@@ -268,26 +269,23 @@ def sublattice_representation(q: PQF, h: Sequence[Sequence[int]]) -> PeriodicFor
     h = [list(map(int, row)) for row in h]
     if len(h) != d or any(len(r) != d for r in h):
         raise ValueError("H must be a d x d integer matrix")
-    det = det_bareiss(h)
-    if det == 0:
+    # [H | I] reduces to [D I | D H^-1] with D = +-det H when H is nonsingular.
+    _, pivcols, rows, det = echelon([row + [int(i == j) for j in range(d)]
+                                     for i, row in enumerate(h)])
+    if pivcols[-1] >= d:
         raise ValueError("H is singular")
     if abs(det) > MAX_INDEX:
         raise ValueError(f"the index |det H| is above {MAX_INDEX}")
-    hcols = [tuple(h[i][j] for i in range(d)) for j in range(d)]
-    q_sub = PQF(q.form.congruent(hcols))
+    hcols = transpose(h)
+    q_sub = q.congruent(hcols)
     # Column span of H = row span of H^t; its row HNF is upper triangular,
     # so the cosets of Z^d are the integer boxes under the diagonal.
-    w = row_hnf(transpose(h))
-    if len(w) != d:
-        raise ValueError("H is singular")
-    diag = [w[i][i] for i in range(d)]
-    hmat = [[Fraction(h[i][j]) for j in range(d)] for i in range(d)]
-    tcols = []
-    for rep in product(*(range(di) for di in diag)):
-        if not any(rep):
-            continue
-        sol = solve_exact(hmat, [Fraction(v) for v in rep])
-        tcols.append(sol)
+    w = row_hnf(hcols)
+    tcols = [
+        tuple(Fraction(sum(map(mul, row[d:], rep)), det) for row in rows)
+        for rep in product(*(range(w[i][i]) for i in range(d)))
+        if any(rep)
+    ]
     if len(tcols) != abs(det) - 1:
         raise RuntimeError("the coset count does not match the index")
     return PeriodicForm.make(q_sub, tcols)

@@ -2,7 +2,8 @@
 
 Exit codes: 0 ok (or certified extreme), 1 not extreme (only with
 --strict-exit), 2 parse error, 3 degenerate input (lambda = 0),
-4 inconclusive (only with --strict-exit).
+4 inconclusive (only with --strict-exit), 5 unexpected error (a one-line
+``error:`` message on stderr, no traceback).
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ EXIT_NOT_EXTREME = 1
 EXIT_PARSE = 2
 EXIT_DEGENERATE = 3
 EXIT_INCONCLUSIVE = 4
+EXIT_UNEXPECTED = 5
 
 
 def _read_form(path: str) -> PeriodicForm:
@@ -292,6 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="periform",
         description="Periodic sphere packings: invariants and local-optimality "
         "certificates over exact rationals.",
+        epilog="exit codes: 0 ok or extreme, 1 not extreme (--strict-exit), "
+        "2 parse error, 3 lambda = 0, 4 inconclusive (--strict-exit), "
+        "5 unexpected error",
     )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument(
@@ -349,6 +354,10 @@ def main(argv=None) -> int:
     except OverlapError:
         print("error: lambda = 0 (translates intersect)", file=sys.stderr)
         return EXIT_DEGENERATE
+    except Exception as exc:  # a fault of the program, never a verdict
+        message = " ".join(str(exc).split())
+        print(f"error: unexpected {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_UNEXPECTED
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Exact integer matrix utilities: determinants, Hermite normal form, sublattices.
+"""Exact integer matrix utilities: Hermite normal form and sublattices.
 
 Everything here works on plain nested sequences of Python ints and returns
 tuples, so results are hashable and safe to share between threads.
@@ -14,31 +14,6 @@ IntMatrix = tuple[tuple[int, ...], ...]
 
 def transpose(a: Sequence[Sequence[int]]) -> IntMatrix:
     return tuple(zip(*a))
-
-
-def det_bareiss(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix not square")
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 def row_hnf(rows: Sequence[Sequence[int]]) -> IntMatrix:

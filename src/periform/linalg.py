@@ -9,7 +9,10 @@ off-diagonal contributions.  ``SymForm.integer_rows`` is the one place a
 form's denominators are cleared: LLL, congruences and the Voronoi domain all
 work on the integer Gram den * Q it returns, which a ``PQF`` keeps.  A
 form is factored once, in integers: the leading minors of den * Q and the
-Gram-Schmidt coefficients they make integral (``LDLResult``).
+Gram-Schmidt coefficients they make integral (``LDLResult``).  Every other
+exact elimination over Q (Q^-1, ``solve_exact``, ``rank_complement``) is
+``echelon``, fraction-free Gauss-Jordan on integer rows: no Fraction is
+formed until the result is read.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ __all__ = [
     "inner",
     "rank_span",
     "rank_complement",
+    "echelon",
     "ambient_dim",
     "metric_weights",
     "RANK_PRIME",
@@ -177,18 +181,6 @@ class SymForm:
             for i in range(d)
         )
 
-    def congruent(self, u_cols: Sequence[Sequence[int]]) -> "SymForm":
-        """U^t Q U for an integer matrix U given by columns."""
-        if len(u_cols) == 0 or any(len(c) != self.d for c in u_cols):
-            raise ValueError("column length mismatch")
-        den, q = self.integer_rows()
-        qu = [[sum(map(mul, row, c)) for row in q] for c in u_cols]
-        n = len(u_cols)
-        return SymForm(n, tuple(
-            Fraction(sum(map(mul, u_cols[i], qu[j])), den)
-            for i in range(n) for j in range(i, n)
-        ))
-
 
 @dataclass(frozen=True, slots=True)
 class LDLResult:
@@ -198,8 +190,9 @@ class LDLResult:
     integer Gram den * Q, up to and including the first that is not
     positive; ``lam[k][j]`` = d_{j+1} L_kj is an integer for every column j
     eliminated before that minor.  D_k = d_{k+1} / (d_k den) and
-    L_kj = lam[k][j] / d_{j+1}; ``pivots`` and ``lower`` build these
-    Fractions each time they are read, and a ``PQF`` keeps none of them.
+    L_kj = lam[k][j] / d_{j+1}, but nothing in the package forms these
+    Fractions: LLL and the walks read the integers, and solving with Q goes
+    through ``echelon``.
     """
 
     den: int
@@ -209,21 +202,6 @@ class LDLResult:
     @property
     def is_positive_definite(self) -> bool:
         return len(self.minors) > len(self.lam) and self.minors[-1] > 0
-
-    @property
-    def pivots(self) -> tuple[Fraction, ...]:
-        d = self.minors
-        return tuple(Fraction(d[k + 1], d[k] * self.den) for k in range(len(d) - 1))
-
-    @property
-    def lower(self) -> tuple[tuple[Fraction, ...], ...]:
-        d, n = self.minors, len(self.lam)
-        # Rows past the first minor <= 0 were never reached: no unit diagonal.
-        return tuple(
-            tuple(Fraction(row[j], d[j + 1]) if j < len(row)
-                  else Fraction(int(i == j < len(d) - 1)) for j in range(n))
-            for i, row in enumerate(self.lam)
-        )
 
 
 def _factor(den: int, rows: Sequence[Sequence[int]]) -> LDLResult:
@@ -269,10 +247,11 @@ class PQF:
     """A positive definite quadratic form with its integral Gram-Schmidt data.
 
     ``den`` and ``gram`` are ``SymForm.integer_rows`` of the form, taken
-    once: LLL, the walks and the Voronoi domain read the integer Gram
-    den * Q there.  ``ldl`` factors it once; its positive leading minors are
-    the positive-definiteness check, ``det`` and ``lattices.lll_reduce``
-    read them, and ``solve`` and ``inverse`` build L and D from them.
+    once: LLL, the walks, congruences and the Voronoi domain read the
+    integer Gram den * Q there.  ``ldl`` factors it once; its positive
+    leading minors are the positive-definiteness check, and ``det`` and
+    ``lattices.lll_reduce`` read them.  ``inverse`` is one ``echelon`` of
+    [den * Q | I].
     """
 
     __slots__ = ("form", "den", "gram", "ldl", "_hash")
@@ -312,33 +291,26 @@ class PQF:
     def matvec(self, x: Sequence[RatLike]) -> tuple[Fraction, ...]:
         return self.form.matvec(x)
 
-    def solve(self, b: Sequence[RatLike]) -> tuple[Fraction, ...]:
-        """Solve Q x = b exactly via the LDL factors."""
-        return self._solve([b])[0]
-
     def inverse(self) -> SymForm:
+        """Q^-1 = den adj(G) / det(G) for G = den * Q: the echelon of [G | I]
+        is [det(G) I | adj(G)], G being positive definite."""
         d = self.d
-        cols = self._solve([[int(i == j) for i in range(d)] for j in range(d)])
-        return SymForm.from_rows([[cols[j][i] for j in range(d)] for i in range(d)])
+        _, _, rows, det = echelon([[*g, *(int(i == j) for j in range(d))]
+                                   for i, g in enumerate(self.gram)])
+        return SymForm(d, tuple(Fraction(self.den * rows[i][d + j], det)
+                                for i in range(d) for j in range(i, d)))
 
-    def _solve(self, rhs: Sequence[Sequence[RatLike]]) -> list[tuple[Fraction, ...]]:
-        """x with Q x = b for each b in ``rhs``, from L and D built once."""
-        d, low, piv = self.d, self.ldl.lower, self.ldl.pivots
-        out = []
-        for b in rhs:
-            y = [_frac(v) for v in b]
-            # Forward: L z = b
-            for i in range(d):
-                for j in range(i):
-                    y[i] -= low[i][j] * y[j]
-            for i in range(d):
-                y[i] /= piv[i]
-            # Back: L^t x = z
-            for i in reversed(range(d)):
-                for j in range(i + 1, d):
-                    y[i] -= low[j][i] * y[j]
-            out.append(tuple(y))
-        return out
+    def congruent(self, u_cols: Sequence[Sequence[int]]) -> "PQF":
+        """U^t Q U for an integer matrix U given by columns, from the integer
+        Gram; U must have independent columns."""
+        if len(u_cols) == 0 or any(len(c) != self.d for c in u_cols):
+            raise ValueError("column length mismatch")
+        qu = [[sum(map(mul, row, c)) for row in self.gram] for c in u_cols]
+        n = len(u_cols)
+        return PQF(SymForm(n, tuple(
+            Fraction(sum(map(mul, u_cols[i], qu[j])), self.den)
+            for i in range(n) for j in range(i, n)
+        )))
 
     def scale(self, c: RatLike) -> "PQF":
         cf = _frac(c)
@@ -481,29 +453,38 @@ def metric_weights(d: int, m: int) -> tuple[int, ...]:
     return tri + (2,) * ((m - 1) * d)
 
 
-def _row_echelon(rows: list[list[Fraction]]) -> tuple[int, list[int], list[list[Fraction]]]:
-    """In-place reduced echelon form; returns (rank, pivot columns, matrix)."""
-    if not rows:
-        return 0, [], rows
-    ncols = len(rows[0])
-    rank = 0
+def echelon(rows: Sequence[Sequence[int]]) -> tuple[int, list[int], list[list[int]], int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows (Bareiss 1968).
+
+    Returns (rank, pivot columns, rows, D).  Each column's pivot is the first
+    nonzero entry at or below the current rank.  Every division is exact,
+    since each entry stays a minor of the input.  Every pivot entry ends
+    equal to the common denominator D != 0 (1 at rank 0), every other entry
+    of a pivot column is 0, and the rows past the rank are zero, so
+    rows[:rank] / D is the reduced echelon form of the input.
+    """
+    out = [list(r) for r in rows]
+    ncols = len(out[0]) if out else 0
+    rank, prev = 0, 1
     pivcols: list[int] = []
     for col in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if rank == len(out):
+            break
+        piv = next((r for r in range(rank, len(out)) if out[r][col]), None)
         if piv is None:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = Fraction(1) / rows[rank][col]
-        rows[rank] = [v * inv for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        out[rank], out[piv] = out[piv], out[rank]
+        prow = out[rank]
+        p = prow[col]
+        for r, row in enumerate(out):
+            if r != rank:
+                f = row[col]
+                out[r] = ([(p * a - f * b) // prev for a, b in zip(row, prow)] if f
+                          else [p * a // prev for a in row])
         pivcols.append(col)
+        prev = p
         rank += 1
-        if rank == len(rows):
-            break
-    return rank, pivcols, rows
+    return rank, pivcols, out, prev
 
 
 def int_type(bound: int) -> type:
@@ -602,8 +583,9 @@ def rank_complement(rows: np.ndarray) -> tuple[int, list[list[Fraction]]]:
     space the rank is proved.  Otherwise the reduced echelon form of the
     picked rows gives the complement, and every row is checked exactly
     against it.  A row that fails the check (the prime divided one of its
-    minors) joins the picked rows, raising the rank.  The reduced echelon form of a row space is
-    unique, so the result is the one an echelon over all rows gives.
+    minors) joins the picked rows, raising the rank.  The reduced echelon
+    form of a row space is unique, so the result is the one an echelon over
+    all rows gives.
     """
     ncols = rows.shape[1]
     taken = independent_rows_modp(rows, ncols)
@@ -611,22 +593,23 @@ def rank_complement(rows: np.ndarray) -> tuple[int, list[list[Fraction]]]:
         return ncols, []
     exact = rows.tolist()
     while True:
-        rank, pivcols, ech = _row_echelon([list(map(Fraction, exact[i])) for i in taken])
-        complement = []
+        rank, pivcols, ech, den = echelon([exact[i] for i in taken])
+        # den times each complement vector: den at its free column and minus
+        # the echelon entries of that column at the pivot columns.
+        checks = []
         for fc in (c for c in range(ncols) if c not in pivcols):
-            coords = [Fraction(0)] * ncols
-            coords[fc] = Fraction(1)
+            coords = [0] * ncols
+            coords[fc] = den
             for r, pc in enumerate(pivcols):
                 coords[pc] = -ech[r][fc]
-            complement.append(coords)
-        checks = [integer_row(coords)[1] for coords in complement]
+            checks.append(coords)
         bad = next(
             (i for i, row in enumerate(exact)
              if any(sum(map(mul, row, c)) for c in checks)),
             None,
         )
         if bad is None:
-            return rank, complement
+            return rank, [[Fraction(v, den) for v in c] for c in checks]
         taken.append(bad)
 
 
@@ -654,20 +637,17 @@ def solve_exact(
     """Solve a square or rectangular rational system; None if inconsistent.
 
     For underdetermined systems an arbitrary solution (free vars = 0) comes
-    back, which is all the cone code needs.
+    back, which is all the cone code needs.  Each augmented row is cleared
+    of denominators on its own, which leaves the solutions as they are.
     """
-    nrows = len(matrix)
-    if nrows == 0:
+    if not matrix:
         return ()
     ncols = len(matrix[0])
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    rank, pivcols, aug = _row_echelon(aug)
-    for r in range(rank, nrows):
-        if aug[r][ncols] != 0:
-            return None
+    _, pivcols, rows, den = echelon(
+        [integer_row([*row, b])[1] for row, b in zip(matrix, rhs)])
     if ncols in pivcols:
         return None
     x = [Fraction(0)] * ncols
     for r, pc in enumerate(pivcols):
-        x[pc] = aug[r][ncols]
+        x[pc] = Fraction(rows[r][ncols], den)
     return tuple(x)

@@ -17,9 +17,9 @@ from fractions import Fraction
 from math import floor, lcm
 from typing import Sequence
 
-from periform.intmat import det_bareiss
 from periform.lattices import LLL_DELTA, MAX_PIVOT_SPAN_BITS, _Reduction
-from periform.linalg import PQF, SymForm, _row_echelon
+from periform.linalg import PQF, SymForm
+from reference_linalg import det_bareiss, row_echelon
 
 __all__ = ["Unimodular", "ldl", "lll_reduce", "reduce"]
 
@@ -77,7 +77,7 @@ class Unimodular:
     def inverse(self) -> "Unimodular":
         """U^-1 from the reduced echelon form of [U | I], which is [I | U^-1]."""
         n = self.d
-        _, _, ech = _row_echelon([
+        _, _, ech = row_echelon([
             [Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
             for i, row in enumerate(self.rows)
         ])

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction as Fr
+from itertools import product
 
 import pytest
 
+import reference_linalg
 from helpers import e8_gram
 from periform.catalog import (
     CATALOG_NAMES,
@@ -12,7 +14,7 @@ from periform.catalog import (
     sublattice_representation,
 )
 from periform.certify import NOT_EXTREME, certify, strong_eutaxy
-from periform.intmat import enumerate_sublattice_hnf
+from periform.intmat import enumerate_sublattice_hnf, row_hnf, transpose
 from periform.linalg import PQF, solve_exact
 from periform.lattices import shortest_vectors
 from periform.periodic import PeriodicForm, density, generalized_min
@@ -175,6 +177,35 @@ class TestSublatticeRepresentation:
     def test_singular_rejected(self):
         with pytest.raises(ValueError):
             sublattice_representation(PQF.from_rows([[1, 0], [0, 1]]), [[1, 1], [1, 1]])
+
+    @pytest.mark.parametrize("h", [[[0, 0], [0, 1]], [[0, 1], [0, 2]], [[2, 4], [1, 2]]])
+    def test_singular_shapes_rejected(self, h):
+        with pytest.raises(ValueError, match="H is singular"):
+            sublattice_representation(PQF.from_rows([[1, 0], [0, 1]]), h)
+
+    @pytest.mark.parametrize("name, d", [("A", 2), ("D", 4)])
+    def test_cosets_match_reference(self, name, d):
+        """Every HNF of index <= 4, also with two columns swapped (det < 0):
+        the translates are the cosets solved one by one with the Fraction
+        echelon (as ``PeriodicForm.make`` reduces them), and the form is
+        H^t Q H."""
+        q = get(name, d).form
+        rows = q.form.rows()
+        for index in range(1, 5):
+            for hnf in enumerate_sublattice_hnf(d, index):
+                for h in (hnf, [[r[1], r[0], *r[2:]] for r in hnf]):
+                    assert reference_linalg.det_bareiss(h) == (index if h is hnf else -index)
+                    x = sublattice_representation(q, h)
+                    hmat = [[Fr(v) for v in row] for row in h]
+                    w = row_hnf(transpose(h))
+                    diag = [w[i][i] for i in range(d)]
+                    ref = [reference_linalg.solve_exact(hmat, [Fr(v) for v in rep])
+                           for rep in product(*(range(k) for k in diag)) if any(rep)]
+                    assert x.tcols == PeriodicForm.make(x.q, ref).tcols
+                    assert x.q.form.rows() == tuple(
+                        tuple(sum(h[k][i] * rows[k][l] * h[l][j] for k in range(d) for l in range(d))
+                              for j in range(d))
+                        for i in range(d))
 
     @pytest.mark.parametrize("seed", range(30))
     def test_preserves_min_and_density(self, seed):

@@ -1,3 +1,4 @@
+import random
 import sys
 from fractions import Fraction as Fr
 from types import SimpleNamespace
@@ -96,7 +97,7 @@ class TestVoronoiDomain:
         (PeriodicForm.make(PQF.from_rows([[9]]), [[Fr(1, 3)], [Fr(2, 3)]]), np.int16),
         (PeriodicForm.make(PQF.from_rows([[2, 1], [1, 5]]), [[0, Fr(1, 3)]]), np.int8),
         (PeriodicForm.make(A2.scale(Fr(1, 2 ** 1100)), [[Fr(1, 3), Fr(2, 3)]]), object),
-        (PeriodicForm.lattice(PQF(A2.form.congruent([[1, 0], [2 ** 70, 1]]))), object),
+        (PeriodicForm.lattice(A2.congruent([[1, 0], [2 ** 70, 1]])), object),
         (sublattice_representation(A2, [[2, 0], [1, 2]]), np.int16),
         (fluid_diamond(Fr(1, 4)), np.int8),
         (PeriodicForm.make(A2.scale(2 ** 20), [[Fr(1, 3), Fr(2, 3)]]), np.int32),
@@ -196,7 +197,7 @@ def sheared(q, s):
     """The same lattice in the basis (b_1 + s b_2, b_2, ...)."""
     u = [[int(i == j) for j in range(q.d)] for i in range(q.d)]
     u[0][1] = s
-    return PQF(q.form.congruent(u))
+    return q.congruent(u)
 
 
 class TestOverflowGuard:
@@ -411,7 +412,7 @@ class TestLargeCoordinates:
 
     @pytest.mark.parametrize("k", [33, 70])
     def test_a2_sheared(self, k):
-        q = PQF(A2.form.congruent([[1, 0], [2 ** k, 1]]))
+        q = A2.congruent([[1, 0], [2 ** k, 1]])
         flag, alpha = strong_eutaxy(q)
         assert flag and alpha == Fr(1, 6)
         assert periodic_extreme_by_theorem(q)
@@ -478,7 +479,7 @@ class TestDensityBasisInvariance:
     def test_center_density_under_unimodular_change(self, seed):
         import random
 
-        from periform.intmat import det_bareiss
+        from reference_linalg import det_bareiss
         from periform.periodic import density
 
         rng = random.Random(800 + seed)
@@ -497,7 +498,69 @@ class TestDensityBasisInvariance:
             for k in range(d):
                 u[i][k] += c * u[j][k]
         assert abs(det_bareiss(u)) == 1
-        qu = PQF(q.form.congruent(list(zip(*u))))
+        qu = q.congruent(list(zip(*u)))
         a = density(lattice(q)).center_density_squared
         bb = density(lattice(qu)).center_density_squared
         assert a == bb
+
+
+def _invariance_draw(rng):
+    """A seeded periodic form with d <= 4, m <= 3 and lambda > 0."""
+    while True:
+        d, m = rng.randint(1, 4), rng.randint(1, 3)
+        b = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)]
+        rows = [[sum(b[k][i] * b[k][j] for k in range(d)) + (i == j) for j in range(d)]
+                for i in range(d)]
+        cols = [[Fr(rng.randint(0, 5), rng.randint(1, 6)) for _ in range(d)] for _ in range(m - 1)]
+        x = PeriodicForm.make(PQF.from_rows(rows), cols)
+        if generalized_min(x).lam > 0:
+            return x
+
+
+def _unimodular_pair(rng, d, steps=10):
+    """(U, U^-1) as rows, from random elementary row operations: E U and
+    U^-1 E^-1, with row_i += c row_j as E."""
+    u = [[int(i == j) for j in range(d)] for i in range(d)]
+    uinv = [row[:] for row in u]
+    for _ in range(steps if d > 1 else 0):
+        i, j = rng.sample(range(d), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+        for row in uinv:
+            row[j] -= c * row[i]
+    if d and rng.random() < 0.5:  # a reflection: det U = -1
+        u[0] = [-v for v in u[0]]
+        for row in uinv:
+            row[0] = -row[0]
+    return u, uinv
+
+
+INVARIANCE_FORMS = [_invariance_draw(random.Random(f"invariance {s}")) for s in range(30)] + [
+    PeriodicForm.lattice(A2), PeriodicForm.lattice(Z2), get("Dplus", 3).form,
+    PeriodicForm.lattice(get("D", 4).form)]
+
+
+class TestCertificateInvariance:
+    """A change of basis U (translates mapped by U^-1) describes the same
+    periodic set, so the certificate's verdict, lambda, rank and |Min X|
+    must not change, at any scale of Q."""
+
+    @pytest.mark.parametrize("scale", [0, 300, -300], ids=lambda e: f"2^{e}")
+    @pytest.mark.parametrize("k", range(len(INVARIANCE_FORMS)))
+    def test_unimodular_change(self, k, scale):
+        rng = random.Random(f"change {k}")
+        base = INVARIANCE_FORMS[k]
+        x = PeriodicForm(base.q.scale(Fr(2) ** scale), base.tcols)
+        u, uinv = _unimodular_pair(rng, x.d)
+        assert all(sum(a * b for a, b in zip(r, c)) == int(i == j)
+                   for i, r in enumerate(u) for j, c in enumerate(zip(*uinv)))
+        y = PeriodicForm.make(
+            x.q.congruent(list(zip(*u))),
+            [[sum(a * t for a, t in zip(row, col)) for row in uinv] for col in x.tcols])
+        cx, cy = certify(x), certify(y)
+        assert (cy.verdict, cy.lam, cy.rank) == (cx.verdict, cx.lam, cx.rank)
+        assert len(generalized_min(y).reps) == len(generalized_min(x).reps)
+
+    def test_every_verdict_kind_is_drawn(self):
+        verdicts = {certify(x).verdict for x in INVARIANCE_FORMS}
+        assert {ISOLATED_EXTREME, NOT_EXTREME, INCONCLUSIVE} <= verdicts

@@ -1,8 +1,13 @@
 import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import periform
 from helpers import sized_document
 from periform.catalog import MAX_DIMENSION, MAX_INDEX
 from periform.cli import main
@@ -318,3 +323,36 @@ class TestRepresent:
         assert main(["represent", path, "--H", "1 0; 0 2"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["m"] == 2
+
+
+class TestUnexpectedError:
+    """A fault of the program exits 5 with one ``error:`` line, never with a
+    code that reads as a verdict or a parse error."""
+
+    # Valid input whose reduced LDL pivots span more than 2^52: the float
+    # enumeration refuses it with a ValueError.
+    WIDE = [[1, 0], [0, 2 ** 60]]
+
+    @pytest.mark.parametrize("flags", [[], ["--strict-exit"], ["--json", "--strict-exit"]])
+    @pytest.mark.parametrize("command", ["certify", "min", "improve"])
+    def test_wide_pivots_exit_5(self, tmp_path, capsys, command, flags):
+        path = write_form(tmp_path, self.WIDE)
+        assert main([*flags, command, path]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: unexpected ValueError: ")
+        assert err.count("\n") == 1
+
+    def test_exit_5_without_traceback(self, tmp_path):
+        path = write_form(tmp_path, self.WIDE)
+        env = dict(os.environ, PYTHONPATH=str(Path(periform.__file__).resolve().parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-m", "periform.cli", "--strict-exit", "certify", path],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 5
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+    def test_help_lists_exit_5(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert "5 unexpected error" in " ".join(capsys.readouterr().out.split())

@@ -1,4 +1,5 @@
-"""Each demo script runs to completion against the package in ``src``."""
+"""Each demo script runs to completion against the package in ``src`` and
+prints exactly its recorded output, ``demo_output/<script>.txt``."""
 
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = Path(__file__).resolve().parent / "demo_output"
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
@@ -19,5 +21,8 @@ def test_demo_runs(script):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    if script.name == "04_improvement.py":
-        assert "final verdict: IsolatedExtreme" in proc.stdout.splitlines()
+    assert proc.stdout == (GOLDEN / f"{script.stem}.txt").read_text(encoding="utf-8")
+
+
+def test_every_golden_has_a_demo():
+    assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == [p.stem for p in DEMOS]

@@ -10,12 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import periform.intmat as intmat
 import periform.lattices as lattices
 import periform.linalg as linalg
 import reference_lll
+from reference_linalg import det_bareiss
 from periform.catalog import get, sublattice_representation
-from periform.intmat import det_bareiss
 from periform.linalg import PQF, SymForm
 from periform.lattices import (
     closest_vectors,
@@ -121,7 +120,7 @@ class TestLll:
         q = random_pd_gram(rng, d)
         qred, u, _ = lll_reduce(q)
         # Qred = U^t Q U exactly, hence same determinant.
-        assert qred.form == q.form.congruent(list(zip(*u)))
+        assert qred == q.congruent(list(zip(*u)))
         assert qred.det() == q.det()
         # Size reduction + Lovasz, checked on freshly recomputed GSO data.
         g = qred.form
@@ -229,33 +228,22 @@ class TestMatchesReference:
 
 
 def test_reduce_factors_nothing(monkeypatch):
-    """A fresh reduction factors no form, eliminates nothing and takes no
-    determinant, and builds no Fraction of L or D: the reduced form comes
-    back with the integral Gram-Schmidt data the LLL loop kept."""
+    """A fresh reduction factors no form and eliminates nothing: the reduced
+    form comes back with the integral Gram-Schmidt data the LLL loop kept."""
     q = random_pd_gram(random.Random(5), 6)
-    calls = {"ldl": 0, "_factor": 0, "_row_echelon": 0, "det_bareiss": 0}
+    calls = {"ldl": 0, "_factor": 0, "echelon": 0}
     for name in calls:
-        real = getattr(intmat if name == "det_bareiss" else linalg, name)
+        real = getattr(linalg, name)
 
         def counting(*args, _real=real, _name=name):
             calls[_name] += 1
             return _real(*args)
 
-        for mod in (intmat, linalg, lattices):
+        for mod in (linalg, lattices):
             if getattr(mod, name, None) is real:
                 monkeypatch.setattr(mod, name, counting)
-    for name in ("lower", "pivots"):  # the Fractions of L and D
-        real = getattr(linalg.LDLResult, name)
-
-        def counting_read(res, _real=real, _name=name):
-            calls[_name] += 1
-            return _real.fget(res)
-
-        calls[name] = 0
-        monkeypatch.setattr(linalg.LDLResult, name, property(counting_read))
     red = lattices._reduce.__wrapped__(q)
-    assert calls == {"ldl": 0, "_factor": 0, "_row_echelon": 0, "det_bareiss": 0,
-                     "lower": 0, "pivots": 0}
+    assert calls == {"ldl": 0, "_factor": 0, "echelon": 0}
     qred, _, _ = lll_reduce(q)
     # What the loop kept is the reduced form's own factorisation.
     assert (qred.den, qred.gram) == qred.form.integer_rows()
@@ -305,7 +293,7 @@ class TestShortestVectors:
         d = rng.randint(2, 5)
         q = random_pd_gram(rng, d, spread=2)
         u = random_unimodular(rng, d)
-        qu = PQF(q.form.congruent(list(zip(*u))))
+        qu = q.congruent(list(zip(*u)))
         res, resu = shortest_vectors(q), shortest_vectors(qu)
         assert res.min == resu.min
         # Vector sets correspond under U (up to the sign canonicalization).

@@ -8,31 +8,35 @@ from pathlib import Path
 import pytest
 
 import periform
+import reference_linalg
 import reference_lll
-from periform.intmat import det_bareiss
+from periform.catalog import get
 from periform.linalg import (
     PQF,
     RANK_PRIME,
     SymForm,
     TangentVector,
-    _row_echelon,
     ambient_dim,
+    echelon,
     inner,
     ldl,
     rank_span,
     solve_exact,
 )
+from reference_linalg import det_bareiss, lower, pivots, row_echelon
 
 
 def reconstruct(res, d):
-    """L D L^t from an LDLResult, as full rational rows."""
+    """L D L^t from an LDLResult, as full rational rows, with L and D built
+    from its (minors, lam)."""
+    low, piv = lower(res), pivots(res)
     rows = [[Fr(0)] * d for _ in range(d)]
     for i in range(d):
         for j in range(d):
             acc = Fr(0)
             for k in range(min(i, j) + 1):
-                if k < len(res.pivots):
-                    acc += res.lower[i][k] * res.pivots[k] * res.lower[j][k]
+                if k < len(piv):
+                    acc += low[i][k] * piv[k] * low[j][k]
             rows[i][j] = acc
     return tuple(tuple(r) for r in rows)
 
@@ -41,20 +45,20 @@ class TestLdl:
     def test_identity(self):
         res = ldl(SymForm.identity(2))
         assert res.is_positive_definite
-        assert res.pivots == (Fr(1), Fr(1))
-        assert res.lower == ((Fr(1), Fr(0)), (Fr(0), Fr(1)))
+        assert pivots(res) == (Fr(1), Fr(1))
+        assert lower(res) == ((Fr(1), Fr(0)), (Fr(0), Fr(1)))
 
     def test_hexagonal_gram(self):
         # One step of hand elimination on [[2,1],[1,2]]: pivots 2, 3/2.
         res = ldl(SymForm.from_rows([[2, 1], [1, 2]]))
         assert res.is_positive_definite
-        assert res.pivots == (Fr(2), Fr(3, 2))
+        assert pivots(res) == (Fr(2), Fr(3, 2))
 
     def test_indefinite(self):
         # [[1,2],[2,1]]: second pivot 1 - 4 = -3.
         res = ldl(SymForm.from_rows([[1, 2], [2, 1]]))
         assert not res.is_positive_definite
-        assert res.pivots == (Fr(1), Fr(-3))
+        assert pivots(res) == (Fr(1), Fr(-3))
 
     def test_zero_pivot_with_pivoting(self):
         # A zero pivot already means not positive definite.
@@ -81,7 +85,7 @@ class TestLdl:
         q = SymForm.from_rows(rows)
         res = ldl(q)
         assert res.is_positive_definite
-        assert all(p > 0 for p in res.pivots)
+        assert all(p > 0 for p in pivots(res))
         assert reconstruct(res, d) == q.rows()
 
 
@@ -181,16 +185,16 @@ class TestIntegralFactors:
 
     @pytest.mark.parametrize("form", [c for _, c in FACTOR_CASES], ids=[i for i, _ in FACTOR_CASES])
     def test_matches_fraction_ldl(self, form):
-        lower, pivots, pd = reference_lll.ldl(form)
+        low, piv, pd = reference_lll.ldl(form)
         res = ldl(form)
-        assert (res.lower, res.pivots, res.is_positive_definite) == (lower, pivots, pd)
+        assert (lower(res), pivots(res), res.is_positive_definite) == (low, piv, pd)
         den, rows = form.integer_rows()
         # The minors are den^k times those of Q, and lam scales L by them.
-        for k, p in enumerate(pivots):
+        for k, p in enumerate(piv):
             assert res.minors[k + 1] == res.minors[k] * den * p
         for i, row in enumerate(res.lam):
             assert [Fr(v) for v in row] == [
-                res.minors[j + 1] * lower[i][j] for j in range(len(row))]
+                res.minors[j + 1] * low[i][j] for j in range(len(row))]
         if not pd:
             with pytest.raises(ValueError, match="not positive definite"):
                 PQF(form)
@@ -199,18 +203,18 @@ class TestIntegralFactors:
         assert (q.den, q.gram) == (den, rows)
         assert (q.ldl.minors, q.ldl.lam) == (res.minors, res.lam)
         det = Fr(1)
-        for p in pivots:
+        for p in piv:
             det *= p
         assert q.det() == det
         assert q.det() == Fr(det_bareiss(rows), den ** form.d)
+        assert q.inverse() == reference_linalg.inverse(q)
 
     def test_keeps_no_fractions(self):
-        """A PQF holds its integer Gram and integral factors only; solve and
-        inverse build L and D from them."""
+        """A PQF holds its integer Gram and integral factors only; inverse
+        eliminates on the integer Gram."""
         q = PQF.from_rows([[2, 1], [1, 2]])
         assert not hasattr(q.ldl, "__dict__")
         assert (q.den, q.gram, q.ldl.minors, q.ldl.lam) == (1, ((2, 1), (1, 2)), (1, 2, 3), ((), (1,)))
-        assert q.solve([3, 3]) == (1, 1)
         assert q.inverse() == SymForm.from_rows([[Fr(2, 3), Fr(-1, 3)], [Fr(-1, 3), Fr(2, 3)]])
 
 
@@ -316,7 +320,7 @@ def reference_rank_span(vectors):
     """rank_span by a reduced echelon over every row, exactly as before the
     modular row selection."""
     d, m = vectors[0].d, vectors[0].m
-    rank, pivcols, rows = _row_echelon([list(v.flatten(weighted=True)) for v in vectors])
+    rank, pivcols, rows = row_echelon([list(v.flatten(weighted=True)) for v in vectors])
     ncols = ambient_dim(d, m)
     basis = []
     for fc in (c for c in range(ncols) if c not in pivcols):
@@ -406,3 +410,144 @@ class TestSolveExact:
     def test_inconsistent(self):
         sol = solve_exact([[Fr(1), Fr(1)], [Fr(2), Fr(2)]], [Fr(1), Fr(3)])
         assert sol is None
+
+
+def _echelon_cases():
+    """(id, integer rows): empty and zero input, duplicates, both rectangular
+    shapes, rank-deficient rows, 1100-bit entries and a 2^1100 scale."""
+    rng = random.Random("echelon")
+    cases = [
+        ("empty", []),
+        ("no-columns", [[]]),
+        ("one-zero", [[0]]),
+        ("zero-rows", [[0, 0, 0], [0, 0, 0]]),
+        ("zero-row-first", [[0, 0, 0], [0, 2, 1], [3, 0, 1]]),
+        ("duplicates", [[1, 2, 3], [1, 2, 3], [2, 4, 6]]),
+        ("swap-needed", [[0, 1], [1, 0]]),
+        ("skipped-column", [[0, 1, 2], [0, 3, 4], [0, 5, 7]]),
+    ]
+    for t in range(60):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        top = rng.choice([1, 3, 9])
+        span = [[rng.randint(-top, top) for _ in range(ncols)] for _ in range(rng.randint(1, nrows))]
+        rows = []
+        for _ in range(nrows):
+            kind = rng.random()
+            if kind < 0.1:
+                rows.append([0] * ncols)
+            elif kind < 0.2 and rows:
+                rows.append(list(rng.choice(rows)))
+            else:
+                coefs = [rng.randint(-3, 3) for _ in span]
+                rows.append([sum(c * s[k] for c, s in zip(coefs, span)) for k in range(ncols)])
+        cases.append((f"random-{nrows}x{ncols}-{t}", rows))
+        if t % 4 == 0:
+            cases.append((f"random-{nrows}x{ncols}-{t}-2^1100", [[v << 1100 for v in r] for r in rows]))
+            cases.append((f"random-{nrows}x{ncols}-{t}-tall", [
+                [v * (rng.getrandbits(1100) | 1) + rng.getrandbits(1100) * rng.randint(-1, 1) for v in r]
+                for r in rows]))
+    return cases
+
+
+ECHELON_CASES = _echelon_cases()
+
+
+class TestEchelon:
+    """``echelon`` against the Fraction reduced echelon form it replaced."""
+
+    @pytest.mark.parametrize("rows", [c for _, c in ECHELON_CASES], ids=[i for i, _ in ECHELON_CASES])
+    def test_matches_fraction_echelon(self, rows):
+        before = [list(r) for r in rows]
+        rank, pivcols, out, den = echelon(rows)
+        assert rows == before
+        ref_rank, ref_pivcols, ref = row_echelon([[Fr(v) for v in r] for r in rows])
+        assert (rank, pivcols) == (ref_rank, ref_pivcols)
+        assert den != 0 and all(out[r][c] == den for r, c in enumerate(pivcols))
+        assert [[Fr(v, den) for v in r] for r in out[:rank]] == ref[:rank]
+        assert not any(any(r) for r in out[rank:])
+
+    def test_denominator_is_the_determinant(self):
+        # [A | I] -> [D I | D A^-1], D = det A up to the sign of the row swaps.
+        rng = random.Random(31)
+        for _ in range(20):
+            n = rng.randint(1, 6)
+            a = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+            rank, pivcols, out, den = echelon([r + [int(i == j) for j in range(n)] for i, r in enumerate(a)])
+            det = det_bareiss(a)
+            assert rank == n
+            assert (pivcols == list(range(n))) == (det != 0)
+            if det:
+                assert abs(den) == abs(det)
+
+
+def _system_cases():
+    """(id, matrix, rhs) of rational systems: square, wide, tall, singular
+    consistent and inconsistent, at scales 2^+-1100 and 1100-bit heights."""
+    rng = random.Random("solve_exact")
+    cases = [
+        ("empty", [], []),
+        ("no-columns-zero", [[]], [Fr(0)]),
+        ("no-columns-inconsistent", [[]], [Fr(1)]),
+        ("zero-matrix", [[Fr(0), Fr(0)], [Fr(0), Fr(0)]], [Fr(0), Fr(0)]),
+        ("zero-matrix-inconsistent", [[Fr(0), Fr(0)], [Fr(0), Fr(0)]], [Fr(0), Fr(1)]),
+    ]
+    for t in range(80):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        rat = lambda: Fr(rng.randint(-7, 7), rng.randint(1, 5))
+        matrix = [[rat() for _ in range(ncols)] for _ in range(nrows)]
+        x = [rat() for _ in range(ncols)]
+        rhs = [sum(a * b for a, b in zip(row, x)) for row in matrix]
+        if nrows > 1 and t % 3 == 0:
+            # A repeated row makes the system singular; a changed right-hand
+            # side on it makes it inconsistent.
+            matrix[-1] = [2 * v for v in matrix[0]]
+            rhs[-1] = 2 * rhs[0] + (t % 2)
+        if t % 5 == 0:
+            rhs = [rat() for _ in range(nrows)]
+        cases.append((f"random-{nrows}x{ncols}-{t}", matrix, rhs))
+        if t % 4 == 0:
+            for e in (1100, -1100):
+                c = Fr(2) ** e
+                cases.append((f"random-{nrows}x{ncols}-{t}-2^{e}",
+                              [[c * v for v in r] for r in matrix], rhs))
+            tall = Fr(rng.getrandbits(1100) | 1, rng.getrandbits(1100) | 1)
+            cases.append((f"random-{nrows}x{ncols}-{t}-tall",
+                          [[v * tall + Fr(rng.getrandbits(1100)) for v in r] for r in matrix],
+                          [v * tall for v in rhs]))
+    return cases
+
+
+SYSTEM_CASES = _system_cases()
+
+
+class TestSolveExactReference:
+    @pytest.mark.parametrize(
+        "matrix, rhs", [c[1:] for c in SYSTEM_CASES], ids=[c[0] for c in SYSTEM_CASES])
+    def test_matches_fraction_solve(self, matrix, rhs):
+        sol = solve_exact(matrix, rhs)
+        assert sol == reference_linalg.solve_exact(matrix, rhs)
+        if sol is not None:
+            assert all(sum(a * b for a, b in zip(row, sol)) == v for row, v in zip(matrix, rhs))
+
+    def test_some_cases_are_inconsistent(self):
+        outcomes = {reference_linalg.solve_exact(m, b) is None for _, m, b in SYSTEM_CASES}
+        assert outcomes == {True, False}
+
+
+CATALOG_FORMS = [("Zd", d) for d in range(1, 5)] + [("A", d) for d in range(1, 7)] + [
+    ("D", d) for d in range(3, 7)] + [("Dplus", 3), ("Dplus", 5), ("Dplus", 10, "lattice"), ("E6",), ("E7",),
+                                      ("E8",), ("K12",), ("Leech",), ("Lambda9",)]
+
+
+class TestInverseReference:
+    @pytest.mark.parametrize("params", CATALOG_FORMS, ids=lambda p: " ".join(map(str, p)))
+    def test_catalog(self, params):
+        form = get(*params).form
+        q = form if isinstance(form, PQF) else form.q
+        assert q.inverse() == reference_linalg.inverse(q)
+
+    @pytest.mark.parametrize("case", [c for c in FACTOR_CASES if ldl(c[1]).is_positive_definite],
+                             ids=lambda c: c[0])
+    def test_random_pd(self, case):
+        q = PQF(case[1])
+        assert q.inverse() == reference_linalg.inverse(q)
