@@ -31,7 +31,6 @@ from .certify import (
     eutaxy_status,
     floating_components,
     improving_direction,
-    is_m_perfect,
     periodic_extreme_by_theorem,
     strong_eutaxy,
     translational_criterion,
@@ -111,7 +110,6 @@ __all__ = [
     "improve",
     "improving_direction",
     "inner",
-    "is_m_perfect",
     "ldl",
     "lll_reduce",
     "loads",

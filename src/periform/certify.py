@@ -6,12 +6,14 @@ fact about X that the later stages read: Min X, the generalized Voronoi
 domain (conic hull of the active constraint gradients) with its rank and
 nullspace, and the determinant gradient (Q^{-1}, 0).  Each stage then takes
 only what it needs: ``eutaxy_status(domain)`` places the target in the
-domain, ``uncertainty_space(domain, status)`` gives the directions where
-first-order analysis is silent, and ``translational_criterion(basis,
-blocks)`` may still certify them; ``certify`` chains the stages.  Every
-verdict ships exact rational witnesses that third parties can re-verify
-without re-solving anything: NotExtreme carries the separator, checked by
-dot products, and ``improvement_step`` searches for a step along it.
+domain with one exact solver, the nearest-point projection of ``cones``
+(membership, then face descent), ``uncertainty_space(domain, status)``
+gives the directions where first-order analysis is silent, and
+``translational_criterion(basis, blocks)`` may still certify them;
+``certify`` chains the stages.  Every verdict ships exact rational
+witnesses that third parties can re-verify without re-solving anything:
+NotExtreme carries the separator, checked by dot products, and
+``improvement_step`` searches for a step along it.
 
 The package binds ``periform.certify`` to the function ``certify``; the
 names of this module are imported with ``from periform.certify import ...``.
@@ -21,13 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 from typing import Sequence
 
 import numpy as np
 
-from .cones import FloatImage, project_to_cone
+from .cones import FloatImage, minimal_face, project_to_cone
 from .linalg import (
     PQF,
     TangentVector,
@@ -47,7 +49,6 @@ from .periodic import (
     density,
     generalized_min,
 )
-from .simplex import OPTIMAL, solve_lp
 
 __all__ = [
     "VoronoiDomain",
@@ -57,7 +58,6 @@ __all__ = [
     "BOUNDARY",
     "OUTSIDE",
     "voronoi_domain",
-    "is_m_perfect",
     "eutaxy_status",
     "strong_eutaxy",
     "improving_direction",
@@ -68,11 +68,6 @@ __all__ = [
     "improvement_step",
     "periodic_extreme_by_theorem",
 ]
-
-# Relative float nnls residual above which the target is taken to be outside
-# the cone and sent straight to the exact projection; it only decides whether
-# the float relative-interior solve is tried, never a verdict.
-_TRIAGE_RESIDUAL = 1e-6
 
 INTERIOR = "interior"
 BOUNDARY = "boundary"
@@ -225,12 +220,6 @@ def voronoi_domain(x: PeriodicForm) -> VoronoiDomain:
     )
 
 
-def is_m_perfect(x: PeriodicForm) -> tuple[bool, int, int]:
-    """(perfect, rank, ambient): is the Voronoi domain full-dimensional?"""
-    dom = voronoi_domain(x)
-    return dom.is_full_dimensional, dom.rank, dom.ambient
-
-
 def strong_eutaxy(q: PQF) -> tuple[bool, Fraction | None]:
     """Is Q^{-1} = alpha * sum over the full Min Q (both signs) of x x^t?
 
@@ -284,97 +273,41 @@ def _is_separator(matrix: np.ndarray, target: TangentVector, s: TangentVector) -
     return inner(target, s) < 0 and all(sum(map(mul, row, plain)) >= 0 for row in matrix.tolist())
 
 
-def _positive_support(
-    matrix: np.ndarray, den: int, target: TangentVector
-) -> tuple[Fraction, ...]:
-    """x >= 0 of largest support with sum_k x_k g_k = x_n target, n = len(matrix).
-
-    One LP over the columns v = gens + [-target] (Freund, Roundy & Todd,
-    1985): maximize sum z s.t. sum_k (z + s)_k v_k = 0, z <= 1, z, s >= 0.
-    Scaling up a solution shows that at every optimum z_k = 1 exactly on the
-    columns positive in some solution of sum x_k v_k = 0, x >= 0, and 0
-    elsewhere, so x = z + s has the largest support there is.  Each column
-    enters as the primitive integer vector on its ray in plain coordinates,
-    which changes no support and keeps the tableau entries small; x is
-    scaled back.
-    """
-    # (u, f): the integer vector u = f * v on the ray of each column v.
-    tden, goal = integer_row(target.flatten())
-    metric = metric_weights(target.d, target.m)
-    rays = [([w * v for w, v in zip(metric, row)], 2 * den) for row in matrix.tolist()]
-    rays.append(([-v for v in goal], tden))
-    cols, scales = [], []
-    for u, f in rays:
-        g = gcd(*u) or 1
-        cols.append([v // g for v in u])
-        scales.append(Fraction(f, g))
-    k = len(cols)
-    zero, one = Fraction(0), Fraction(1)
-    rows = [list(coords) * 2 + [zero] * k for coords in zip(*cols)]
-    for j in range(k):  # z_j + w_j = 1
-        cap = [zero] * (3 * k)
-        cap[j] = cap[2 * k + j] = one
-        rows.append(cap)
-    rhs = [zero] * (len(rows) - k) + [one] * k
-    res = solve_lp(rows, rhs, [-one] * k + [zero] * (2 * k))
-    if res.status != OPTIMAL:
-        raise RuntimeError("the support LP has no optimum")
-    return tuple(
-        f * (z + s) for f, z, s in zip(scales, res.x[:k], res.x[k : 2 * k])
-    )
-
-
 def _classify(matrix: np.ndarray, den: int, target: TangentVector) -> EutaxyStatus:
-    """Steps 2 and 3 of ``eutaxy_status`` for any target and rows matrix / den."""
-    image = FloatImage(matrix, den, target.flatten(weighted=True))
-    residual, support = image.residual()
-    if residual <= _TRIAGE_RESIDUAL:
-        alpha = image.positive_combination()
-        if alpha is not None and _is_witness(matrix, den, alpha, target):
-            return EutaxyStatus(INTERIOR, witness=alpha)
-    return _exact_status(matrix, den, target, support)
-
-
-def _exact_status(
-    matrix: np.ndarray, den: int, target: TangentVector, warm: Sequence[int]
-) -> EutaxyStatus:
-    """Membership by the exact projection, then one support LP for members."""
+    """Steps 2 to 4 of ``eutaxy_status`` for any target and rows matrix / den."""
+    goal = target.flatten(weighted=True)
     metric = metric_weights(target.d, target.m)
-    residual = project_to_cone(
-        matrix, den, target.flatten(weighted=True), metric, warm
-    ).residual
-    if any(residual):
+    warm = FloatImage(matrix, den).support(goal)
+    proj = project_to_cone(matrix, den, goal, metric, warm)
+    if any(proj.residual):
         # The plain coordinates of the residual are w_i r_i / 2.
-        plain = [w * r / 2 for w, r in zip(metric, residual)]
+        plain = [w * r / 2 for w, r in zip(metric, proj.residual)]
         n = TangentVector.unflatten(plain, target.d, target.m)
         if not _is_separator(matrix, target, n):
             raise RuntimeError("the cone projection gave no separator")
         return EutaxyStatus(OUTSIDE, separator=n)
-    x = _positive_support(matrix, den, target)
-    if all(x):
-        alpha = tuple(v / x[-1] for v in x[:-1])
-        if not _is_witness(matrix, den, alpha, target):
-            raise RuntimeError("the support LP gave no witness")
-        return EutaxyStatus(INTERIOR, witness=alpha)
-    return EutaxyStatus(BOUNDARY, face=tuple(k for k, v in enumerate(x[:-1]) if v))
+    face, alpha = minimal_face(matrix, den, goal, proj.coeffs)
+    if alpha is None:
+        return EutaxyStatus(BOUNDARY, face=face)
+    if not _is_witness(matrix, den, alpha, target):
+        raise RuntimeError("face descent gave no witness")
+    return EutaxyStatus(INTERIOR, witness=alpha)
 
 
 def eutaxy_status(domain: VoronoiDomain) -> EutaxyStatus:
     """Classify the target (Q^{-1}, 0) against the Voronoi domain, exactly.
 
-    Three steps; each returns only a certificate checked in exact arithmetic
-    or hands over to the next:
+    One exact solver, the nearest-point projection, answers every question;
+    each answer is a certificate checked in exact arithmetic:
 
     1. a uniform-coefficient shortcut catches the strongly eutactic shape;
-    2. float triage: a float nnls of the target onto the cone.  Unless its
-       residual is clearly nonzero, a float solve of the relative-interior
-       LP, repaired exactly, proposes a strictly positive witness (interior);
-    3. the exact path, for whatever step 2 did not verify (the outside, the
-       boundary, tiny margins): the exact nearest-point projection decides
-       membership, and its nonzero residual is the separator (outside).  For
-       a member, one exact LP finds the largest support of a nonnegative
-       combination of the generators and -target that sums to zero: all of
-       it gives a witness (interior), and its generators are F(X) otherwise.
+    2. a float nnls of the target onto the cone proposes the active set;
+    3. the exact projection, warm-started there, decides membership, and its
+       nonzero residual is the separator (outside);
+    4. for a member, face descent (``cones.minimal_face``) finds the
+       generators that carry weight in some representation of the target:
+       all of them come with a strictly positive witness (interior), and
+       otherwise they are F(X) (boundary).
 
     The relative-interior test rests on the standard fact that relint of a
     finitely generated cone is the set of strictly positive combinations of

@@ -1,4 +1,4 @@
-"""Cones spanned by integer rows, exactly: nearest points and positive combinations.
+"""Cones spanned by integer rows, exactly: nearest points and minimal faces.
 
 A cone is given by the rows of an integer matrix over one common denominator
 ``den`` (of any type ``linalg.int_type`` names), and a target by its
@@ -7,33 +7,30 @@ exact sum of products is taken in Python ints.
 
 ``project_to_cone`` is a Lawson-Hanson style nonnegative least squares
 active-set iteration in exact rationals, warm-started from the positive
-columns of a float nnls.  ``FloatImage`` holds an equilibrated float copy of
-a cone and a target: its nnls residual tells whether the target is clearly
-outside, and its ``positive_combination`` proposes strictly positive weights
-for a target in the relative interior: scipy's HiGHS solves the
-relative-interior LP in floating point, and the weights are then rounded and
-repaired in exact arithmetic on an independent set of rows (Applegate, Cook,
-Dash & Espinoza, *Exact solutions to linear programming problems*, 2007).
-Floats only steer: every number returned is exact, and the caller verifies
-whatever it certifies.  scipy.optimize is imported on first use, because
-importing it costs more than most certificates.
+columns of a float nnls (``FloatImage.support``).  It answers every cone
+question there is: its residual decides membership and is the separator of
+a target outside, and ``minimal_face`` runs it on a few related targets to
+find the minimal face that holds a member, with strictly positive weights
+when that face is the whole cone.  Floats only steer: every number returned
+is exact, and the caller verifies whatever it certifies.  scipy.optimize is
+imported on first use, because importing it costs more than most
+certificates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from operator import mul
 from typing import Sequence
 
 import numpy as np
 
-from .linalg import independent_rows_modp, integer_row, log2_magnitude, solve_exact
+from .linalg import int_matrix, integer_row, log2_magnitude, solve_exact
 
-__all__ = ["ConeProjection", "project_to_cone", "FloatImage"]
+__all__ = ["ConeProjection", "project_to_cone", "minimal_face", "FloatImage"]
 
-_RELINT_MARGIN = 1e-9  # smaller float margins are left to the exact simplex
-_DYADIC_BITS = 40  # non-basic float weights are rounded to multiples of 2^-40
 _SUPPORT_WEIGHT = 1e-12  # float nnls weights above this make the warm start
 
 
@@ -54,13 +51,16 @@ def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(map(mul, a, b))
 
 
+def _primitive(rows: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """(g, p): p[k] = rows[k] / g[k], the primitive integer vector on the ray
+    of each nonzero row (g[k] = 1 for a zero row)."""
+    gcds = [gcd(*row) or 1 for row in rows]
+    return gcds, [[v // g for v in row] for row, g in zip(rows, gcds)]
+
+
 def _scaled_float(n: int, d: int, k: int) -> float:
     """float(n / d * 2^k), correctly rounded, with no out-of-range float on the way."""
     return (n << k) / d if k >= 0 else n / (d << -k)
-
-
-def _pow2(k: int) -> Fraction:
-    return Fraction(1 << k) if k >= 0 else Fraction(1, 1 << -k)
 
 
 def project_to_cone(
@@ -77,11 +77,13 @@ def project_to_cone(
     satisfies, verified exactly before returning: <row, residual> >= 0 for
     every row and <point, residual> = 0.
 
-    With goal = b / gscale for integers b, the normal equations on an active
-    set A, multiplied by 2 den^2, read sum_j beta_j <r_i, r_j> = <r_i, b> in
-    the integer rows r and the doubled metric, for beta = coeffs * gscale / den.
+    Each row enters as the primitive integer vector r_k = row_k / g_k on its
+    ray, which moves neither the point nor the residual.  With goal = b /
+    gscale for integers b, the normal equations on an active set read sum_j
+    beta_j <r_i, r_j> = <r_i, b> in the doubled metric, for beta_k = coeffs_k
+    g_k gscale / den.
     """
-    rows = matrix.tolist()
+    gcds, rows = _primitive(matrix.tolist())
     n = len(rows)
     if not n:
         raise ValueError("cone needs at least one generator")
@@ -173,110 +175,107 @@ def project_to_cone(
     factor = Fraction(den, gscale)
     return ConeProjection(
         tuple(Fraction(v, scale) for v in p),
-        tuple(factor * alpha.get(i, 0) for i in range(n)),
+        tuple(factor / g * alpha.get(i, 0) for i, g in enumerate(gcds)),
         tuple(Fraction(v, scale) for v in res),
     )
 
 
+def minimal_face(
+    matrix: np.ndarray, den: int, goal: Sequence[Fraction], coeffs: Sequence[Fraction]
+) -> tuple[tuple[int, ...], tuple[Fraction, ...] | None]:
+    """(F, alpha): the rows that carry weight in some nonnegative combination
+    equal to ``goal``, and, when F is every row, weights alpha > 0 with
+    sum_k alpha_k row_k / den = goal (None otherwise).
+
+    ``coeffs`` >= 0 reproduce the goal: they are the coefficients of a
+    ``project_to_cone`` of the goal with zero residual.  Face descent runs on
+    C' = cone(rows, -goal), each ray scaled to the primitive integer vector
+    r_k on it, so that r_n is on -goal.  For T = every row, project
+    -sum_{k in T} r_k onto C'.  A nonzero residual y has <y, r> >= 0 on every
+    ray, hence <y, goal> = 0 and y vanishes on F; and <y, y> = sum_{k in T}
+    <y, r_k>, so y is positive on some r_k of T, which are off F and leave T.
+    A zero residual reads -sum_T r_k = sum_k c_k r_k + mu r_n: for mu > 0,
+    (1 + c_k) / mu weighs r_k in a combination equal to -r_n, and for mu = 0
+    adding 1 + c to ``coeffs`` keeps the goal; either way T = F, after at most
+    1 + |off F| projections, each warm-started by a float nnls of its own.
+
+    Neither F nor the weights depend on the inner product or on a scaling of
+    the coordinates: the projections take the plain dot product, after each
+    coordinate is scaled by a power of two up to the bit length of the
+    largest, so a form rescaled by a power of two gives the same problem.
+    """
+    n, dim = matrix.shape
+    scale, b = integer_row(goal)
+    rays = matrix.tolist() + [[-v for v in b]]
+    bits = [max(abs(ray[i]) for ray in rays).bit_length() for i in range(dim)]
+    shifts = [max(bits) - e for e in bits]
+    gcds, prim = _primitive([[v << k for v, k in zip(ray, shifts)] for ray in rays])
+    cone, metric = int_matrix(prim), (1,) * dim
+    image = FloatImage(cone, 1)
+    face = list(range(n))
+    while True:
+        target = [-sum(prim[k][i] for k in face) for i in range(dim)]
+        proj = project_to_cone(cone, 1, target, metric, image.support(target))
+        if not any(proj.residual):
+            break
+        y = integer_row(proj.residual)[1]
+        off = {k for k in face if _dot(y, prim[k]) > 0}
+        if not off:  # cannot happen: <y, y> > 0 is a sum over T
+            raise RuntimeError("face descent dropped no generator")
+        face = [k for k in face if k not in off]
+    if len(face) < n:
+        return tuple(face), None
+    c, mu = proj.coeffs[:n], proj.coeffs[n]
+    # Weight w on r_k is weight w den / gcds[k] on row k / den, and -r_n is
+    # goal * scale / gcds[n] in the scaled coordinates.
+    base, f = ((0,) * n, Fraction(gcds[n], scale) / mu) if mu else (coeffs, 1)
+    return tuple(face), tuple(a + (1 + ck) * f * den / g for a, ck, g in zip(base, c, gcds))
+
+
 class FloatImage:
-    """Rows and target in floating point, equilibrated by powers of two.
+    """The rows of a cone in floating point, equilibrated by powers of two.
 
     Row k of matrix / den is generator k, a column of the float problem.
     Coordinate i is scaled by 2^-row_shift[i] and generator j by
     2^-col_shift[j], so that each row and column has its largest entry near
-    1, and the target by 2^-goal_shift after the row scaling.  The shifts
+    1, and a target by a power of two after the row scaling.  The shifts
     come from the exact values in lowest terms.  Positive scalings of rows,
     columns and target change neither whether the target lies in the cone,
-    nor in its relative interior, nor in which face; and a form rescaled by
-    a power of two gives the same float problem.
+    nor in which face; and a form rescaled by a power of two gives the same
+    float problem.
     """
 
-    def __init__(self, matrix: np.ndarray, den: int, goal: Sequence[Fraction]):
-        self.matrix, self.den, self.goal = matrix, den, tuple(goal)
-        self.rows = matrix.tolist()
+    def __init__(self, matrix: np.ndarray, den: int):
+        rows = matrix.tolist()
         mags = [[log2_magnitude(Fraction(v, den)) if v else None for v in row]
-                for row in self.rows]
-        row_shift = [
+                for row in rows]
+        self.row_shift = [
             max((mag[i] for mag in mags if mag[i] is not None), default=0)
-            for i in range(len(self.goal))
+            for i in range(matrix.shape[1])
         ]
-        self.col_shift = [
-            max((v - r for v, r in zip(mag, row_shift) if v is not None), default=0)
+        col_shift = [
+            max((v - r for v, r in zip(mag, self.row_shift) if v is not None), default=0)
             for mag in mags
         ]
-        self.goal_shift = max(
-            (log2_magnitude(v) - r for v, r in zip(self.goal, row_shift) if v),
-            default=0,
-        )
         self.a = np.array([
-            [_scaled_float(row[i], den, -r - s) for row, s in zip(self.rows, self.col_shift)]
-            for i, r in enumerate(row_shift)
-        ])
-        self.b = np.array([
-            _scaled_float(v.numerator, v.denominator, -r - self.goal_shift)
-            for v, r in zip(self.goal, row_shift)
+            [_scaled_float(row[i], den, -r - s) for row, s in zip(rows, col_shift)]
+            for i, r in enumerate(self.row_shift)
         ])
 
-    def residual(self) -> tuple[float, tuple[int, ...]]:
-        """(r, support): the nnls residual of the target onto the cone,
-        relative to the target, and the columns the nnls weighs positively,
-        the warm start of the exact projection.
-
-        (0.0, ()) when nnls stops at its iteration limit, which leaves the
-        question to the relative-interior LP and the exact path behind it.
-        """
+    def support(self, goal: Sequence[Fraction]) -> tuple[int, ...]:
+        """The columns a float nnls of ``goal`` onto the cone weighs
+        positively: the warm start of the exact projection, () when nnls
+        stops at its iteration limit."""
         from scipy.optimize import nnls
 
+        shift = max((log2_magnitude(v) - r for v, r in zip(goal, self.row_shift) if v),
+                    default=0)
+        b = np.array([
+            _scaled_float(v.numerator, v.denominator, -r - shift)
+            for v, r in zip(goal, self.row_shift)
+        ])
         try:
-            weights, rnorm = nnls(self.a, self.b)
+            weights, _ = nnls(self.a, b)
         except RuntimeError:
-            return 0.0, ()
-        support = tuple(int(j) for j in np.flatnonzero(weights > _SUPPORT_WEIGHT))
-        bnorm = float(np.linalg.norm(self.b))
-        return (rnorm / bnorm if bnorm > 0 else 0.0), support
-
-    def positive_combination(self) -> tuple[Fraction, ...] | None:
-        """Proposed exact weights alpha > 0 with sum_k alpha_k row_k / den = target,
-        unverified.
-
-        HiGHS solves max mu s.t. sum beta_g g + mu * sum(gens) = target,
-        beta >= 0, 0 <= mu <= 1, on the float image.  Rows independent mod
-        RANK_PRIME, taken in order of falling float weight and no more than
-        there are coordinates, are basic.  The other weights are rounded to
-        dyadic rationals and the basic ones solved for exactly.  None when
-        the float LP finds no margin or the exact system has no solution.
-        """
-        from scipy.optimize import linprog
-
-        rows = self.rows
-        n = len(rows)
-        cost = np.zeros(n + 1)
-        cost[-1] = -1.0
-        res = linprog(
-            cost,
-            A_eq=np.column_stack([self.a, self.a.sum(axis=1)]),
-            b_eq=self.b,
-            bounds=[(0, None)] * n + [(0, 1)],
-            method="highs",
-        )
-        if res.status != 0 or not res.x[-1] >= _RELINT_MARGIN:
-            return None
-        # w_j weighs column j scaled by 2^-col_shift[j] against the target
-        # scaled by 2^-goal_shift, so alpha_j = w_j * 2^(goal_shift - col_shift[j]).
-        weights = res.x[:n] + res.x[-1]
-        order = [int(j) for j in np.argsort(-weights, kind="stable")]
-        basic = [order[k] for k in independent_rows_modp(self.matrix[order], len(self.goal))]
-        alpha: list[Fraction | None] = [None] * n
-        rest = [self.den * v for v in self.goal]  # den * target - sum of the non-basic rows
-        for j in sorted(set(range(n)) - set(basic)):
-            units = round(float(weights[j]) * 2 ** _DYADIC_BITS)
-            alpha[j] = units * _pow2(self.goal_shift - self.col_shift[j] - _DYADIC_BITS)
-            for i, c in enumerate(rows[j]):
-                if c:
-                    rest[i] -= alpha[j] * c
-        sol = solve_exact([[rows[j][i] for j in basic] for i in range(len(rest))], rest)
-        if sol is None:
-            return None
-        for j, v in zip(basic, sol):
-            alpha[j] = v
-        return tuple(alpha)
+            return ()
+        return tuple(int(j) for j in np.flatnonzero(weights > _SUPPORT_WEIGHT))

@@ -17,7 +17,6 @@ from periform.certify import (
     certify,
     eutaxy_status,
     floating_components,
-    is_m_perfect,
     periodic_extreme_by_theorem,
     strong_eutaxy,
     uncertainty_space,
@@ -77,7 +76,7 @@ def test_criterion_2_corollary_e8_d4():
     ok = True
     detail = []
     for name, q in (("E8", e8), ("D4", d4)):
-        perfect, _, _ = is_m_perfect(lattice(q))
+        perfect = voronoi_domain(lattice(q)).is_full_dimensional
         strong, _ = strong_eutaxy(q)
         theorem = periodic_extreme_by_theorem(q)
         if not (perfect and strong and theorem):

@@ -22,7 +22,6 @@ from periform.certify import (
     floating_components,
     improvement_step,
     improving_direction,
-    is_m_perfect,
     periodic_extreme_by_theorem,
     strong_eutaxy,
     translational_criterion,
@@ -134,16 +133,16 @@ class TestVoronoiDomain:
 
 class TestPerfection:
     def test_a2_perfect(self):
-        perfect, rank, ambient = is_m_perfect(lattice(A2))
-        assert perfect and rank == ambient == 3
+        dom = voronoi_domain(lattice(A2))
+        assert dom.is_full_dimensional and dom.rank == dom.ambient == 3
 
     def test_z2_not_perfect(self):
-        perfect, rank, ambient = is_m_perfect(lattice(Z2))
-        assert not perfect and (rank, ambient) == (2, 3)
+        dom = voronoi_domain(lattice(Z2))
+        assert not dom.is_full_dimensional and (dom.rank, dom.ambient) == (2, 3)
 
     def test_e8_perfect(self):
-        perfect, rank, ambient = is_m_perfect(lattice(e8_gram()))
-        assert perfect and rank == ambient == 36
+        dom = voronoi_domain(lattice(e8_gram()))
+        assert dom.is_full_dimensional and dom.rank == dom.ambient == 36
 
 
 class TestEutaxyStatus:
@@ -469,7 +468,7 @@ class TestVoronoiSpecialization:
         for q in cases:
             x = lattice(q)
             cert = certify(x)
-            perfect, _, _ = is_m_perfect(x)
+            perfect = voronoi_domain(x).is_full_dimensional
             eutactic = status_of(x).tag == INTERIOR
             assert (cert.verdict == ISOLATED_EXTREME) == (perfect and eutactic)
 

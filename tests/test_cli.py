@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import periform
-from helpers import sized_document
+from helpers import det_target, gradients, sized_document
 from periform.catalog import MAX_DIMENSION, MAX_INDEX
 from periform.cli import main
 from periform.formats import dumps, loads, to_document
@@ -259,6 +259,29 @@ class TestCatalogPipelines:
         assert main(["catalog", "get", "K12", "-o", str(out)]) == 0
         assert main(["density", str(out)]) == 0
         assert "0.0370370370" in capsys.readouterr().out
+
+
+class TestCertifyWitness:
+    """The interior witness that ``--json certify`` prints reproduces the
+    target from the generators, re-verified here on tangent vectors."""
+
+    @pytest.mark.parametrize("s", ["1", "7/3", "1/1152921504606846976"],
+                             ids=["1", "7/3", "2^-60"])
+    def test_lambda9_witness(self, tmp_path, capsys, s):
+        path = tmp_path / "lambda9.json"
+        assert main(["catalog", "get", "Lambda9", "-o", str(path)]) == 0
+        x = loads(path.read_text())
+        path.write_text(dumps(PeriodicForm(x.q.scale(loads_fr(s)), x.tcols)))
+        assert main(["--json", "certify", str(path)]) == 0
+        eutaxy = json.loads(capsys.readouterr().out)["eutaxy"]
+        assert eutaxy["tag"] == "interior"
+        x = loads(path.read_text())
+        gens, alpha = gradients(x), [loads_fr(a) for a in eutaxy["witness"]]
+        assert len(alpha) == len(gens) and min(alpha) > 0
+        total = gens[0].scale(alpha[0])
+        for g, a in zip(gens[1:], alpha[1:]):
+            total = total.add(g.scale(a))
+        assert total == det_target(x)
 
 
 class TestRepresent:

@@ -1,7 +1,8 @@
 """The eutaxy path of ``certify`` against the exact simplex path it replaced.
 
 ``_classify`` (the steps of ``eutaxy_status``) must give the tag and the face
-that ``reference_status`` gives, on random cones and on catalog forms, and
+that ``reference_status`` gives, on random cones, on the edge cases random
+cones rarely reach and on catalog forms, without entering the simplex, and
 every witness and separator it returns must pass the exact checks written
 here, independently of the ones in ``certify``.  On the boundary,
 ``uncertainty_space`` must give the basis that the implicit-equality LPs of
@@ -23,6 +24,8 @@ import pytest
 import scipy.optimize
 
 import periform
+import periform.cones as cones
+import periform.simplex as simplex
 from helpers import det_target, gradients, stack
 from periform.catalog import fluid_diamond
 from periform.certify import (
@@ -151,51 +154,130 @@ def classify(gens, target):
     return _classify(*stack(gens), target)
 
 
-def count_lps(monkeypatch):
-    """The list that each ``solve_lp`` call from ``certify`` appends to."""
-    calls = []
-    real = certify_module.solve_lp
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(certify_module, "solve_lp", counting)
-    return calls
-
-
-@pytest.mark.parametrize("seed", range(80))
-def test_matches_exact_path(seed, monkeypatch):
-    """Same tag and face as the reference; on the boundary F(X) takes one
-    exact LP and U(X) none."""
-    gens, target, dim = random_cone(seed)
-    expected = reference_status(gens, target)
-    calls = count_lps(monkeypatch)
-    got = classify(gens, target)
-    assert (got.tag, got.face) == (expected.tag, expected.face)
-    assert certificate_holds(gens, target, got)
-    if got.tag == BOUNDARY:
-        assert len(calls) == 1
-        uncertainty_space(domain_of(gens), got)
-        assert len(calls) == 1
-
-
-@pytest.mark.parametrize("seed", [s for s in range(80) if KINDS[s % 4] != "boundary"])
-def test_clear_cases_skip_the_simplex(seed, monkeypatch):
-    """Interior and outside cones are decided by the float path or by the
-    exact projection: the exact simplex is never entered."""
-    gens, target, dim = random_cone(seed)
-    expected = reference_status(gens, target)
-    if expected.tag == BOUNDARY:
-        return
+def forbid_simplex(monkeypatch):
+    """``certify`` answers every cone question with the exact projection: a
+    call into the exact simplex fails the test."""
 
     def no_lp(*args, **kwargs):
         raise AssertionError("the exact simplex ran")
 
-    monkeypatch.setattr(certify_module, "solve_lp", no_lp)
+    monkeypatch.setattr(simplex, "solve_lp", no_lp)
+
+
+def count_projections(monkeypatch):
+    """(membership, descent): the lists that each ``project_to_cone`` call of
+    the membership test and of face descent appends to."""
+    membership, descent = [], []
+    for module, calls in ((certify_module, membership), (cones, descent)):
+        real = module.project_to_cone
+
+        def counting(*args, real=real, calls=calls, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "project_to_cone", counting)
+    return membership, descent
+
+
+def check_against_reference(gens, target, monkeypatch):
+    """Same tag and face as the reference, without the simplex; one membership
+    projection, and face descent takes at most 1 + (generators off F(X))
+    projections: none outside, one in the interior."""
+    expected = reference_status(gens, target)
+    forbid_simplex(monkeypatch)
+    membership, descent = count_projections(monkeypatch)
+    got = classify(gens, target)
+    assert (got.tag, got.face) == (expected.tag, expected.face)
+    assert certificate_holds(gens, target, got)
+    assert len(membership) == 1
+    if got.tag == OUTSIDE:
+        assert descent == []
+    elif got.tag == INTERIOR:
+        assert len(descent) == 1
+    else:
+        assert 1 <= len(descent) <= 1 + len(gens) - len(got.face)
+    return got
+
+
+@pytest.mark.parametrize("seed", range(80))
+def test_matches_exact_path(seed, monkeypatch):
+    """The reference's tag and face; on the boundary U(X) takes no projection."""
+    gens, target, dim = random_cone(seed)
+    got = check_against_reference(gens, target, monkeypatch)
+    if got.tag == BOUNDARY:
+        membership, descent = count_projections(monkeypatch)
+        uncertainty_space(domain_of(gens), got)
+        assert membership == descent == []
+
+
+@pytest.mark.parametrize("seed", [s for s in range(80) if KINDS[s % 4] != "boundary"])
+def test_clear_cases_skip_the_simplex(seed, monkeypatch):
+    """Interior and outside cones take one membership projection and at most
+    one more: the exact simplex is never entered."""
+    gens, target, dim = random_cone(seed)
+    expected = reference_status(gens, target)
+    if expected.tag == BOUNDARY:
+        return
+    forbid_simplex(monkeypatch)
+    membership, descent = count_projections(monkeypatch)
     got = classify(gens, target)
     assert got.tag == expected.tag
     assert certificate_holds(gens, target, got)
+    assert len(membership) + len(descent) <= 2
+
+
+# ---------------------------------------------------------------------------
+# Edge cases that random cones rarely reach.
+# ---------------------------------------------------------------------------
+
+
+def tangent(rows, *tcols):
+    return TangentVector.make(SymForm.from_rows(rows), tcols)
+
+
+E11, E22, E12 = tangent([[1, 0], [0, 0]]), tangent([[0, 0], [0, 1]]), tangent([[0, 1], [1, 0]])
+ZERO2 = tangent([[0, 0], [0, 0]])
+
+
+def d1(q, t=None):
+    """A tangent vector for d = 1: m = 1 without t, m = 2 with it."""
+    return tangent([[q]]) if t is None else tangent([[q]], [t])
+
+
+def parallel(g):
+    """g with a duplicate and parallel copies at 2^+-1100."""
+    big = Fr(2) ** 1100
+    return [g, g, g.scale(big), g.scale(1 / big), g.scale(3 * big)]
+
+
+EDGE_CASES = {
+    # A cone that holds a line: face descent meets mu = 0.
+    "line-diag": ([E11, E11.scale(-1), E22, E22.scale(-1)], tangent([[3, 0], [0, Fr(-1, 2)]])),
+    "line-zero": ([E11, E11.scale(-1), E22, E22.scale(-1)], ZERO2),
+    "line-outside": ([E11, E11.scale(-1), E22, E22.scale(-1)], E12),
+    "line-halfplane": ([E11, E11.scale(-1), E22], E11.add(E22)),
+    "line-face": ([E11, E12, E11.scale(-1)], E11.scale(5)),
+    # The zero target: the lineality space is F(X).
+    "zero-pointed": ([E11, E22, E12.add(E11).add(E22)], ZERO2),
+    "zero-d1": ([d1(1), d1(2)], d1(0)),
+    # Duplicate and parallel generators at 2^+-1100.
+    "parallel-interior": (parallel(E11), E11.scale(Fr(2) ** -1100)),
+    "parallel-boundary": (parallel(E11) + [E22.scale(Fr(2) ** 1100)], E11),
+    "parallel-outside": (parallel(E12) + [E11], E22),
+    "parallel-line": (parallel(E11) + parallel(E11.scale(-1)), E11.scale(Fr(2) ** 1100)),
+    # d = 1.
+    "d1-interior": ([d1(2)], d1(Fr(1, 3))),
+    "d1-outside": ([d1(2)], d1(-1)),
+    "d1m2-interior": ([d1(1, 1), d1(1, -1)], d1(1, 0)),
+    "d1m2-boundary": ([d1(1, 0), d1(0, 1), d1(1, 1)], d1(Fr(2, 7), 0)),
+    "d1m2-outside": ([d1(1, 1), d1(1, -1)], d1(-1, 0)),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_CASES)
+def test_edge_cases_match_exact_path(name, monkeypatch):
+    gens, target = EDGE_CASES[name]
+    check_against_reference(gens, target, monkeypatch)
 
 
 # ---------------------------------------------------------------------------
@@ -223,22 +305,24 @@ def test_boundary_uncertainty_matches_reference(seed):
 GARBAGE_SEEDS = range(6, 22)
 
 
-def garbage_solvers(seed=0):
-    """nnls and linprog stand-ins that return seeded nonsense of the right shape."""
+def garbage_nnls(seed=0):
+    """An nnls stand-in that returns seeded nonsense of the right shape on a
+    random subset of the columns, or stops at its iteration limit, for the
+    membership projection and for every projection of face descent."""
     rng = np.random.default_rng(seed)
 
     def nnls(a, b, **kwargs):
-        return rng.random(a.shape[1]) * 10, float(rng.choice([0.0, 1e-12, 5.0]))
+        if rng.random() < 0.2:
+            raise RuntimeError("nnls stand-in: iteration limit")
+        n = a.shape[1]
+        return rng.random(n) * rng.integers(0, 2, n) * 10, float(rng.random())
 
-    def linprog(c, **kwargs):
-        x = rng.random(len(c)) * rng.choice([1e-12, 1.0, 100.0])
-        return SimpleNamespace(status=int(rng.choice([0, 0, 2])), x=x)
-
-    return nnls, linprog
+    return nnls
 
 
 def garbage_cases():
-    """(generators, target, ambient) for small catalog-free forms and random cones."""
+    """(generators, target, ambient) for small catalog-free forms, the edge
+    cases and random cones."""
     forms = [
         PeriodicForm.make(PQF.from_rows([[1]]), [[Fr(2, 5)]]),
         PeriodicForm.lattice(PQF.from_rows([[1, 0], [0, 2]])),
@@ -249,9 +333,8 @@ def garbage_cases():
     cases = []
     for x in forms:
         cases.append((gradients(x), det_target(x), voronoi_domain(x).ambient))
-    e11 = TangentVector.make(SymForm.outer([1, 0]))
-    e22 = TangentVector.make(SymForm.outer([0, 1]))
-    cases.append(([e11, e22], e11, 3))  # on a proper face: boundary
+    cases.append(([E11, E22], E11, 3))  # on a proper face: boundary
+    cases += [(gens, target, None) for gens, target in EDGE_CASES.values()]
     cases += [random_cone(seed) for seed in GARBAGE_SEEDS]
     return cases
 
@@ -273,9 +356,7 @@ def exact_verdicts():
 
 
 def test_garbage_float_solves(monkeypatch):
-    nnls, linprog = garbage_solvers()
-    monkeypatch.setattr(scipy.optimize, "nnls", nnls)
-    monkeypatch.setattr(scipy.optimize, "linprog", linprog)
+    monkeypatch.setattr(scipy.optimize, "nnls", garbage_nnls())
     assert garbage_verdicts() == exact_verdicts()
 
 
@@ -284,7 +365,7 @@ def test_garbage_float_solves_without_asserts():
     here = Path(__file__).resolve().parent
     code = (
         "import json, scipy.optimize, test_eutaxy as t\n"
-        "scipy.optimize.nnls, scipy.optimize.linprog = t.garbage_solvers()\n"
+        "scipy.optimize.nnls = t.garbage_nnls()\n"
         "print(json.dumps(t.garbage_verdicts()))\n"
     )
     src = str(Path(periform.__file__).resolve().parent.parent)
@@ -298,7 +379,7 @@ def test_garbage_float_solves_without_asserts():
 
 
 # ---------------------------------------------------------------------------
-# Lambda9: the case the float path exists for.
+# Lambda9: a large interior target off the uniform shortcut.
 # ---------------------------------------------------------------------------
 
 
@@ -307,14 +388,12 @@ def test_lambda9_interior_without_simplex(s, monkeypatch):
     x0 = fluid_diamond(0)
     x = PeriodicForm(x0.q.scale(s), x0.tcols)
     dom = voronoi_domain(x)
-
-    def no_lp(*args, **kwargs):
-        raise AssertionError("the exact simplex ran")
-
-    monkeypatch.setattr(certify_module, "solve_lp", no_lp)
+    forbid_simplex(monkeypatch)
+    membership, descent = count_projections(monkeypatch)
     st = eutaxy_status(dom)
     assert st.tag == INTERIOR
     assert is_witness(gradients(x), det_target(x), st.witness)
+    assert len(membership) == len(descent) == 1
 
 
 def test_improving_direction_reuses_the_projection(monkeypatch):

@@ -79,3 +79,29 @@ def test_integer_types_named_only_in_linalg():
         if pattern.search(line)
     ]
     assert SOURCES and found == []
+
+
+def test_one_cone_solver():
+    """Only ``simplex`` holds an LP: no other module imports it or names
+    scipy's ``linprog``, so every cone question goes through
+    ``cones.project_to_cone``."""
+
+    def imported(node):
+        if isinstance(node, ast.ImportFrom):
+            return [node.module or ""] + [alias.name for alias in node.names]
+        if isinstance(node, ast.Import):
+            return [alias.name for alias in node.names]
+        return []
+
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES if path.name != "simplex.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if any(name.split(".")[-1] == "simplex" for name in imported(node))
+    ] + [
+        f"{path.name}:{n}"
+        for path in SOURCES if path.name != "simplex.py"
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if "linprog" in line
+    ]
+    assert SOURCES and found == []
