@@ -46,7 +46,6 @@ from .linalg import (
     PQF,
     LDLResult,
     RatLike,
-    SymForm,
     affine_rows,
     int_matrix,
     int_type,
@@ -118,7 +117,8 @@ def lll_reduce(q: PQF) -> tuple[PQF, IntRows, IntRows]:
     and lam_kj = d_{j+1} mu_kj that Q's ``ldl`` holds, kept current for
     every row with exact integer divisions, so nothing in the loop is
     rational.  U^-1 is built alongside U, and Qred comes back with its
-    final (d, lam) as its factorisation.
+    final (d, lam) as its factorisation; its rational entries are built
+    only when read, which ``_reduce`` never does.
     """
     d = q.d
     den = q.den
@@ -183,12 +183,10 @@ def lll_reduce(q: PQF) -> tuple[PQF, IntRows, IntRows]:
                 size_reduce(k, j)
             k += 1
 
-    upper = tuple(Fraction(g[i][j], den) for i in range(d) for j in range(i, d))
     # U^t (den Q) U = g has the content of den * Q, which is prime to den, so
     # (den, g) are the integer rows of Qred.
     qred = PQF.from_factors(
-        SymForm(d, upper), den, tuple(map(tuple, g)),
-        LDLResult(den, tuple(dm), tuple(map(tuple, lam))),
+        den, tuple(map(tuple, g)), LDLResult(den, tuple(dm), tuple(map(tuple, lam)))
     )
     urows = tuple(tuple(ucols[j][i] for j in range(d)) for i in range(d))
     return qred, urows, tuple(map(tuple, uinv))

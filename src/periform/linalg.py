@@ -1,18 +1,20 @@
 """Exact rational linear algebra for symmetric forms and tangent vectors.
 
 All certificate-bearing arithmetic in the package goes through this module
-and stays in ``fractions.Fraction`` or Python ints; floating point never
-enters here.  Ranks are first found modulo a prime, in int64 arrays, and then
-verified exactly over Q.  Symmetric matrices are stored as their upper
-triangle, so symmetry holds by construction and the inner product doubles
-off-diagonal contributions.  ``SymForm.integer_rows`` is the one place a
-form's denominators are cleared: LLL, congruences and the Voronoi domain all
-work on the integer Gram den * Q it returns, which a ``PQF`` keeps.  A
-form is factored once, in integers: the leading minors of den * Q and the
-Gram-Schmidt coefficients they make integral (``LDLResult``).  Every other
-exact elimination over Q (Q^-1, ``solve_exact``, ``rank_complement``) is
-``echelon``, fraction-free Gauss-Jordan on integer rows: no Fraction is
-formed until the result is read.
+and stays in ``fractions.Fraction`` or Python ints.  Ranks are first found
+modulo a prime, in int64 arrays, and then verified exactly over Q.  Floats
+enter in one place: past one chunk of rows, a float QR orders the rows the
+mod-p walk tries, and never decides which are independent.  Symmetric
+matrices are stored as their upper triangle, so symmetry holds by
+construction and the inner product doubles off-diagonal contributions.
+``SymForm.integer_rows`` is the one place a form's denominators are cleared:
+LLL, congruences and the Voronoi domain all work on the integer Gram den * Q
+it returns, which a ``PQF`` keeps.  A form is factored once, in integers:
+the leading minors of den * Q and the Gram-Schmidt coefficients they make
+integral (``LDLResult``).  Every other exact elimination over Q (Q^-1,
+``solve_exact``, ``rank_complement``) is ``echelon``, fraction-free
+Gauss-Jordan on integer rows: no Fraction is formed until the result is
+read.
 """
 
 from __future__ import annotations
@@ -251,27 +253,26 @@ class PQF:
     integer Gram den * Q there.  ``ldl`` factors it once; its positive
     leading minors are the positive-definiteness check, and ``det`` and
     ``lattices.lll_reduce`` read them.  ``inverse`` is one ``echelon`` of
-    [den * Q | I].
+    [den * Q | I].  ``form``, the rational entries, is built when first read.
     """
 
-    __slots__ = ("form", "den", "gram", "ldl", "_hash")
+    __slots__ = ("_form", "den", "gram", "ldl", "_hash")
 
     def __init__(self, form: SymForm):
         den, gram = form.integer_rows()
         res = _factor(den, gram)
         if not res.is_positive_definite:
             raise ValueError("form is not positive definite")
-        self.form, self.den, self.gram, self.ldl, self._hash = form, den, gram, res, None
+        self._form, self.den, self.gram, self.ldl, self._hash = form, den, gram, res, None
 
     @staticmethod
-    def from_factors(form: SymForm, den: int, gram: tuple[tuple[int, ...], ...],
-                     res: LDLResult) -> "PQF":
-        """The PQF of ``form`` from data known to be its own: (den, gram) its
+    def from_factors(den: int, gram: tuple[tuple[int, ...], ...], res: LDLResult) -> "PQF":
+        """The PQF of gram / den from data known to be its own: (den, gram) its
         ``integer_rows`` and ``res`` their factorisation, with positive
         minors.  Nothing is checked, so only a caller that computed them
         exactly may pass them, as ``lattices.lll_reduce`` does."""
         q = object.__new__(PQF)
-        q.form, q.den, q.gram, q.ldl, q._hash = form, den, gram, res, None
+        q._form, q.den, q.gram, q.ldl, q._hash = None, den, gram, res, None
         return q
 
     @staticmethod
@@ -279,8 +280,15 @@ class PQF:
         return PQF(SymForm.from_rows(rows))
 
     @property
+    def form(self) -> SymForm:
+        if self._form is None:
+            self._form = SymForm(self.d, tuple(Fraction(v, self.den)
+                                               for i, row in enumerate(self.gram) for v in row[i:]))
+        return self._form
+
+    @property
     def d(self) -> int:
-        return self.form.d
+        return len(self.gram)
 
     def det(self) -> Fraction:
         return Fraction(self.ldl.minors[-1], self.den ** self.d)
@@ -531,21 +539,48 @@ def _eliminate_modp(block: np.ndarray, row: np.ndarray, col: int) -> None:
         block[nz] = (block[nz] - factors[nz, None] * row[None, :]) % RANK_PRIME
 
 
+def _float_pick(head: np.ndarray, count: int) -> np.ndarray:
+    """Up to ``count`` rows of ``head``, in the order a column-pivoted float QR
+    of head^T takes them; none if the QR fails.  Python-int rows are first
+    scaled by powers of two to at most 53 bits, so no float overflows."""
+    from scipy.linalg import LinAlgError, qr
+
+    if head.dtype == object:
+        shifts = [max(int(t).bit_length() - 53, 0) for t in np.abs(head).max(axis=1)]
+        head = head >> np.array(shifts, dtype=object)[:, None]
+    try:
+        _, perm = qr(head.T.astype(float), mode="r", pivoting=True, overwrite_a=True,
+                     check_finite=False)
+    except LinAlgError:
+        return np.zeros(0, np.intp)
+    return perm[:count]
+
+
 def independent_rows_modp(rows: np.ndarray, limit: int) -> list[int]:
     """Indices of rows independent mod RANK_PRIME, taken greedily, at most ``limit``.
 
     ``rows`` is an integer array of any type ``int_type`` names, and is not
-    modified; it is reduced mod p one chunk at a time, in int64 unless it
+    modified; it is reduced mod p one block at a time, in int64 unless it
     holds Python ints (the narrower types cannot hold RANK_PRIME).
     Each row is reduced against the rows taken before it and is taken when
     something is left.  A set of integer rows independent mod p is independent
     over Q, so the rank over Q is at least the length of the result.
+    Rows are tried in order, in chunks of ``_MODP_CHUNK``; past one chunk,
+    the up to ncols rows of the first chunk that ``_float_pick`` chooses form
+    the first block, and the other rows follow.  The floats only order the
+    rows: a poor pick makes the walk longer, never its result wrong.
     """
+    n, ncols = rows.shape
+    order, first = np.arange(n), []
+    if n > _MODP_CHUNK:
+        first = [_float_pick(rows[:_MODP_CHUNK], ncols)]
+        order = np.delete(order, first[0])
+    blocks = first + [order[s : s + _MODP_CHUNK] for s in range(0, len(order), _MODP_CHUNK)]
     taken: list[int] = []
     basis: list[tuple[np.ndarray, int]] = []
     wide = object if rows.dtype == object else np.int64
-    for start in range(0, rows.shape[0], _MODP_CHUNK):
-        chunk = rows[start : start + _MODP_CHUNK].astype(wide, copy=False)
+    for block in blocks:
+        chunk = rows[block].astype(wide, copy=False)
         chunk = (chunk % RANK_PRIME).astype(np.int64, copy=False)
         for brow, col in basis:
             _eliminate_modp(chunk, brow, col)
@@ -556,7 +591,7 @@ def independent_rows_modp(rows: np.ndarray, limit: int) -> list[int]:
             col = int(nzc[0])
             inv = pow(int(chunk[r, col]), RANK_PRIME - 2, RANK_PRIME)
             row = chunk[r] * inv % RANK_PRIME
-            taken.append(start + r)
+            taken.append(int(block[r]))
             if len(taken) >= limit:
                 return taken
             basis.append((row, col))
@@ -579,13 +614,14 @@ def rank_complement(rows: np.ndarray) -> tuple[int, list[list[Fraction]]]:
     """Exact rank of an integer matrix and a basis of {c : row . c = 0 for all rows}.
 
     ``rows`` is an integer array as ``independent_rows_modp`` takes.  The
-    rows independent mod RANK_PRIME are picked first; when they fill the
-    space the rank is proved.  Otherwise the reduced echelon form of the
-    picked rows gives the complement, and every row is checked exactly
-    against it.  A row that fails the check (the prime divided one of its
-    minors) joins the picked rows, raising the rank.  The reduced echelon
-    form of a row space is unique, so the result is the one an echelon over
-    all rows gives.
+    rows independent mod RANK_PRIME are picked first, in the order that
+    function tries them (float-picked rows first on matrices taller than one
+    chunk); when they fill the space the rank is proved.  Otherwise the
+    reduced echelon form of the picked rows gives the complement, and every
+    row is checked exactly against it.  A row that fails the check (the
+    prime divided one of its minors) joins the picked rows, raising the
+    rank.  The reduced echelon form of a row space is unique, so the result
+    is the one an echelon over all rows gives.
     """
     ncols = rows.shape[1]
     taken = independent_rows_modp(rows, ncols)

@@ -10,6 +10,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
+from periform import linalg
 from periform.catalog import fluid_diamond, get, sublattice_representation
 from periform.certify import (
     INTERIOR,
@@ -318,3 +319,23 @@ def test_criterion_9_leech():
         f"strong={strong}, theorem={theorem}",
         elapsed,
     )
+
+
+@pytest.mark.slow
+def test_leech_rank_reduces_one_square(monkeypatch):
+    """Leech's domain rank (98 280 rows, 300 columns) walks mod p over the
+    300 rows a float QR picks from the first chunk: the blocks handed to
+    ``_eliminate_modp`` hold at most 300 x 300 rows in all (44 850), where
+    reducing the whole first chunk greedily hands it 252 135."""
+    cleared = []
+    real = linalg._eliminate_modp
+
+    def counting(block, row, col):
+        cleared.append(block.shape[0])
+        real(block, row, col)
+
+    monkeypatch.setattr(linalg, "_eliminate_modp", counting)
+    domain = voronoi_domain(lattice(get("Leech").form))
+    assert domain.matrix.shape == (98280, 300)
+    assert domain.rank == 300 and domain.nullspace == ()
+    assert sum(cleared) <= 300 * 300

@@ -108,3 +108,27 @@ def test_import_leaves_scipy_optimize_out():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def test_small_domains_leave_scipy_linalg_out():
+    """The float pick of the domain rank imports scipy.linalg only past one
+    chunk of rows; certificates below that, as sublattice representations of
+    A2, D4 and E8 (360 rows), never load it."""
+    code = (
+        "import sys, periform as P\n"
+        "for name, params, h in [\n"
+        "        ('A', (2,), [[1, 0], [0, 2]]),\n"
+        "        ('D', (4,), [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),\n"
+        "        ('E8', (), [[3 if i == j == 0 else int(i == j) for j in range(8)]\n"
+        "                    for i in range(8)])]:\n"
+        "    x = P.sublattice_representation(P.get(name, *params).form, h)\n"
+        "    P.certify(x)\n"
+        "print(P.voronoi_domain(x).matrix.shape[0], 'scipy.linalg' in sys.modules)\n"
+    )
+    src = str(Path(periform.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "360 False"

@@ -1,3 +1,5 @@
+import functools
+import json
 import os
 import random
 import subprocess
@@ -5,21 +7,27 @@ import sys
 from fractions import Fraction as Fr
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.linalg
 
 import periform
 import reference_linalg
 import reference_lll
 from periform.catalog import get
 from periform.linalg import (
+    _MODP_CHUNK,
     PQF,
     RANK_PRIME,
     SymForm,
     TangentVector,
     ambient_dim,
     echelon,
+    independent_rows_modp,
     inner,
+    int_matrix,
     ldl,
+    rank_complement,
     rank_span,
     solve_exact,
 )
@@ -316,20 +324,25 @@ class TestRankSpan:
                 assert inner(nv, v) == 0
 
 
-def reference_rank_span(vectors):
-    """rank_span by a reduced echelon over every row, exactly as before the
-    modular row selection."""
-    d, m = vectors[0].d, vectors[0].m
-    rank, pivcols, rows = row_echelon([list(v.flatten(weighted=True)) for v in vectors])
-    ncols = ambient_dim(d, m)
+def reference_rank_complement(rows):
+    """rank_complement by a reduced echelon over every row, exactly as before
+    the modular row selection."""
+    rank, pivcols, ech = row_echelon([[Fr(v) for v in r] for r in rows])
+    ncols = len(rows[0])
     basis = []
     for fc in (c for c in range(ncols) if c not in pivcols):
         coords = [Fr(0)] * ncols
         coords[fc] = Fr(1)
         for r, pc in enumerate(pivcols):
-            coords[pc] = -rows[r][fc]
-        basis.append(TangentVector.unflatten(coords, d, m))
-    return rank, tuple(basis)
+            coords[pc] = -ech[r][fc]
+        basis.append(coords)
+    return rank, basis
+
+
+def reference_rank_span(vectors):
+    d, m = vectors[0].d, vectors[0].m
+    rank, basis = reference_rank_complement([v.flatten(weighted=True) for v in vectors])
+    return rank, tuple(TangentVector.unflatten(c, d, m) for c in basis)
 
 
 def random_generators(rng, d, m, rat):
@@ -551,3 +564,145 @@ class TestInverseReference:
     def test_random_pd(self, case):
         q = PQF(case[1])
         assert q.inverse() == reference_linalg.inverse(q)
+
+
+# ---------------------------------------------------------------------------
+# Past one chunk: a float QR picks the first block of the mod-p walk.
+# ---------------------------------------------------------------------------
+
+
+def _span_rows(rng, n, ncols, rank, entry):
+    """n rows, each a random small combination of ``rank`` rows of entries
+    drawn by ``entry()``."""
+    span = [[entry() for _ in range(ncols)] for _ in range(rank)]
+    return [
+        [sum(c * s[k] for c, s in zip(coefs, span)) for k in range(ncols)]
+        for coefs in ([rng.randint(-3, 3) for _ in span] for _ in range(n))
+    ]
+
+
+def _large_cases():
+    """name -> (integer rows, their rank), each with more rows than one chunk."""
+    rng = random.Random("past one chunk")
+    n, tail = _MODP_CHUNK + 76, 76
+
+    def small():
+        return rng.randint(-9, 9)
+
+    def tall():
+        return rng.getrandbits(1100) - 2 ** 1099
+
+    zero_head = [[0] * 8 for _ in range(_MODP_CHUNK)]
+    few = _span_rows(rng, 3, 8, 3, small)
+    # (1, 0) and (0, p) are independent over Q, but the square the float QR
+    # picks from them is singular mod p.
+    unlucky = [[1, 0], [0, RANK_PRIME]] + [[0, 0]] * (_MODP_CHUNK - 2)
+    return {
+        "full-rank": (_span_rows(rng, n, 8, 8, small), 8),
+        "deficient-1": (_span_rows(rng, n, 8, 7, small), 7),
+        "deficient-5": (_span_rows(rng, n, 8, 3, small), 3),
+        "independent-after-head": (zero_head + _span_rows(rng, tail, 8, 8, small), 8),
+        "duplicates-in-head": (
+            [list(rng.choice(few)) for _ in range(_MODP_CHUNK)]
+            + _span_rows(rng, tail, 8, 5, small), 8),
+        "tall-2^+-1100": (
+            [[v << shift for v in row]
+             for row, shift in zip(_span_rows(rng, n, 6, 4, tall),
+                                   (rng.choice([0, 1100]) for _ in range(n)))], 4),
+        "unlucky-prime-later": (unlucky + [[0, 0]] * 50 + [[0, 1]] + [[0, 0]] * 25, 2),
+        "unlucky-prime-nowhere": (unlucky + [[0, 0]] * tail, 2),
+    }
+
+
+LARGE_CASES = _large_cases()
+
+
+@functools.cache
+def large_reference(name):
+    return reference_rank_complement(LARGE_CASES[name][0])
+
+
+class TestPastOneChunk:
+    @pytest.mark.parametrize("name", LARGE_CASES)
+    def test_matches_reference(self, name):
+        rows, rank = LARGE_CASES[name]
+        assert len(rows) > _MODP_CHUNK
+        assert large_reference(name)[0] == rank
+        assert rank_complement(int_matrix(rows)) == large_reference(name)
+
+    @pytest.mark.parametrize("name", LARGE_CASES)
+    def test_taken_rows_are_independent(self, name):
+        """The walk returns indices into the rows as given, not into its
+        reordering: the rows they name are independent, and as many as the
+        rank unless p divides a minor."""
+        rows, rank = LARGE_CASES[name]
+        taken = independent_rows_modp(int_matrix(rows), len(rows[0]))
+        assert len(set(taken)) == len(taken) == echelon([rows[i] for i in taken])[0]
+        assert len(taken) == (1 if name == "unlucky-prime-nowhere" else rank)
+
+    def test_tall_rows_are_python_ints(self):
+        assert int_matrix(LARGE_CASES["tall-2^+-1100"][0]).dtype == object
+
+
+# Stand-ins for the float pick: scipy.linalg.qr(a, pivoting=True) returning a
+# column order that is reversed, repeats one column, or is empty, or failing.
+GARBAGE_PICKS = ("reversed", "dependent", "empty", "raise")
+
+
+def garbage_qr(kind, calls):
+    def qr(a, *args, **kwargs):
+        calls.append(kind)
+        n = a.shape[1]
+        if kind == "raise":
+            raise np.linalg.LinAlgError("qr stand-in")
+        perm = {"reversed": np.arange(n)[::-1], "dependent": np.zeros(n, np.intp),
+                "empty": np.zeros(0, np.intp)}[kind]
+        return np.zeros((0, 0)), perm
+
+    return qr
+
+
+def _as_json(rank, complement):
+    return [rank, [[str(v) for v in c] for c in complement]]
+
+
+def large_results():
+    """rank_complement of every large case, as JSON values."""
+    return {name: _as_json(*rank_complement(int_matrix(rows)))
+            for name, (rows, _) in LARGE_CASES.items()}
+
+
+def reference_results():
+    return {name: _as_json(*large_reference(name)) for name in LARGE_CASES}
+
+
+class TestGarbagePicks:
+    """The float pick only orders the rows: whatever it returns, or if it
+    fails, rank and complement are those of the exact echelon."""
+
+    @pytest.mark.parametrize("kind", GARBAGE_PICKS)
+    def test_in_process(self, kind, monkeypatch):
+        calls = []
+        monkeypatch.setattr(scipy.linalg, "qr", garbage_qr(kind, calls))
+        assert large_results() == reference_results()
+        assert len(calls) == len(LARGE_CASES)
+
+    def test_without_asserts(self):
+        here = Path(__file__).resolve().parent
+        code = (
+            "import json, scipy.linalg, test_linalg as t\n"
+            "out = {}\n"
+            "for kind in t.GARBAGE_PICKS:\n"
+            "    scipy.linalg.qr = t.garbage_qr(kind, [])\n"
+            "    out[kind] = t.large_results()\n"
+            "print(json.dumps(out))\n"
+        )
+        src = str(Path(periform.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, str(here)]))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert out.returncode == 0, out.stderr
+        got = json.loads(out.stdout.strip().splitlines()[-1])
+        assert got == {kind: reference_results() for kind in GARBAGE_PICKS}

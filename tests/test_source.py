@@ -81,18 +81,41 @@ def test_integer_types_named_only_in_linalg():
     assert SOURCES and found == []
 
 
+def imported(node):
+    """The module and names an import statement names; [] for other nodes."""
+    if isinstance(node, ast.ImportFrom):
+        return [node.module or ""] + [alias.name for alias in node.names]
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    return []
+
+
+def module_level(node):
+    """The nodes under ``node`` that run when the module is imported: all but
+    the bodies of functions."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from module_level(child)
+
+
+def test_scipy_imported_lazily():
+    """scipy costs tens of MB and a third of a second to import, and most
+    certificates never call it: no module imports it when it loads, only the
+    functions that run a float solve do."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in module_level(ast.parse(path.read_text(), str(path)))
+        if any(name.split(".")[0] == "scipy" for name in imported(node))
+    ]
+    assert SOURCES and found == []
+
+
 def test_one_cone_solver():
     """Only ``simplex`` holds an LP: no other module imports it or names
     scipy's ``linprog``, so every cone question goes through
     ``cones.project_to_cone``."""
-
-    def imported(node):
-        if isinstance(node, ast.ImportFrom):
-            return [node.module or ""] + [alias.name for alias in node.names]
-        if isinstance(node, ast.Import):
-            return [alias.name for alias in node.names]
-        return []
-
     found = [
         f"{path.name}:{node.lineno}"
         for path in SOURCES if path.name != "simplex.py"
