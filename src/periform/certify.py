@@ -88,8 +88,8 @@ class VoronoiDomain:
     ``target`` is the determinant gradient (Q^{-1}, 0).  Row k of ``matrix``
     / ``den`` is the gradient at the k-th canonical representation in
     weighted coordinates (``TangentVector.flatten``).  The matrix is in
-    ``linalg.int_type`` of a bound on its entries, and holds Python ints
-    when a column sum could pass int64.
+    ``linalg.int_type`` of a bound on its entries, holds Python ints when a
+    column sum could pass int64, and is column-major (Fortran order).
     """
 
     lam: Fraction
@@ -164,8 +164,8 @@ def _gradient_matrix(x: PeriodicForm, blocks: Sequence[MinBlock]) -> tuple[np.nd
     the entries (Leech: 98280 rows of 300 entries up to 1089, 59 MB as int16
     against 236 MB as int64), and in Python ints when a column sum could
     pass int64, since ``_uniform_witness`` sums the columns in int64.  M is
-    filled in place, one column at a time, since whole-matrix temporaries
-    would each take as much memory as M.
+    column-major and filled in place, one contiguous column at a time, since
+    whole-matrix temporaries would each take as much memory as M.
     """
     d, m = x.d, x.m
     tri = [(a, c) for a in range(d) for c in range(a, d)]
@@ -185,13 +185,14 @@ def _gradient_matrix(x: PeriodicForm, blocks: Sequence[MinBlock]) -> tuple[np.nd
         for b, (t, _), w in zip(blocks, scaled, wmax)
     )
     dtype = object if int_type(rows * bound) is object else int_type(bound)
-    matrix = np.zeros((rows, ambient_dim(d, m)), dtype=dtype)
+    matrix = np.zeros((rows, ambient_dim(d, m)), dtype=dtype, order="F")
     start = 0
     for b, (t, c), v in zip(blocks, scaled, vs):
         # Every factor below is at most the bound, except t itself.
         wtype = dtype if dtype is object else int_type(max(bound, t))
-        # Column-major, so that each w[:, a] read below is contiguous.
-        w = np.asfortranarray(np.array(c, dtype=wtype) - t * v.astype(wtype))
+        # Column-major, so each w[:, a] read below is contiguous; no temporary as large as w.
+        w = np.multiply(v, -t, dtype=wtype, order="F")
+        w += np.array(c, dtype=wtype)
         part = matrix[start : start + len(v)]
         start += len(v)
         fq = den // (t * t)

@@ -239,16 +239,16 @@ class FloatImage:
     Coordinate i is scaled by 2^-row_shift[i] and generator j by
     2^-col_shift[j], so that each row and column has its largest entry near
     1, and a target by a power of two after the row scaling.  The shifts
-    come from the exact values in lowest terms.  Positive scalings of rows,
-    columns and target change neither whether the target lies in the cone,
-    nor in which face; and a form rescaled by a power of two gives the same
-    float problem.
+    come from the distinct exact values in lowest terms.  Positive scalings
+    of rows, columns and target change neither whether the target lies in
+    the cone, nor in which face; and a form rescaled by a power of two gives
+    the same float problem.
     """
 
     def __init__(self, matrix: np.ndarray, den: int):
         rows = matrix.tolist()
-        mags = [[log2_magnitude(Fraction(v, den)) if v else None for v in row]
-                for row in rows]
+        magnitude = {v: log2_magnitude(Fraction(v, den)) for v in set().union(*rows) if v}
+        mags = [[magnitude.get(v) for v in row] for row in rows]
         self.row_shift = [
             max((mag[i] for mag in mags if mag[i] is not None), default=0)
             for i in range(matrix.shape[1])

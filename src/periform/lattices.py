@@ -5,30 +5,31 @@ then share that reduction.  LLL is de Weger's integral variant: it updates
 the integer Gram den * Q that the ``PQF`` keeps, starting from the leading
 minors and integral Gram-Schmidt coefficients of the form's own
 factorisation, and ends with those of the reduced form, so a reduction
-factors nothing.  It returns U and U^-1 as integer rows.
+factors nothing.  It returns U and U^-1 as integer rows.  Its Lovasz
+constant is 99/100 (Schnorr and Euchner, 1994), not 3/4: on that basis the
+Leech walk visits 2 157 620 nodes instead of 3 157 319.
 
 Two walkers visit the lattice points of the reduced form with floating-point
 bounds (radii inflated by 1 + 2^-20) on the reduced Gram scaled exactly by a
 power of two, so the float bounds do not depend on the scale of the form.
 ``_walk_nodes`` takes one tree node per Python step.  ``_walk_levels``
 expands up to ``_CHUNK`` nodes of one tree level per numpy step with the same
-float operations, and returns the same points in the same order.  Its cost
-is about 40 us per expansion whatever the chunk holds, so it pays only on
-large trees, and ``_enumerate`` picks it from ``BATCH_MIN_DIM`` = 12 levels
-on.  Shortest-vector walks, node walker against level walker (CPython 3.11,
-numpy 2.4, a shared 2-core x86-64 VM): random forms with d <= 4, 8-10 us
-against 150-190 us; E8, 0.47 against 0.48 ms; Lambda9 (d = 9), 0.48 against
-0.38 ms; D12, 1.25 against 0.59 ms; K12, 3.5 against 0.87 ms; D16, 2.9
-against 0.82 ms; Leech, 11.1 against 0.9 s.  Reduced forms with d >= 12 and
-only a few short vectors still walk faster node by node (0.07-0.5 ms against
-0.5-1 ms), a loss below a millisecond where the dense lattices gain up to
-seconds.
+float operations, and returns the same points in the same order; a chunk
+links to its parent chunk, not to a copy of the coordinates above it.  Each
+expansion costs about 40 us, so ``_enumerate`` picks it only from
+``BATCH_MIN_DIM`` = 12 levels on.  Shortest-vector walks, node walker against
+level walker (CPython 3.11, numpy 2.4, a shared 2-core x86-64 VM): random
+forms with d <= 4, 8-10 us against 150-190 us; E8, 0.5-0.7 against 0.4-0.7
+ms; Lambda9 (d = 9), 0.4-0.6 against 0.7 ms; D12, 1.5 against 0.8-0.9 ms;
+K12, 2.8 against 0.7 ms; D16, 2.6 against 0.9 ms; Leech, 8.0 against 0.45 s.
+Reduced forms with d >= 12 and few short vectors lose up to 1 ms this way
+(0.07-0.5 ms against 0.5-1 ms), where the dense lattices gain seconds.
 
 Candidates stay integer arrays: a vector is accepted only after exact
-integer evaluation, one einsum in ``linalg.int_type`` of a bound on every
-partial sum (Python ints beyond int64), so the returned minima and minimizer
-sets are exact and complete.  Leech's 98 280 minimal vectors take
-a few MB as an array, against about 23 MB as tuples.
+integer evaluation, in float64 BLAS while float64 holds every partial sum
+(up to 2^53), else in one einsum in ``linalg.int_type`` of a bound on them,
+so the returned minima and minimizer sets are exact and complete.  Leech's
+98 280 minimal vectors take a few MB as an array, against 23 MB as tuples.
 """
 
 from __future__ import annotations
@@ -62,9 +63,8 @@ __all__ = [
 ]
 
 RADIUS_INFLATION = 1.0 + 2.0 ** -20
-# The Lovasz constant of lll_reduce: the classic 3/4 of Lenstra, Lenstra and
-# Lovasz (1982).
-LLL_DELTA = Fraction(3, 4)
+# The Lovasz constant of lll_reduce; the module docstring gives the reason.
+LLL_DELTA = Fraction(99, 100)
 # Reductions kept: one generalized_min asks for its form's reduction for the
 # SVP and again for every CVP pair, and improve's _accept re-reduces the
 # candidate that improvement_step accepted.
@@ -80,6 +80,11 @@ MAX_PIVOT_SPAN_BITS = 52
 BATCH_MIN_DIM = 12
 # Nodes per chunk of the level walker.
 _CHUNK = 2048
+# Exact products with every partial sum at most FLOAT_EXACT run in float64
+# BLAS, _ROW_BLOCK rows at a time; x^t M x needs _FLOAT_MIN_TERMS terms, too.
+FLOAT_EXACT = 2 ** 53
+_FLOAT_MIN_TERMS = 256
+_ROW_BLOCK = 4096
 
 IntRows = tuple[tuple[int, ...], ...]
 
@@ -289,11 +294,12 @@ def _walk_levels(
 ) -> np.ndarray:
     """``_enumerate`` one tree level of up to _CHUNK nodes per numpy step.
 
-    A depth-first stack holds chunks of nodes of one level k: their chosen
-    x_{k+1..d-1}, the partial centers of levels 0..k, the value of the
-    levels above k and whether those levels are all zero.  Expanding a chunk
-    gives all its children at once, in the order the node walker visits
-    them, with the same float operations.  The node walker shrinks the
+    A depth-first stack holds chunks of nodes of one level k: the link
+    (x_{k+1}, parent index, parent chunk's link) that leaves read their
+    x_{k+1..d-1} back by, the partial centers of levels 0..k, the value of
+    the levels above k and whether those levels are all zero.  Expanding a
+    chunk gives all its children at once, in the order the node walker
+    visits them, with the same float operations.  The node walker shrinks the
     radius after each leaf; here a leaf is kept iff its value is at most the
     radius shrunk by every leaf before it, which keeps the same leaves, and
     inner levels prune with the radius of the last leaf batch, which only
@@ -305,9 +311,9 @@ def _walk_levels(
     cen = np.array(center, dtype=float)
     best = radius
     leaves = []
-    stack = [(d - 1, np.zeros((1, 0), np.int64), cen[None, :], np.zeros(1), np.ones(1, bool))]
+    stack = [(d - 1, None, cen[None, :], np.zeros(1), np.ones(1, bool))]
     while stack:
-        k, xs, cs, acc, zero = stack.pop()
+        k, link, cs, acc, zero = stack.pop()
         ck = cs[:, k]
         rem = best - acc
         spread = np.sqrt(np.maximum(rem, 0.0) / dvec[k])
@@ -324,25 +330,29 @@ def _walk_levels(
         diff = xk - ck[parent]
         val = acc[parent] + dvec[k] * diff * diff
         keep = val <= best
+        if k == 0 and skip_zero:
+            keep &= ~(zero[parent] & (xk == 0))
         parent, xk, val = parent[keep], xk[keep], val[keep]
         if k == 0:
-            if skip_zero:
-                keep = ~(zero[parent] & (xk == 0))
-                parent, xk, val = parent[keep], xk[keep], val[keep]
             if len(val):
                 bound = np.minimum.accumulate(
                     np.concatenate(([best], val * RADIUS_INFLATION))
                 )
                 keep = val <= bound[:-1]
-                leaves.append(small_ints(np.column_stack((xk[keep], xs[parent[keep]]))))
+                cols, idx = [xk[keep]], parent[keep]
+                while link is not None:
+                    xs, up, link = link
+                    cols.append(xs[idx])
+                    idx = up[idx]
+                leaves.append(small_ints(np.column_stack(cols)))
                 best = float(bound[-1])
             continue
-        xs = np.column_stack((xk, xs[parent]))
-        cs = cs[parent, :k] - np.outer(xk - cen[k], lower[k, :k])
+        cs = cs[parent, :k]
+        cs -= np.multiply.outer(xk - cen[k], lower[k, :k])
         zero = zero[parent] & (xk == 0)
         for s in reversed(range(0, len(val), _CHUNK)):
             t = s + _CHUNK
-            stack.append((k - 1, xs[s:t], cs[s:t], val[s:t], zero[s:t]))
+            stack.append((k - 1, (xk[s:t], parent[s:t], link), cs[s:t], val[s:t], zero[s:t]))
     if not leaves:
         return np.zeros((0, d), np.int64)
     return np.concatenate(leaves)
@@ -352,18 +362,32 @@ def _apply_rows(m: np.ndarray, xs: np.ndarray, xtop: int) -> np.ndarray:
     """M x for each integer row x of ``xs``, exactly, with |x_i| <= ``xtop``.
 
     Each entry sums as many terms as M has columns, each at most xtop max|M|,
-    so the einsum runs in ``int_type`` of that bound and no partial sum can
-    overflow it; einsum widens X as it goes, so no wide copy of X is made.
+    so no partial sum passes that bound: ``_exact_rows`` sums in float64, or
+    an einsum in the bound's ``int_type``, which widens X as it goes.
     """
-    dtype = int_type(m.shape[1] * max(xtop, 1) * max_abs(m))
-    return np.einsum("ij,kj->ik", xs, m, dtype=dtype, casting="unsafe")
+    bound = m.shape[1] * max(xtop, 1) * max_abs(m)
+    if bound > FLOAT_EXACT:
+        return np.einsum("ij,kj->ik", xs, m, dtype=int_type(bound), casting="unsafe")
+    return _exact_rows(xs, bound, lambda x, mt=m.T.astype(float): x @ mt)
 
 
 def _exact_values(m: np.ndarray, xs: np.ndarray, xtop: int) -> np.ndarray:
     """x^t M x for each integer row x of ``xs``, exactly, with |x_i| <= ``xtop``,
-    as ``_apply_rows`` computes M x: d^2 terms of at most xtop^2 max|M|."""
-    dtype = int_type((m.shape[1] * max(xtop, 1)) ** 2 * max_abs(m))
-    return np.einsum("ij,jk,ik->i", xs, m, xs, dtype=dtype, casting="unsafe")
+    as ``_apply_rows`` computes M x: d^2 terms of at most xtop^2 max|M|.  One
+    einsum is faster than the float path below _FLOAT_MIN_TERMS terms."""
+    bound = (m.shape[1] * max(xtop, 1)) ** 2 * max_abs(m)
+    if bound > FLOAT_EXACT or xs.size * len(m) < _FLOAT_MIN_TERMS:
+        return np.einsum("ij,jk,ik->i", xs, m, xs, dtype=int_type(bound), casting="unsafe")
+    return _exact_rows(xs, bound, lambda x, mf=m.astype(float): (x @ mf * x).sum(axis=1))
+
+
+def _exact_rows(xs: np.ndarray, bound: int, product) -> np.ndarray:
+    """``product`` of float64 blocks of ``xs`` in ``int_type(bound)``: exact in
+    any summation order, as float64 holds every integer up to bound <= 2^53."""
+    if len(xs) <= _ROW_BLOCK:
+        return product(xs.astype(float)).astype(int_type(bound))
+    starts = range(0, len(xs), _ROW_BLOCK)
+    return np.concatenate([_exact_rows(xs[s : s + _ROW_BLOCK], bound, product) for s in starts])
 
 
 @dataclass(frozen=True)

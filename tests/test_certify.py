@@ -1,5 +1,6 @@
 import random
 import sys
+import tracemalloc
 from fractions import Fraction as Fr
 from types import SimpleNamespace
 
@@ -17,6 +18,7 @@ from periform.certify import (
     NOT_EXTREME,
     OUTSIDE,
     _classify,
+    _gradient_matrix,
     certify,
     eutaxy_status,
     floating_components,
@@ -113,6 +115,21 @@ class TestVoronoiDomain:
             [dom.den * c for c in gradient_p(x, rep).flatten(weighted=True)]
             for rep in gm.reps
         ]
+
+    @pytest.mark.slow
+    def test_leech_matrix_memory(self):
+        """Leech's 98 280 x 300 matrix is filled column by column in place:
+        building it holds at most 8 MB beside the matrix itself."""
+        x = lattice(get("Leech").form)
+        blocks = generalized_min(x).blocks
+        tracemalloc.start()
+        try:
+            matrix, _ = _gradient_matrix(x, blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert matrix.shape == (98280, 300) and matrix.flags.f_contiguous
+        assert peak - matrix.nbytes <= 8 * 2 ** 20
 
     def test_certify_calls_no_gradient_p(self, monkeypatch):
         """A uniform witness and a full mod-p rank never build a tangent vector."""

@@ -2,6 +2,7 @@ import importlib.util
 import random
 import re
 import sys
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction as Fr
 from itertools import product
@@ -116,29 +117,42 @@ class TestLll:
     @pytest.mark.parametrize("seed", range(12))
     def test_reduction_contract(self, seed):
         rng = random.Random(seed)
-        d = rng.randint(1, 6)
-        q = random_pd_gram(rng, d)
-        qred, u, _ = lll_reduce(q)
-        # Qred = U^t Q U exactly, hence same determinant.
-        assert qred == q.congruent(list(zip(*u)))
+        q = random_pd_gram(rng, rng.randint(1, 6))
+        qred, _, _ = assert_lll_reduced(q)
         assert qred.det() == q.det()
-        # Size reduction + Lovasz, checked on freshly recomputed GSO data.
-        g = qred.form
-        mu = [[Fr(0)] * d for _ in range(d)]
-        bstar = [Fr(0)] * d
-        for k in range(d):
-            bstar[k] = g.entry(k, k)
-            for j in range(k):
-                val = g.entry(k, j) - sum(
-                    mu[j][i] * mu[k][i] * bstar[i] for i in range(j)
-                )
-                mu[k][j] = val / bstar[j]
-                bstar[k] -= mu[k][j] ** 2 * bstar[j]
-        for k in range(d):
-            for j in range(k):
-                assert 2 * abs(mu[k][j]) <= 1
-            if k > 0:
-                assert bstar[k] >= (Fr(3, 4) - mu[k][k - 1] ** 2) * bstar[k - 1]
+
+    def test_scrambled_leech(self):
+        """Leech's Gram after 60 unimodular moves: a reduction with long
+        swaps, checked on the exact data as the small forms are."""
+        leech = get("Leech").form
+        u = random_unimodular(random.Random("scrambled leech"), 24, steps=60)
+        assert_lll_reduced(leech.congruent(list(zip(*u))))
+
+
+def assert_lll_reduced(q):
+    """(Qred, U, U^-1) as LLL at LLL_DELTA promises: U U^-1 = I, Qred = U^t Q U,
+    and on Gram-Schmidt data recomputed in Fractions from Qred alone, every
+    |mu_kj| <= 1/2 and the Lovasz condition at LLL_DELTA."""
+    qred, u, uinv = lll_reduce(q)
+    d = q.d
+    assert [[sum(u[i][k] * uinv[k][j] for k in range(d)) for j in range(d)]
+            for i in range(d)] == [[int(i == j) for j in range(d)] for i in range(d)]
+    assert qred == q.congruent(list(zip(*u)))
+    g = qred.form
+    mu = [[Fr(0)] * d for _ in range(d)]
+    bstar = [Fr(0)] * d
+    for k in range(d):
+        bstar[k] = g.entry(k, k)
+        for j in range(k):
+            val = g.entry(k, j) - sum(mu[j][i] * mu[k][i] * bstar[i] for i in range(j))
+            mu[k][j] = val / bstar[j]
+            bstar[k] -= mu[k][j] ** 2 * bstar[j]
+    for k in range(d):
+        for j in range(k):
+            assert 2 * abs(mu[k][j]) <= 1
+        if k > 0:
+            assert bstar[k] >= (lattices.LLL_DELTA - mu[k][k - 1] ** 2) * bstar[k - 1]
+    return qred, u, uinv
 
 
 def random_rational_pd(rng, d):
@@ -163,15 +177,13 @@ def improve_walk_pool(seed):
 
 
 def assert_matches_reference(q):
-    """(Qred, U, U^-1) and the walk's reduction as the lazy-GSO LLL gives them."""
-    qred, u, uinv = lll_reduce(q)
+    """(Qred, U, U^-1) and the walk's reduction as the lazy-GSO LLL gives them,
+    and LLL-reduced on the exact data."""
+    qred, u, uinv = assert_lll_reduced(q)
     ref_qred, ref_u = reference_lll.lll_reduce(q)
     assert (qred, u) == (ref_qred, ref_u.rows)
     assert uinv == ref_u.inverse().rows
     assert abs(det_bareiss(u)) == 1
-    d = q.d
-    assert [[sum(u[i][k] * uinv[k][j] for k in range(d)) for j in range(d)]
-            for i in range(d)] == [[int(i == j) for j in range(d)] for i in range(d)]
     try:
         ref = reference_lll.reduce(q)
     except ValueError as exc:
@@ -379,9 +391,30 @@ class TestLevelWalker:
                 self.assert_same_walk(q, c, half)
                 self.assert_same_walk(q, c, half, widen=4)
 
-    @pytest.mark.parametrize("chunk", [7, lattices._CHUNK])
+    @pytest.mark.parametrize("d", range(12, 17))
+    def test_short_chunks(self, d, monkeypatch):
+        """Chunks of 3 nodes at four times the shortest-vector radius: long
+        link chains, each leaf batch read back through up to d - 1 links."""
+        monkeypatch.setattr(lattices, "_CHUNK", 3)
+        rng = random.Random(f"short chunks {d}")
+        q = random_pd_gram(rng, d, 1)
+        self.assert_same_walk(q, widen=4)
+        self.assert_same_walk(q, [rng.random() - 0.5 for _ in range(d)], half=False, widen=4)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_no_links(self, d):
+        """At d = 1 the root's children are the leaves, at d = 2 one link deep."""
+        rng = random.Random(f"no links {d}")
+        for _ in range(4):
+            q = random_pd_gram(rng, d)
+            center = [rng.random() - 0.5 for _ in range(d)]
+            for c, half in ((None, True), (center, False), (center, True)):
+                self.assert_same_walk(q, c, half, widen=4)
+
+    @pytest.mark.parametrize("chunk", [1, 7, lattices._CHUNK])
     def test_k12(self, chunk, monkeypatch):
-        """Chunks of 7 nodes split every level: the depth-first order holds."""
+        """Chunks of 7 nodes split every level, and of 1 node make each link
+        chain as long as the tree is deep: the depth-first order holds."""
         monkeypatch.setattr(lattices, "_CHUNK", chunk)
         q = get("K12").form
         assert len(self.assert_same_walk(q)) == 378
@@ -424,11 +457,14 @@ class TestLevelWalker:
 
 
 # The largest |value| of each integer type, and one past it, with the
-# narrowest type that holds it.
+# narrowest type that holds it; and the largest integer bound that float64
+# products take, with its neighbours.
 TYPE_EDGES = {
     "2^7-1": (2 ** 7 - 1, np.int8), "2^7": (2 ** 7, np.int16),
     "2^15-1": (2 ** 15 - 1, np.int16), "2^15": (2 ** 15, np.int32),
     "2^31-1": (2 ** 31 - 1, np.int32), "2^31": (2 ** 31, np.int64),
+    "2^53-1": (2 ** 53 - 1, np.int64), "2^53": (2 ** 53, np.int64),
+    "2^53+1": (2 ** 53 + 1, np.int64),
     "2^63-1": (2 ** 63 - 1, np.int64), "2^63": (2 ** 63, object),
 }
 
@@ -449,14 +485,107 @@ class TestIntTypeEdges:
         assert out.tolist() == [[e, -e], [1, -1]]
 
     @pytest.mark.parametrize("sign", [1, -1])
-    def test_apply_rows_and_exact_values(self, e, dtype, sign):
+    def test_apply_rows_and_exact_values(self, e, dtype, sign, monkeypatch):
+        """Both the float64 path (where exact) and the einsum give the edge."""
         m = linalg.int_matrix([[sign * e]])
         xs = np.array([[1], [-1], [0]], dtype=np.int8)
-        rows = lattices._apply_rows(m, xs, 1)
-        values = lattices._exact_values(m, xs, 1)
-        assert rows.dtype == values.dtype == np.dtype(dtype)
-        assert rows.tolist() == [[sign * e], [-sign * e], [0]]
-        assert values.tolist() == [sign * e, sign * e, 0]
+        for min_terms in (0, lattices._FLOAT_MIN_TERMS):
+            monkeypatch.setattr(lattices, "_FLOAT_MIN_TERMS", min_terms)
+            rows = lattices._apply_rows(m, xs, 1)
+            values = lattices._exact_values(m, xs, 1)
+            assert rows.dtype == values.dtype == np.dtype(dtype)
+            assert rows.tolist() == [[sign * e], [-sign * e], [0]]
+            assert values.tolist() == [sign * e, sign * e, 0]
+
+
+def python_products(m, xs):
+    """M x and x^t M x for each row x, in Python ints."""
+    m, xs = [list(map(int, row)) for row in m], [list(map(int, x)) for x in xs]
+    mx = [[sum(a * b for a, b in zip(row, x)) for row in m] for x in xs]
+    return mx, [sum(a * b for a, b in zip(x, y)) for x, y in zip(xs, mx)]
+
+
+def assert_exact_products(m, xs, xtop):
+    """Both products equal Python-int sums, in ``int_type`` of their bounds."""
+    rows, values = lattices._apply_rows(m, xs, xtop), lattices._exact_values(m, xs, xtop)
+    k, top, big = m.shape[1], max(xtop, 1), linalg.max_abs(m)
+    assert rows.dtype == np.dtype(linalg.int_type(k * top * big))
+    assert values.dtype == np.dtype(linalg.int_type((k * top) ** 2 * big))
+    assert rows.shape == (len(xs), len(m)) and values.shape == (len(xs),)
+    assert (rows.tolist(), values.tolist()) == python_products(m, xs)
+    return rows, values
+
+
+@pytest.fixture
+def float_small(monkeypatch):
+    """Products of every size take the float64 path where it is exact."""
+    monkeypatch.setattr(lattices, "_FLOAT_MIN_TERMS", 0)
+
+
+@pytest.mark.usefixtures("float_small")
+@pytest.mark.parametrize("r", [-1, 0, 1], ids=["2^53-1", "2^53", "2^53+1"])
+class TestFloatPathEdges:
+    """Bounds of 2^53 + r, reached by sums of several terms of mixed signs.
+    Up to 2^53 the products run in float64, which holds every partial sum;
+    at 2^53 + 1 they must not, since float64 rounds the odd sum 2^53 + 1."""
+
+    def test_apply_rows(self, r):
+        """(M x)_0 = 2^53 + r at x = (1, -1), with bound 2^53 for r <= 0."""
+        h = 2 ** 52
+        m = linalg.int_matrix([[h + r, -h], [h, h]])
+        xs = np.array([[1, -1], [-1, 1], [1, 1], [0, 0]], dtype=np.int8)
+        rows, _ = assert_exact_products(m, xs, 1)
+        assert rows[:2, 0].tolist() == [2 ** 53 + r, -(2 ** 53 + r)]
+
+    def test_exact_values(self, r):
+        """x^t M x = 2^53 + r at x = (1, -1), with bound 2^53 for r <= 0."""
+        h = 2 ** 51
+        m = linalg.int_matrix([[h + r, -h], [-h, h]])
+        xs = np.array([[1, -1], [-1, 1], [1, 1], [0, 0], [1, 0]], dtype=np.int8)
+        _, values = assert_exact_products(m, xs, 1)
+        assert values[:2].tolist() == [2 ** 53 + r] * 2
+
+
+@pytest.mark.usefixtures("float_small")
+class TestFloatPath:
+    """The float64 path below 2^53 on inputs of every shape."""
+
+    def test_object_rows(self):
+        m = linalg.int_matrix([[3, -1, 2], [-1, 5, 0], [2, 0, 7]])
+        xs = np.array([[3, -2, 1], [0, 0, 0], [-4, 4, 1]], dtype=object)
+        assert_exact_products(m, xs, 4)
+
+    def test_zero_rows(self):
+        m = linalg.int_matrix([[2, 1, 0], [1, 2, 1], [0, -1, 2]])
+        rows, values = assert_exact_products(m, np.zeros((0, 3), np.int8), 0)
+        assert rows.shape == (0, 3) and values.shape == (0,)
+
+    @pytest.mark.parametrize("n", [3, 7, 9])
+    def test_blocks(self, n, monkeypatch):
+        """Blocks of 3 rows: one block, a partial last block, full blocks."""
+        monkeypatch.setattr(lattices, "_ROW_BLOCK", 3)
+        rng = random.Random(f"float blocks {n}")
+        m = linalg.int_matrix([[rng.randint(-99, 99) for _ in range(4)] for _ in range(4)])
+        xs = np.array([[rng.randint(-9, 9) for _ in range(4)] for _ in range(n)], dtype=np.int8)
+        assert_exact_products(m, xs, 9)
+
+
+@pytest.mark.slow
+def test_leech_products_memory():
+    """Leech's 98 281 candidates: neither product holds more than 8 MB
+    beside its output, so no float copy of all rows is made."""
+    red = lattices._reduce(get("Leech").form)
+    init = int(red.gram.diagonal().min())
+    cands = lattices._enumerate(red.dvec, red.lmat, [0.0] * 24, red.radius(init, red.den), True)
+    top = linalg.max_abs(cands)
+    for f, m in ((lattices._exact_values, red.gram), (lattices._apply_rows, red.u)):
+        tracemalloc.start()
+        try:
+            out = f(m, cands, top)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= 8 * 2 ** 20
 
 
 SCALE_FORMS = {
