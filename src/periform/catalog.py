@@ -1,10 +1,13 @@
 """Named lattices and periodic sets, plus sublattice re-representation.
 
-Gram matrices are built from explicit generator bases wherever a fixed basis
-matters downstream (D_d feeds the fluid diamond translations, the E8 basis
-feeds index-2 sublattice tests); correctness is pinned by the expected
-invariants (determinant, minimum, kissing pairs) that the test suite
-recomputes exactly.
+One congruence builds every Gram: ``_gram`` takes generator rows in ambient
+coordinates and a metric (the identity, I/8 for Leech, the Eisenstein norm
+for K12) and returns ``PQF.congruent`` of the metric on the rows, the same
+congruence that ``sublattice_representation`` takes of Q.  Generator bases
+are explicit wherever a fixed basis matters downstream (D_d feeds the fluid
+diamond translations, the E8 basis feeds index-2 sublattice tests);
+correctness is pinned by the expected invariants (determinant, minimum,
+kissing pairs) that the test suite recomputes exactly.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Sequence
 
 from .formats import MAX_DIMENSION, MAX_INDEX, parse_integer
 from .intmat import row_hnf, transpose
-from .linalg import PQF, RatLike, SymForm, echelon, solve_exact
+from .linalg import PQF, RatLike, SymForm, echelon, integer_row, solve_exact
 from .periodic import PeriodicForm
 
 __all__ = [
@@ -29,44 +32,35 @@ __all__ = [
     "golay_generator_matrix",
 ]
 
-CATALOG_NAMES = (
-    "Zd", "A", "D", "Dplus", "E6", "E7", "E8", "K12", "Leech", "Lambda9",
-)
-
 
 @dataclass(frozen=True)
 class CatalogEntry:
     name: str
     params: tuple
-    form: object  # PQF or PeriodicForm
+    form: PQF | PeriodicForm
     expected: dict = field(default_factory=dict)
     basis: tuple | None = None  # generator rows in ambient coordinates
 
 
-def _gram_from_rows(rows: Sequence[Sequence[RatLike]]) -> PQF:
-    n = len(rows)
+def _gram(rows: Sequence[Sequence[RatLike]], metric: PQF | None = None) -> PQF:
+    """R M R^t for generator rows R under the metric M (the identity by
+    default): one congruence on R with its denominators cleared."""
     width = len(rows[0])
-    g = [
-        [
-            sum((Fraction(rows[i][k]) * Fraction(rows[j][k]) for k in range(width)),
-                Fraction(0))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return PQF.from_rows(g)
+    den, flat = integer_row([v for row in rows for v in row])
+    if metric is None:
+        metric = PQF(SymForm.identity(width))
+    if den > 1:
+        metric = metric.scale(Fraction(1, den * den))
+    return metric.congruent([flat[k:k + width] for k in range(0, len(flat), width)])
 
 
-def _coords_in_row_basis(
-    rows: Sequence[Sequence[RatLike]], point: Sequence[RatLike]
-) -> tuple[Fraction, ...]:
-    """c with sum_i c_i rows[i] = point."""
-    n = len(rows)
-    mat = [[Fraction(rows[j][i]) for j in range(n)] for i in range(len(point))]
-    sol = solve_exact(mat, [Fraction(v) for v in point])
-    if sol is None:
-        raise ValueError("point not in the span of the basis")
-    return sol
+def _basis(rows: Sequence[Sequence[RatLike]]) -> tuple:
+    return tuple(tuple(map(Fraction, r)) for r in rows)
+
+
+def _spanned(rows: Sequence[Sequence[RatLike]], expected: dict) -> tuple:
+    """(form, expected, basis) of the lattice the rows span."""
+    return _gram(rows), expected, _basis(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -91,23 +85,17 @@ def _d_basis_rows(d: int) -> list[list[int]]:
     return rows
 
 
-def _dplus_basis_rows(d: int) -> list[list[Fraction]]:
+def _dplus_basis_rows(d: int) -> list[list[RatLike]]:
     # Basis of D_d union (D_d + h) with h = (1/2, ..., 1/2), d even.
-    rows: list[list[Fraction]] = []
-    first = [Fraction(0)] * d
-    first[0] = first[1] = Fraction(1)
-    rows.append(first)
-    for i in range(1, d - 1):
-        r = [Fraction(0)] * d
-        r[i] = Fraction(1)
-        r[i - 1] = Fraction(-1)
-        rows.append(r)
-    rows.append([Fraction(1, 2)] * d)
-    return rows
+    return _d_basis_rows(d)[:-1] + [[Fraction(1, 2)] * d]
 
 
-def _e8_basis_rows() -> list[list[Fraction]]:
-    return _dplus_basis_rows(8)
+def _d_plus_glue(d: int, glue: Sequence[RatLike]) -> PeriodicForm:
+    """The 2-periodic set D_d union (D_d + glue) over the fixed D_d basis."""
+    rows = _d_basis_rows(d)
+    coords = solve_exact([[Fraction(r[i]) for r in rows] for i in range(d)],
+                         [Fraction(v) for v in glue])
+    return PeriodicForm.make(_gram(rows), [coords])
 
 
 def _tstar_gram(arms: tuple[int, int, int]) -> PQF:
@@ -168,13 +156,7 @@ def _leech_gram() -> PQF:
     g[0] = 8
     gens.append(g)
     gens.append([-3] + [1] * 23)
-    basis = row_hnf(gens)
-    rows = [
-        [Fraction(sum(basis[i][k] * basis[j][k] for k in range(24)), 8)
-         for j in range(24)]
-        for i in range(24)
-    ]
-    return PQF.from_rows(rows)
+    return _gram(row_hnf(gens), PQF(SymForm.identity(24).scale(Fraction(1, 8))))
 
 
 # ---------------------------------------------------------------------------
@@ -226,18 +208,10 @@ def _k12_gram() -> PQF:
         lift = [(s[0], s[1]) for s in word]
         zgens.append([c for ab in lift for c in ab])
         zgens.append([c for ab in map(omega_times, lift) for c in ab])
-    basis = row_hnf(zgens)
-
-    def eis_inner(x, y):
-        total = Fraction(0)
-        for k in range(6):
-            a, b = x[2 * k], x[2 * k + 1]
-            c, d = y[2 * k], y[2 * k + 1]
-            total += Fraction(2 * a * c + 2 * b * d - a * d - b * c, 2)
-        return total
-
-    rows = [[eis_inner(basis[i], basis[j]) for j in range(12)] for i in range(12)]
-    return PQF.from_rows(rows)
+    # |a + b omega|^2 = a^2 - ab + b^2 on each coordinate pair.
+    norm = PQF.from_rows([[1 if i == j else Fraction(-1, 2) if i // 2 == j // 2 else 0
+                           for j in range(12)] for i in range(12)])
+    return _gram(row_hnf(zgens), norm)
 
 
 # ---------------------------------------------------------------------------
@@ -251,11 +225,7 @@ def fluid_diamond(alpha: RatLike) -> PeriodicForm:
     Integral alpha yields a representation of the densest known packing
     lattice in dimension 9; the generalized minimum is 2 for every alpha.
     """
-    rows = _d_basis_rows(9)
-    q = _gram_from_rows(rows)
-    t_alpha = [Fraction(1, 2)] * 8 + [Fraction(alpha)]
-    coords = _coords_in_row_basis(rows, t_alpha)
-    return PeriodicForm.make(q, [coords])
+    return _d_plus_glue(9, [Fraction(1, 2)] * 8 + [Fraction(alpha)])
 
 
 def sublattice_representation(q: PQF, h: Sequence[Sequence[int]]) -> PeriodicForm:
@@ -296,107 +266,58 @@ def sublattice_representation(q: PQF, h: Sequence[Sequence[int]]) -> PeriodicFor
 # ---------------------------------------------------------------------------
 
 
-def _dim_param(params, minimum: int, name: str) -> int:
-    if len(params) != 1:
-        raise ValueError(f"{name} takes exactly one parameter (the dimension)")
-    d = parse_integer(params[0])
-    if not minimum <= d <= MAX_DIMENSION:
-        raise ValueError(f"{name} requires {minimum} <= dimension <= {MAX_DIMENSION}")
-    return d
+def _expect(det: int, lam: int | None = None, min_pairs: int | None = None) -> dict:
+    """The invariants the test suite recomputes: det Q and, where given, the
+    minimum and the number of minimal vector pairs."""
+    out = {"det": Fraction(det)}
+    if lam is not None:
+        out["lam"] = Fraction(lam)
+    if min_pairs is not None:
+        out["min_pairs"] = min_pairs
+    return out
+
+
+# name -> (least dimension, or None for a form without parameters; builder
+# of (form, expected, basis) from the dimension, if it takes one).
+_CATALOG = {
+    "Zd": (1, lambda d: (PQF(SymForm.identity(d)), _expect(1, 1, d), None)),
+    "A": (1, lambda d: (_a_gram(d), _expect(d + 1, 2, d * (d + 1) // 2), None)),
+    "D": (3, lambda d: _spanned(_d_basis_rows(d), _expect(4, 2, d * (d - 1)))),
+    "Dplus": (3, lambda d: (_d_plus_glue(d, [Fraction(1, 2)] * d), _expect(4),
+                            _basis(_d_basis_rows(d)))),
+    "E6": (None, lambda: (_tstar_gram((2, 3, 3)), _expect(3, 2, 36), None)),
+    "E7": (None, lambda: (_tstar_gram((2, 3, 4)), _expect(2, 2, 63), None)),
+    "E8": (None, lambda: _spanned(_dplus_basis_rows(8), _expect(1, 2, 120))),
+    "K12": (None, lambda: (_k12_gram(), _expect(729, 4, 378), None)),
+    "Leech": (None, lambda: (_leech_gram(), _expect(1, 4, 98280), None)),
+    "Lambda9": (None, lambda: (fluid_diamond(0), _expect(4, 2), None)),
+}
+
+CATALOG_NAMES = tuple(_CATALOG)
 
 
 def get(name: str, *params) -> CatalogEntry:
-    """Catalog lookup; unknown names raise KeyError.
+    """Catalog lookup; unknown names raise KeyError, bad parameters ValueError.
 
     ``Dplus d`` is the 2-periodic form over D_d; ``Dplus d lattice`` is the
     index-2 overlattice Gram, defined for even d >= 8.
     """
-    if name == "Zd":
-        d = _dim_param(params, 1, "Zd")
-        form = PQF(SymForm.identity(d))
-        return CatalogEntry(
-            name, (d,), form,
-            {"det": Fraction(1), "lam": Fraction(1), "min_pairs": d},
-        )
-    if name == "A":
-        d = _dim_param(params, 1, "A")
-        return CatalogEntry(
-            name, (d,), _a_gram(d),
-            {"det": Fraction(d + 1), "lam": Fraction(2),
-             "min_pairs": d * (d + 1) // 2},
-        )
-    if name == "D":
-        d = _dim_param(params, 3, "D")
-        rows = _d_basis_rows(d)
-        return CatalogEntry(
-            name, (d,), _gram_from_rows(rows),
-            {"det": Fraction(4), "lam": Fraction(2), "min_pairs": d * (d - 1)},
-            basis=tuple(tuple(map(Fraction, r)) for r in rows),
-        )
-    if name == "Dplus":
-        if len(params) == 2 and params[1] == "lattice":
-            d = parse_integer(params[0])
-            if not 8 <= d <= MAX_DIMENSION or d % 2:
-                raise ValueError(
-                    f"the Dplus lattice variant needs even 8 <= d <= {MAX_DIMENSION}"
-                )
-            rows = _dplus_basis_rows(d)
-            expected = {"det": Fraction(1), "lam": Fraction(2)}
-            if d >= 10:
-                expected["min_pairs"] = d * (d - 1)
-            return CatalogEntry(
-                name, (d, "lattice"), _gram_from_rows(rows), expected,
-                basis=tuple(tuple(r) for r in rows),
-            )
-        d = _dim_param(params, 3, "Dplus")
-        rows = _d_basis_rows(d)
-        q = _gram_from_rows(rows)
-        half = [Fraction(1, 2)] * d
-        form = PeriodicForm.make(q, [_coords_in_row_basis(rows, half)])
-        return CatalogEntry(
-            name, (d,), form, {"det": Fraction(4)},
-            basis=tuple(tuple(map(Fraction, r)) for r in rows),
-        )
-    if name == "E6":
-        _no_params(params, "E6")
-        return CatalogEntry(
-            name, (), _tstar_gram((2, 3, 3)),
-            {"det": Fraction(3), "lam": Fraction(2), "min_pairs": 36},
-        )
-    if name == "E7":
-        _no_params(params, "E7")
-        return CatalogEntry(
-            name, (), _tstar_gram((2, 3, 4)),
-            {"det": Fraction(2), "lam": Fraction(2), "min_pairs": 63},
-        )
-    if name == "E8":
-        _no_params(params, "E8")
-        rows = _e8_basis_rows()
-        return CatalogEntry(
-            name, (), _gram_from_rows(rows),
-            {"det": Fraction(1), "lam": Fraction(2), "min_pairs": 120},
-            basis=tuple(tuple(r) for r in rows),
-        )
-    if name == "K12":
-        _no_params(params, "K12")
-        return CatalogEntry(
-            name, (), _k12_gram(),
-            {"det": Fraction(729), "lam": Fraction(4), "min_pairs": 378},
-        )
-    if name == "Leech":
-        _no_params(params, "Leech")
-        return CatalogEntry(
-            name, (), _leech_gram(),
-            {"det": Fraction(1), "lam": Fraction(4), "min_pairs": 98280},
-        )
-    if name == "Lambda9":
-        _no_params(params, "Lambda9")
-        return CatalogEntry(
-            name, (), fluid_diamond(0), {"det": Fraction(4), "lam": Fraction(2)},
-        )
-    raise KeyError(f"unknown catalog name: {name!r}")
-
-
-def _no_params(params, name: str) -> None:
-    if params:
-        raise ValueError(f"{name} takes no parameters")
+    if name not in _CATALOG:
+        raise KeyError(f"unknown catalog name: {name!r}")
+    if name == "Dplus" and len(params) == 2 and params[1] == "lattice":
+        d = parse_integer(params[0])
+        if not 8 <= d <= MAX_DIMENSION or d % 2:
+            raise ValueError(f"the Dplus lattice variant needs even 8 <= d <= {MAX_DIMENSION}")
+        expected = _expect(1, 2, d * (d - 1) if d >= 10 else None)
+        return CatalogEntry(name, (d, "lattice"), *_spanned(_dplus_basis_rows(d), expected))
+    least, build = _CATALOG[name]
+    if least is None:
+        if params:
+            raise ValueError(f"{name} takes no parameters")
+        return CatalogEntry(name, (), *build())
+    if len(params) != 1:
+        raise ValueError(f"{name} takes exactly one parameter (the dimension)")
+    d = parse_integer(params[0])
+    if not least <= d <= MAX_DIMENSION:
+        raise ValueError(f"{name} requires {least} <= dimension <= {MAX_DIMENSION}")
+    return CatalogEntry(name, (d,), *build(d))

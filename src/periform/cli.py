@@ -251,7 +251,8 @@ def cmd_catalog(args) -> int:
     try:
         entry = get(args.name, *args.params)
     except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message; print the message.
+        print("error:", *exc.args, file=sys.stderr)
         return EXIT_PARSE
     form = entry.form
     if isinstance(form, PQF):

@@ -245,15 +245,13 @@ def _walk_nodes(
         for i in range(d - 1, k, -1):
             s -= lmat[i][k] * (x[i] - center[i])
         ck[k] = s
-        rem = best - acc[k + 1]
-        if rem < 0.0:
-            lo[k], hi[k] = 0, -1
-        else:
-            spread = sqrt(rem / dvec[k])
-            lo[k] = ceil(s - spread - 1e-9)
-            hi[k] = floor(s + spread + 1e-9)
-            if skip_zero and lo[k] < 0 and zero[k + 1]:
-                lo[k] = 0
+        # acc[k + 1] <= best: it is 0 at the top level, and below that the
+        # value just checked against best, which only leaves shrink.
+        spread = sqrt((best - acc[k + 1]) / dvec[k])
+        lo[k] = ceil(s - spread - 1e-9)
+        hi[k] = floor(s + spread + 1e-9)
+        if skip_zero and lo[k] < 0 and zero[k + 1]:
+            lo[k] = 0
         x[k] = lo[k]
 
     k = d - 1
@@ -326,7 +324,8 @@ def _walk_levels(
         if not total:
             continue
         parent = np.repeat(np.arange(len(acc)), counts)
-        xk = np.arange(total) + np.repeat(lo.astype(np.int64) - (np.cumsum(counts) - counts), counts)
+        starts = lo.astype(np.int64) - (np.cumsum(counts) - counts)
+        xk = np.arange(total) + np.repeat(starts, counts)
         diff = xk - ck[parent]
         val = acc[parent] + dvec[k] * diff * diff
         keep = val <= best

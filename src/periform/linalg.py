@@ -104,9 +104,8 @@ class SymForm:
 
     @staticmethod
     def identity(d: int) -> "SymForm":
-        return SymForm.from_rows(
-            [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-        )
+        one, zero = Fraction(1), Fraction(0)
+        return SymForm(d, tuple(one if i == j else zero for i in range(d) for j in range(i, d)))
 
     @staticmethod
     def outer(x: Sequence[RatLike]) -> "SymForm":

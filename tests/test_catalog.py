@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as Fr
 from itertools import product
@@ -14,6 +15,7 @@ from periform.catalog import (
     sublattice_representation,
 )
 from periform.certify import NOT_EXTREME, certify, strong_eutaxy
+from periform.formats import dumps
 from periform.intmat import enumerate_sublattice_hnf, row_hnf, transpose
 from periform.linalg import PQF, solve_exact
 from periform.lattices import shortest_vectors
@@ -35,6 +37,48 @@ def check_expected(entry):
             assert len(gm.reps) == entry.expected["min_pairs"]
         else:
             assert len(shortest_vectors(x.q).vectors) == entry.expected["min_pairs"]
+
+
+# SHA-256 of each entry's name, form type, dumps(form), expected, basis and
+# params: a change to how the catalog builds a form must keep every byte.
+ENTRY_DIGESTS = {
+    "Zd 1": "b5dd99b490e9bb0e5c01ee9fdbe4afc47dba5cbf46acf8325c7db92859088a3f",
+    "Zd 4": "27b098805658ed719d43e935b1656a9cd80d6f2c59dec57c3a66caf97bc5cb7b",
+    "A 1": "5a6b7a6ea185e85e447a6d6c56271731bf0905215a00a29f0f990468cca148ff",
+    "A 5": "720525c6292fb096c6fd60a8579499f3e0f8c15dca8872d4ab5c90df4a8cdc58",
+    "D 3": "f9f15d76b1f7c19dd827f6f9364899facfa4192938b2d265ae99f324e777dc40",
+    "D 9": "510326d7e308ea45c8d1843cc27f952b5008b8dac188322e6a2c4f25f246bdd5",
+    "Dplus 3": "9891e66e7f696d2c434bb370c7d3390c9a5a855e6fe7b476aacb55e8059a55d8",
+    "Dplus 9": "07ac8c9877fd5240d5b3022757171445d19440bee1c12c565465e59809a3ad08",
+    "Dplus 8 lattice": "a5b3faa251d4950bec6dccc888b9ecfbd93441b5af1526fc5d5475e66db4ea74",
+    "Dplus 12 lattice": "0534f0965ddec8b66d53968980ad201a87f943022d23becaffb946c8bcc23e5f",
+    "E6": "2b687cbd9c80c29bdd5649416c90706ff3fd2effb378d851414a3acc5c0dee96",
+    "E7": "dc521a495bfc5b64635300df4a8e2583af3d39d8f32aa411f82d35ccfc838bfc",
+    "E8": "18b6d6944bb97c57c54531d3cb09eb02761a8ed97c26ddb4f327c38df2cf8674",
+    "K12": "001478a3b7bf0492e18ea8e3a651e13e6095051c9e2aaaa4056902eaec5eab20",
+    "Leech": "b54886ca1eb13a5a70a092807738625581cfd27e4017e88a10bca5c63cca187b",
+    "Lambda9": "119bd27390c63d4bbd86d55bbe20bb7e57d537617407db389e66872ccd7822ba",
+}
+
+
+def entry_digest(entry):
+    form = entry.form
+    x = form if isinstance(form, PeriodicForm) else PeriodicForm.lattice(form)
+    text = "\n".join([entry.name, type(form).__name__, dumps(x),
+                      repr(sorted(entry.expected.items())), repr(entry.basis),
+                      repr(entry.params)])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_entry_digests_cover_the_catalog():
+    assert {key.split()[0] for key in ENTRY_DIGESTS} == set(CATALOG_NAMES)
+
+
+@pytest.mark.parametrize("key", ENTRY_DIGESTS)
+def test_entry_is_byte_identical(key):
+    name, *params = key.split()
+    params = [int(p) if p.isdigit() else p for p in params]
+    assert entry_digest(get(name, *params)) == ENTRY_DIGESTS[key]
 
 
 class TestGolay:
@@ -133,6 +177,16 @@ class TestRootLattices:
         with pytest.raises(KeyError):
             get("Foo")
 
+    @pytest.mark.parametrize("name, params, message", [
+        ("E6", (1,), "E6 takes no parameters"),
+        ("A", (), "A takes exactly one parameter"),
+        ("A", (2, 3), "A takes exactly one parameter"),
+        ("Dplus", (3, "x"), "Dplus takes exactly one parameter"),
+    ])
+    def test_parameter_count(self, name, params, message):
+        with pytest.raises(ValueError, match=message):
+            get(name, *params)
+
     def test_names_listing(self):
         assert "Leech" in CATALOG_NAMES
 
@@ -177,6 +231,11 @@ class TestSublatticeRepresentation:
     def test_singular_rejected(self):
         with pytest.raises(ValueError):
             sublattice_representation(PQF.from_rows([[1, 0], [0, 1]]), [[1, 1], [1, 1]])
+
+    @pytest.mark.parametrize("h", [[[1, 0]], [[1, 0], [0]], [[1, 0, 0], [0, 1, 0]]])
+    def test_non_square_rejected(self, h):
+        with pytest.raises(ValueError, match="H must be a d x d integer matrix"):
+            sublattice_representation(PQF.from_rows([[1, 0], [0, 1]]), h)
 
     @pytest.mark.parametrize("h", [[[0, 0], [0, 1]], [[0, 1], [0, 2]], [[2, 4], [1, 2]]])
     def test_singular_shapes_rejected(self, h):

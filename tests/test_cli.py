@@ -1,4 +1,5 @@
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 
 import periform
 from helpers import det_target, gradients, sized_document
-from periform.catalog import MAX_DIMENSION, MAX_INDEX
+from periform.catalog import CATALOG_NAMES, MAX_DIMENSION, MAX_INDEX
 from periform.cli import main
 from periform.formats import dumps, loads, to_document
 from periform.improve import improve
@@ -53,6 +54,17 @@ class TestMin:
         bad = tmp_path / "bad.json"
         bad.write_text("{")
         assert main(["min", str(bad)]) == 2
+
+    def test_stdin_input(self, tmp_path, capsys, monkeypatch):
+        path = write_form(tmp_path, [[1]], [[loads_fr("1/2")]])
+        monkeypatch.setattr(sys, "stdin", io.StringIO(Path(path).read_text()))
+        assert main(["min", "-"]) == 0
+        assert "lambda = 1/4, 2 classes" in capsys.readouterr().out
+
+    def test_unreadable_path_exit_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert main(["min", str(missing)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {missing}: ")
 
     @pytest.mark.parametrize("entry", [
         '"1e3"', '"0.25"', '"1_000"', "true", '"1e200000"', '"' + "7" * 5000 + '"',
@@ -154,6 +166,16 @@ class TestImproveCommand:
         assert main(["improve", path]) == 0
         assert "steps taken: 0" in capsys.readouterr().out
 
+    def test_stalled_text_output(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(importlib.import_module("periform.improve"), "improvement_step",
+                            lambda x, n, lam: None)
+        path = write_form(tmp_path, [[1, 0], [0, 2]])
+        assert main(["improve", path, "--steps", "5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:3] == ["steps taken: 0", "final verdict: NotExtreme",
+                             "stalled: no strictly improving step found"]
+        assert lines[3].startswith("final delta/volB = ")
+
     def test_final_density_reads_the_certificate(self, tmp_path, capsys, monkeypatch):
         """Under --json the command adds one step search to those improve
         makes when the final verdict is NotExtreme, for the epsilon it
@@ -208,8 +230,26 @@ class TestCatalog:
         x = loads(out.read_text())
         assert x.d == 8
 
+    def test_list_json(self, capsys):
+        assert main(["--json", "catalog", "list"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc == {"command": "catalog", "names": list(CATALOG_NAMES)}
+
     def test_unknown_name_exit_2(self, capsys):
         assert main(["catalog", "get", "Nope"]) == 2
+        assert capsys.readouterr().err == "error: unknown catalog name: 'Nope'\n"
+
+    @pytest.mark.parametrize("params, message", [
+        (["E6", "1"], "E6 takes no parameters"),
+        (["A"], "A takes exactly one parameter (the dimension)"),
+        (["Dplus", "3", "x"], "Dplus takes exactly one parameter (the dimension)"),
+        (["D", "2"], f"D requires 3 <= dimension <= {MAX_DIMENSION}"),
+        (["Dplus", "9", "lattice"],
+         f"the Dplus lattice variant needs even 8 <= d <= {MAX_DIMENSION}"),
+    ])
+    def test_parameter_errors_exit_2(self, capsys, params, message):
+        assert main(["catalog", "get", *params]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("dim", ["1_0", "+3", " 3", "\u0663", "3/1", "3.0", ""],
                              ids=["underscore", "plus", "space", "arabic-indic", "ratio",
@@ -299,6 +339,17 @@ class TestRepresent:
         assert main(["represent", path, "--H", "2", "-o", str(out)]) == 0
         assert main(["min", str(out)]) == 0
         assert "lambda = 1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("h", ["1 0", "1 0; 0 1; 0 0", "1 0 0; 0 1"])
+    def test_malformed_h_exit_2(self, tmp_path, capsys, h):
+        path = write_form(tmp_path, [[1, 0], [0, 1]])
+        assert main(["represent", path, "--H", h]) == 2
+        assert capsys.readouterr().err == "error: H must be 2 x 2\n"
+
+    def test_periodic_input_exit_2(self, tmp_path, capsys):
+        path = write_form(tmp_path, [[1]], [[loads_fr("1/2")]])
+        assert main(["represent", path, "--H", "2"]) == 2
+        assert capsys.readouterr().err == "error: represent expects a lattice input (m = 1)\n"
 
     def test_singular_h_exit_2(self, tmp_path):
         path = write_form(tmp_path, [[1, 0], [0, 1]])

@@ -22,6 +22,18 @@ def test_no_assert_in_library():
     assert SOURCES and found == []
 
 
+def test_line_width():
+    """No source line is wider than 100 columns, so the line count falls by
+    deletion and not by packing."""
+    found = [
+        f"{path.name}:{n}"
+        for path in SOURCES
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if len(line) > 100
+    ]
+    assert SOURCES and found == []
+
+
 def test_traced_layers_exist():
     """Every (module, function) the benchmark traces resolves, so a rename
     fails here instead of in a traced benchmark run."""
