@@ -30,9 +30,9 @@ for label, x in [("hexagonal", HEX), ("square", SQUARE), ("diag(1,2)", STRETCHED
         n = cert.improving
         qrows = [[str(v) for v in row] for row in n.qpart.rows()]
         print(f"  improving direction Q-part: {qrows}")
-        eps = improvement_step(x, n, cert.lam)
+        eps, stepped = improvement_step(x, n, cert.lam)
         before = density(x).center_density_squared
-        after = density(x.add_tangent(n, eps)).center_density_squared
+        after = density(stepped).center_density_squared
         print(f"  verified step eps = {eps}: center^2 {before} -> {after}")
     print()
 

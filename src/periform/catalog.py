@@ -2,10 +2,11 @@
 
 One congruence builds every Gram: ``_gram`` takes generator rows in ambient
 coordinates and a metric (the identity, I/8 for Leech, the Eisenstein norm
-for K12) and returns ``PQF.congruent`` of the metric on the rows, the same
-congruence that ``sublattice_representation`` takes of Q.  Generator bases
-are explicit wherever a fixed basis matters downstream (D_d feeds the fluid
-diamond translations, the E8 basis feeds index-2 sublattice tests);
+for K12) and returns ``linalg.congruence`` of the metric's integer rows on
+the rows, the congruence that ``sublattice_representation`` takes of Q.
+Generator bases are explicit wherever a fixed basis matters downstream (D_d
+feeds the fluid diamond translations, the E8 basis feeds index-2 sublattice
+tests);
 correctness is pinned by the expected invariants (determinant, minimum,
 kissing pairs) that the test suite recomputes exactly.
 """
@@ -20,7 +21,7 @@ from typing import Sequence
 
 from .formats import MAX_DIMENSION, MAX_INDEX, parse_integer
 from .intmat import row_hnf, transpose
-from .linalg import PQF, RatLike, SymForm, echelon, integer_row, solve_exact
+from .linalg import PQF, RatLike, SymForm, congruence, echelon, integer_row, solve_exact
 from .periodic import PeriodicForm
 
 __all__ = [
@@ -42,16 +43,15 @@ class CatalogEntry:
     basis: tuple | None = None  # generator rows in ambient coordinates
 
 
-def _gram(rows: Sequence[Sequence[RatLike]], metric: PQF | None = None) -> PQF:
+def _gram(rows: Sequence[Sequence[RatLike]], metric: SymForm | None = None) -> PQF:
     """R M R^t for generator rows R under the metric M (the identity by
-    default): one congruence on R with its denominators cleared."""
+    default): one congruence on R with its denominators cleared, on the
+    integer rows of M, which is never factored."""
     width = len(rows[0])
     den, flat = integer_row([v for row in rows for v in row])
-    if metric is None:
-        metric = PQF(SymForm.identity(width))
-    if den > 1:
-        metric = metric.scale(Fraction(1, den * den))
-    return metric.congruent([flat[k:k + width] for k in range(0, len(flat), width)])
+    mden, mgram = (metric or SymForm.identity(width)).integer_rows()
+    return congruence(mden * den * den, mgram,
+                      [flat[k:k + width] for k in range(0, len(flat), width)])
 
 
 def _basis(rows: Sequence[Sequence[RatLike]]) -> tuple:
@@ -156,7 +156,7 @@ def _leech_gram() -> PQF:
     g[0] = 8
     gens.append(g)
     gens.append([-3] + [1] * 23)
-    return _gram(row_hnf(gens), PQF(SymForm.identity(24).scale(Fraction(1, 8))))
+    return _gram(row_hnf(gens), SymForm.identity(24).scale(Fraction(1, 8)))
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +209,8 @@ def _k12_gram() -> PQF:
         zgens.append([c for ab in lift for c in ab])
         zgens.append([c for ab in map(omega_times, lift) for c in ab])
     # |a + b omega|^2 = a^2 - ab + b^2 on each coordinate pair.
-    norm = PQF.from_rows([[1 if i == j else Fraction(-1, 2) if i // 2 == j // 2 else 0
-                           for j in range(12)] for i in range(12)])
+    norm = SymForm.from_rows([[1 if i == j else Fraction(-1, 2) if i // 2 == j // 2 else 0
+                               for j in range(12)] for i in range(12)])
     return _gram(row_hnf(zgens), norm)
 
 

@@ -451,8 +451,9 @@ def certify(x: PeriodicForm) -> Certificate:
 
 def improvement_step(
     x: PeriodicForm, n: TangentVector, lam: Fraction
-) -> Fraction | None:
-    """Backtrack eps from 2^k until delta(X + eps N) > delta(X), exactly.
+) -> tuple[Fraction, PeriodicForm] | None:
+    """Backtrack eps from 2^k until delta(X + eps N) > delta(X), exactly, and
+    return eps with the form X + eps N that the comparison read.
 
     The Q-part of N scales like Q^{-1}, so the admissible steps scale like
     lam^2 (about 2^-2200 for Q scaled by 2^-1100) and a fixed start misses
@@ -470,7 +471,7 @@ def improvement_step(
             eps /= 2
             continue
         if density(cand).center_density_squared > before:
-            return eps
+            return eps, cand
         eps /= 2
     return None
 

@@ -152,11 +152,11 @@ def _certificate_payload(cert, x: PeriodicForm) -> dict:
         "is_floating": cert.is_floating,
     }
     if cert.improving is not None:
-        eps = improvement_step(x, cert.improving, cert.lam)
-        if eps is None:
+        found = improvement_step(x, cert.improving, cert.lam)
+        if found is None:
             raise RuntimeError("no verified improvement step found along N")
         payload["improving_direction"] = tangent_to_document(cert.improving)
-        payload["improving_epsilon"] = format_rational(eps)
+        payload["improving_epsilon"] = format_rational(found[0])
     if cert.uncertainty_basis is not None:
         payload["uncertainty_dim"] = len(cert.uncertainty_basis)
         payload["uncertainty_is_subspace"] = cert.uncertainty_is_subspace

@@ -75,8 +75,8 @@ def _snap(x: PeriodicForm) -> PeriodicForm | None:
 def _accept(
     cand: PeriodicForm, floor: Fraction
 ) -> tuple[PeriodicForm, bool, DensityReport]:
-    """Rescale to minimum one, then snap if the snap still beats floor, the
-    density before the step.
+    """Rescale the form ``improvement_step`` verified to minimum one, then
+    snap if the snap still beats floor, the density before the step.
 
     Returns the kept form, whether it is the snap, and its density report.
     """
@@ -115,16 +115,17 @@ def improve(
             action = "escape"
             directions = [n.scale(sign) for n in cert.uncertainty_basis for sign in (1, -1)]
             rng.shuffle(directions)
-        eps = None
+        found = None
         for direction in directions:
-            eps = improvement_step(x, direction, cert.lam)
-            if eps is not None:
+            found = improvement_step(x, direction, cert.lam)
+            if found is not None:
                 break
-        if eps is None:
+        if found is None:
             stalled = True
             break
+        eps, cand = found
         floor = density(x, cert.lam).center_density_squared
-        x, was_snapped, stats = _accept(x.add_tangent(direction, eps), floor)
+        x, was_snapped, stats = _accept(cand, floor)
         trail.append(
             ImproveStep(
                 index, action, eps, stats.center_density_squared,

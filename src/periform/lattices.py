@@ -1,13 +1,14 @@
 """Lattice algorithmics: LLL reduction and shortest/closest vector enumeration.
 
-Each form is LLL-reduced once; shortest and closest vector searches on it
-then share that reduction.  LLL is de Weger's integral variant: it updates
-the integer Gram den * Q that the ``PQF`` keeps, starting from the leading
-minors and integral Gram-Schmidt coefficients of the form's own
-factorisation, and ends with those of the reduced form, so a reduction
-factors nothing.  It returns U and U^-1 as integer rows.  Its Lovasz
-constant is 99/100 (Schnorr and Euchner, 1994), not 3/4: on that basis the
-Leech walk visits 2 157 620 nodes instead of 3 157 319.
+The first walk on a ``PQF`` stores its LLL reduction in the form's
+``reduction`` slot, where later walks on that object read it; nothing is kept
+between objects.  LLL is de Weger's integral variant: it updates the
+integer Gram den * Q that the ``PQF`` keeps, starting from the leading minors
+and integral Gram-Schmidt coefficients of the form's own factorisation, and
+ends with those of the reduced form, so a reduction factors nothing.  It
+returns U and U^-1 as integer rows.  Its Lovasz constant is 99/100 (Schnorr
+and Euchner, 1994), not 3/4: on that basis the Leech walk visits 2 157 620
+nodes instead of 3 157 319.
 
 Two walkers visit the lattice points of the reduced form with floating-point
 bounds (radii inflated by 1 + 2^-20) on the reduced Gram scaled exactly by a
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import ceil, floor, sqrt
 from operator import mul
 from typing import Sequence
@@ -65,10 +66,6 @@ __all__ = [
 RADIUS_INFLATION = 1.0 + 2.0 ** -20
 # The Lovasz constant of lll_reduce; the module docstring gives the reason.
 LLL_DELTA = Fraction(99, 100)
-# Reductions kept: one generalized_min asks for its form's reduction for the
-# SVP and again for every CVP pair, and improve's _accept re-reduces the
-# candidate that improvement_step accepted.
-_REDUCE_CACHE_SIZE = 64
 # The walker runs on the reduced Gram scaled so its largest LDL pivot lies in
 # (1/2, 2).  A pivot 2^52 times smaller than the largest is below the float
 # rounding unit of the largest, and its level's bounds admit ever more
@@ -357,27 +354,34 @@ def _walk_levels(
     return np.concatenate(leaves)
 
 
-def _apply_rows(m: np.ndarray, xs: np.ndarray, xtop: int) -> np.ndarray:
-    """M x for each integer row x of ``xs``, exactly, with |x_i| <= ``xtop``.
+class _IntMatrix:
+    """An integer matrix M with max|M| and, where float64 holds M, M in
+    float64, taken once for the exact products below."""
 
-    Each entry sums as many terms as M has columns, each at most xtop max|M|,
-    so no partial sum passes that bound: ``_exact_rows`` sums in float64, or
-    an einsum in the bound's ``int_type``, which widens X as it goes.
-    """
-    bound = m.shape[1] * max(xtop, 1) * max_abs(m)
-    if bound > FLOAT_EXACT:
-        return np.einsum("ij,kj->ik", xs, m, dtype=int_type(bound), casting="unsafe")
-    return _exact_rows(xs, bound, lambda x, mt=m.T.astype(float): x @ mt)
+    def __init__(self, m: np.ndarray):
+        self.m, self.top = m, max_abs(m)
+        self.mf = m.astype(float) if self.top <= FLOAT_EXACT else None
 
+    def apply_rows(self, xs: np.ndarray, xtop: int) -> np.ndarray:
+        """M x for each integer row x of ``xs``, exactly, with |x_i| <= ``xtop``.
 
-def _exact_values(m: np.ndarray, xs: np.ndarray, xtop: int) -> np.ndarray:
-    """x^t M x for each integer row x of ``xs``, exactly, with |x_i| <= ``xtop``,
-    as ``_apply_rows`` computes M x: d^2 terms of at most xtop^2 max|M|.  One
-    einsum is faster than the float path below _FLOAT_MIN_TERMS terms."""
-    bound = (m.shape[1] * max(xtop, 1)) ** 2 * max_abs(m)
-    if bound > FLOAT_EXACT or xs.size * len(m) < _FLOAT_MIN_TERMS:
-        return np.einsum("ij,jk,ik->i", xs, m, xs, dtype=int_type(bound), casting="unsafe")
-    return _exact_rows(xs, bound, lambda x, mf=m.astype(float): (x @ mf * x).sum(axis=1))
+        Each entry sums as many terms as M has columns, each at most xtop max|M|,
+        so no partial sum passes that bound: ``_exact_rows`` sums in float64, or
+        an einsum in the bound's ``int_type``, which widens X as it goes.
+        """
+        bound = self.m.shape[1] * max(xtop, 1) * self.top
+        if bound > FLOAT_EXACT:
+            return np.einsum("ij,kj->ik", xs, self.m, dtype=int_type(bound), casting="unsafe")
+        return _exact_rows(xs, bound, lambda x: x @ self.mf.T)
+
+    def exact_values(self, xs: np.ndarray, xtop: int) -> np.ndarray:
+        """x^t M x for each integer row x of ``xs``, exactly, with |x_i| <= ``xtop``,
+        as ``apply_rows`` computes M x: d^2 terms of at most xtop^2 max|M|.  One
+        einsum is faster than the float path below _FLOAT_MIN_TERMS terms."""
+        bound = (self.m.shape[1] * max(xtop, 1)) ** 2 * self.top
+        if bound > FLOAT_EXACT or xs.size * len(self.m) < _FLOAT_MIN_TERMS:
+            return np.einsum("ij,jk,ik->i", xs, self.m, xs, dtype=int_type(bound), casting="unsafe")
+        return _exact_rows(xs, bound, lambda x: (x @ self.mf * x).sum(axis=1))
 
 
 def _exact_rows(xs: np.ndarray, bound: int, product) -> np.ndarray:
@@ -397,7 +401,8 @@ class _Reduction:
     reduced coordinates to the form's (x = U y) and ``uinv`` back.  The
     three are integer arrays as ``int_matrix`` gives.  ``dvec`` and ``lmat``
     are the float LDL factors of ``scale * Qred``, where the power of two
-    ``scale`` puts the largest pivot in (1/2, 2).
+    ``scale`` puts the largest pivot in (1/2, 2).  The Gram and U as
+    ``_IntMatrix`` are built on first use.
     """
 
     u: np.ndarray
@@ -417,9 +422,12 @@ class _Reduction:
         scaled = num * self.scale.numerator / (den * self.scale.denominator)
         return scaled * RADIUS_INFLATION
 
+    gram_products = cached_property(lambda self: _IntMatrix(self.gram))
+    u_products = cached_property(lambda self: _IntMatrix(self.u))
 
-@lru_cache(maxsize=_REDUCE_CACHE_SIZE)
+
 def _reduce(q: PQF) -> _Reduction:
+    """Reduce ``q`` and keep the reduction in its ``reduction`` slot."""
     qred, u, uinv = lll_reduce(q)
     n, den = q.d, qred.den
     dm, lam = qred.ldl.minors, qred.ldl.lam
@@ -440,7 +448,7 @@ def _reduce(q: PQF) -> _Reduction:
     big = Fraction(dm[top + 1], dm[top] * den)
     e = big.denominator.bit_length() - big.numerator.bit_length()
     up, down = (1 << e, 1) if e >= 0 else (1, 1 << -e)
-    return _Reduction(
+    q.reduction = _Reduction(
         u=int_matrix(u),
         uinv=int_matrix(uinv),
         gram=int_matrix(qred.gram),
@@ -452,6 +460,7 @@ def _reduce(q: PQF) -> _Reduction:
             for i in range(n)
         ),
     )
+    return q.reduction
 
 
 def _positive_first(xs: np.ndarray) -> np.ndarray:
@@ -478,12 +487,12 @@ def shortest_vectors(q: PQF) -> VecResult:
     Canonical representatives have their first nonzero coordinate positive;
     vectors come back lexicographically sorted.
     """
-    red = _reduce(q)
+    red = q.reduction or _reduce(q)
     init = int(red.gram.diagonal().min())
     cands = _enumerate(red.dvec, red.lmat, [0.0] * q.d, red.radius(init, red.den), half=True)
     top = max_abs(cands)
-    best, winners = _minimizers(cands, _exact_values(red.gram, cands, top))
-    xs = _apply_rows(red.u, winners, top)
+    best, winners = _minimizers(cands, red.gram_products.exact_values(cands, top))
+    xs = red.u_products.apply_rows(winners, top)
     return VecResult(Fraction(best, red.den), _lex_sorted(_positive_first(xs)))
 
 
@@ -492,7 +501,7 @@ def closest_vectors(q: PQF, c: Sequence[RatLike]) -> VecResult:
     cvec = [Fraction(v) for v in c]
     if len(cvec) != q.d:
         raise ValueError("target length mismatch")
-    red = _reduce(q)
+    red = q.reduction or _reduce(q)
     # The target in reduced coordinates is babai + r / cden, integers
     # throughout, with babai the nearest integer point and |r| <= cden / 2; the
     # walk runs around r / cden.
@@ -509,10 +518,10 @@ def closest_vectors(q: PQF, c: Sequence[RatLike]) -> VecResult:
         cands = np.zeros((1, q.d), np.int64)
     top = max_abs(cands)
     shifted = affine_rows(cands, cden, [-n for n in r], top)
-    vals = _exact_values(red.gram, shifted, cden * top + max(map(abs, r)))
+    vals = red.gram_products.exact_values(shifted, cden * top + max(map(abs, r)))
     best, winners = _minimizers(cands, vals)
-    xs = _apply_rows(red.u, winners, top)
+    xs = red.u_products.apply_rows(winners, top)
     if any(babai):
         ubabai = [sum(map(mul, row, babai)) for row in red.u.tolist()]
-        xs = affine_rows(xs, 1, ubabai, q.d * top * max_abs(red.u))
+        xs = affine_rows(xs, 1, ubabai, q.d * top * red.u_products.top)
     return VecResult(Fraction(best, vden), _lex_sorted(xs))

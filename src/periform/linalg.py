@@ -19,7 +19,7 @@ read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm
 from operator import mul
@@ -33,6 +33,7 @@ RatLike = Union[int, Fraction]
 __all__ = [
     "SymForm",
     "PQF",
+    "congruence",
     "TangentVector",
     "LDLResult",
     "ldl",
@@ -244,6 +245,7 @@ def ldl(q: SymForm) -> LDLResult:
     return _factor(*q.integer_rows())
 
 
+@dataclass(init=False, repr=False, unsafe_hash=True, slots=True)
 class PQF:
     """A positive definite quadratic form with its integral Gram-Schmidt data.
 
@@ -252,17 +254,23 @@ class PQF:
     integer Gram den * Q there.  ``ldl`` factors it once; its positive
     leading minors are the positive-definiteness check, and ``det`` and
     ``lattices.lll_reduce`` read them.  ``inverse`` is one ``echelon`` of
-    [den * Q | I].  ``form``, the rational entries, is built when first read.
+    [den * Q | I].  ``form``, the rational entries, is built when first read,
+    and ``reduction`` by the first lattice walk on this object.  Equality and
+    hashing read only (den, gram), which ``integer_rows`` makes unique.
     """
 
-    __slots__ = ("_form", "den", "gram", "ldl", "_hash")
+    den: int
+    gram: tuple[tuple[int, ...], ...]
+    ldl: LDLResult = field(compare=False)
+    reduction: object = field(compare=False)
+    _form: SymForm | None = field(compare=False)
 
     def __init__(self, form: SymForm):
         den, gram = form.integer_rows()
         res = _factor(den, gram)
         if not res.is_positive_definite:
             raise ValueError("form is not positive definite")
-        self._form, self.den, self.gram, self.ldl, self._hash = form, den, gram, res, None
+        self._form, self.den, self.gram, self.ldl, self.reduction = form, den, gram, res, None
 
     @staticmethod
     def from_factors(den: int, gram: tuple[tuple[int, ...], ...], res: LDLResult) -> "PQF":
@@ -271,7 +279,7 @@ class PQF:
         minors.  Nothing is checked, so only a caller that computed them
         exactly may pass them, as ``lattices.lll_reduce`` does."""
         q = object.__new__(PQF)
-        q._form, q.den, q.gram, q.ldl, q._hash = None, den, gram, res, None
+        q._form, q.den, q.gram, q.ldl, q.reduction = None, den, gram, res, None
         return q
 
     @staticmethod
@@ -310,14 +318,7 @@ class PQF:
     def congruent(self, u_cols: Sequence[Sequence[int]]) -> "PQF":
         """U^t Q U for an integer matrix U given by columns, from the integer
         Gram; U must have independent columns."""
-        if len(u_cols) == 0 or any(len(c) != self.d for c in u_cols):
-            raise ValueError("column length mismatch")
-        qu = [[sum(map(mul, row, c)) for row in self.gram] for c in u_cols]
-        n = len(u_cols)
-        return PQF(SymForm(n, tuple(
-            Fraction(sum(map(mul, u_cols[i], qu[j])), self.den)
-            for i in range(n) for j in range(i, n)
-        )))
+        return congruence(self.den, self.gram, u_cols)
 
     def scale(self, c: RatLike) -> "PQF":
         cf = _frac(c)
@@ -325,18 +326,20 @@ class PQF:
             raise ValueError("scale factor must be positive")
         return PQF(self.form.scale(cf))
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PQF) and self.form == other.form
-
-    def __hash__(self) -> int:
-        # Hashing the Fraction entries costs a modular pow each; the form is
-        # immutable, so its hash is taken once.
-        if self._hash is None:
-            self._hash = hash(self.form)
-        return self._hash
-
     def __repr__(self) -> str:
         return f"PQF({self.form.rows()!r})"
+
+
+def congruence(den: int, gram: Sequence[Sequence[int]], u_cols: Sequence[Sequence[int]]) -> PQF:
+    """U^t (gram / den) U for integer rows ``gram`` and an integer matrix U
+    given by columns, which must be independent; only the result is factored."""
+    if len(u_cols) == 0 or any(len(c) != len(gram) for c in u_cols):
+        raise ValueError("column length mismatch")
+    qu = [[sum(map(mul, row, c)) for row in gram] for c in u_cols]
+    n = len(u_cols)
+    return PQF(SymForm(n, tuple(
+        Fraction(sum(map(mul, u_cols[i], qu[j])), den) for i in range(n) for j in range(i, n)
+    )))
 
 
 @dataclass(frozen=True)
@@ -565,14 +568,17 @@ def independent_rows_modp(rows: np.ndarray, limit: int) -> list[int]:
     something is left.  A set of integer rows independent mod p is independent
     over Q, so the rank over Q is at least the length of the result.
     Rows are tried in order, in chunks of ``_MODP_CHUNK``; past one chunk,
-    the up to ncols rows of the first chunk that ``_float_pick`` chooses form
-    the first block, and the other rows follow.  The floats only order the
-    rows: a poor pick makes the walk longer, never its result wrong.
+    the up to ncols rows that ``_float_pick`` chooses from ``_MODP_CHUNK``
+    rows evenly spaced over the whole matrix (a periodic set's rows come one
+    translate pair after another) form the first block, and the other rows
+    follow.  The floats only order the rows: a poor pick makes the walk
+    longer, never its result wrong.
     """
     n, ncols = rows.shape
     order, first = np.arange(n), []
     if n > _MODP_CHUNK:
-        first = [_float_pick(rows[:_MODP_CHUNK], ncols)]
+        sample = np.arange(_MODP_CHUNK) * n // _MODP_CHUNK
+        first = [sample[_float_pick(rows[sample], ncols)]]
         order = np.delete(order, first[0])
     blocks = first + [order[s : s + _MODP_CHUNK] for s in range(0, len(order), _MODP_CHUNK)]
     taken: list[int] = []

@@ -324,8 +324,9 @@ def hessian_quadratic(x: PeriodicForm, rep, n: TangentVector) -> Fraction:
 
 
 def rescale_to_min_one(x: PeriodicForm) -> PeriodicForm:
-    """Scale Q by 1/lambda(X); translations are untouched, density is not."""
+    """Scale Q by 1/lambda(X); translations are untouched, density is not.
+    X itself when lambda(X) = 1, so its form keeps its reduction."""
     lam = generalized_min(x).lam
     if lam == 0:
         raise OverlapError("cannot rescale a form with lambda = 0")
-    return x.with_q(x.q.scale(Fraction(1) / lam))
+    return x if lam == 1 else x.with_q(x.q.scale(Fraction(1) / lam))

@@ -4,8 +4,8 @@
 echelon of [U | I]) and the uncached reduction ``reduce`` are kept here
 unchanged, as the reference that ``periform.lattices`` must match: the same
 reduced form, U, U^-1 and ``_Reduction`` fields, or the same ``ValueError``.
-Only the imports are absolute, and ``reduce`` is ``_reduce`` without its
-cache.  ``ldl`` is the ``Fraction`` elimination that ``periform.linalg`` ran
+Only the imports are absolute, and ``reduce`` is ``_reduce`` without the
+form keeping its result.  ``ldl`` is the ``Fraction`` elimination that ``periform.linalg`` ran
 before it factored in integers, so the reference shares no factorisation
 with the code it checks.
 """

@@ -355,13 +355,12 @@ class TestCertify:
         cert = certify(LINE_2_5)
         assert cert.verdict == NOT_EXTREME
         assert cert.improving is not None
-        eps = improvement_step(LINE_2_5, cert.improving, cert.lam)
-        assert eps is not None
+        found = improvement_step(LINE_2_5, cert.improving, cert.lam)
+        assert found is not None
+        eps, stepped = found
+        assert stepped == LINE_2_5.add_tangent(cert.improving, eps)
         before = density(LINE_2_5).center_density_squared
-        after = density(
-            LINE_2_5.add_tangent(cert.improving, eps)
-        ).center_density_squared
-        assert after > before
+        assert density(stepped).center_density_squared > before
 
     def test_e8_isolated(self):
         cert = certify(lattice(e8_gram()))

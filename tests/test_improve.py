@@ -152,7 +152,7 @@ class TestStepWork:
         assert improving
         for s in improving:
             x, cert = certified[s.index]
-            assert s.epsilon == improvement_step(x, cert.improving, cert.lam)
+            assert s.epsilon == improvement_step(x, cert.improving, cert.lam)[0]
 
     @pytest.mark.parametrize("steps", [1, 3])
     def test_one_search_per_not_extreme_step(self, monkeypatch, steps):

@@ -188,9 +188,9 @@ def assert_matches_reference(q):
         ref = reference_lll.reduce(q)
     except ValueError as exc:
         with pytest.raises(ValueError, match=re.escape(str(exc))):
-            lattices._reduce.__wrapped__(q)
+            lattices._reduce(q)
         return
-    red = lattices._reduce.__wrapped__(q)
+    red = lattices._reduce(q)
     ints = {f: getattr(red, f) for f in ("u", "uinv", "gram")}
     assert all(a.dtype == linalg.int_type(linalg.max_abs(a)) for a in ints.values())
     assert replace(red, **{f: tuple(map(tuple, a.tolist())) for f, a in ints.items()}) == ref
@@ -239,6 +239,50 @@ class TestMatchesReference:
             assert_matches_reference(q)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_equality_is_equality_of_forms(seed):
+    """PQF == and hash agree with equality of the rational forms, whichever
+    construction made them: ``from_rows``, ``scale``, ``congruent`` and the
+    ``from_factors`` result of ``lll_reduce``."""
+    rng = random.Random(f"pqf equality {seed}")
+    d = rng.randint(1, 5)
+    q = random_rational_pd(rng, d)
+    s = Fr(rng.randint(2, 9), rng.randint(1, 9))
+    u = random_unimodular(rng, d)
+    qred, ured, _ = lll_reduce(q)
+    forms = [
+        q, PQF.from_rows(q.form.rows()), q.scale(s).scale(1 / s), q.scale(s),
+        PQF.from_rows([[s * v for v in row] for row in q.form.rows()]),
+        q.congruent(u), PQF.from_rows(q.congruent(u).form.rows()),
+        qred, q.congruent(list(zip(*ured))), PQF.from_rows(qred.form.rows()),
+    ]
+    for a in forms:
+        for b in forms:
+            same = a.form.rows() == b.form.rows()
+            assert (a == b) == same
+            assert not same or hash(a) == hash(b)
+
+
+def test_each_object_reduces_once(monkeypatch):
+    """The first walk on a form reduces it and later walks on it read that
+    reduction; an equal but distinct object reduces once on its own."""
+    calls = []
+    real = lattices.lll_reduce
+
+    def counting(q):
+        calls.append(q)
+        return real(q)
+
+    monkeypatch.setattr(lattices, "lll_reduce", counting)
+    q = random_pd_gram(random.Random(9), 5)
+    twin = PQF.from_rows(q.form.rows())
+    assert twin == q and twin is not q
+    for form in (q, twin, q, twin):
+        shortest_vectors(form)
+        closest_vectors(form, [Fr(1, 3)] * 5)
+    assert len(calls) == 2 and calls[0] is q and calls[1] is twin
+
+
 def test_reduce_factors_nothing(monkeypatch):
     """A fresh reduction factors no form and eliminates nothing: the reduced
     form comes back with the integral Gram-Schmidt data the LLL loop kept."""
@@ -254,7 +298,7 @@ def test_reduce_factors_nothing(monkeypatch):
         for mod in (linalg, lattices):
             if getattr(mod, name, None) is real:
                 monkeypatch.setattr(mod, name, counting)
-    red = lattices._reduce.__wrapped__(q)
+    red = lattices._reduce(q)
     assert calls == {"ldl": 0, "_factor": 0, "echelon": 0}
     qred, _, _ = lll_reduce(q)
     # What the loop kept is the reduced form's own factorisation.
@@ -491,8 +535,8 @@ class TestIntTypeEdges:
         xs = np.array([[1], [-1], [0]], dtype=np.int8)
         for min_terms in (0, lattices._FLOAT_MIN_TERMS):
             monkeypatch.setattr(lattices, "_FLOAT_MIN_TERMS", min_terms)
-            rows = lattices._apply_rows(m, xs, 1)
-            values = lattices._exact_values(m, xs, 1)
+            rows = lattices._IntMatrix(m).apply_rows(xs, 1)
+            values = lattices._IntMatrix(m).exact_values(xs, 1)
             assert rows.dtype == values.dtype == np.dtype(dtype)
             assert rows.tolist() == [[sign * e], [-sign * e], [0]]
             assert values.tolist() == [sign * e, sign * e, 0]
@@ -507,7 +551,8 @@ def python_products(m, xs):
 
 def assert_exact_products(m, xs, xtop):
     """Both products equal Python-int sums, in ``int_type`` of their bounds."""
-    rows, values = lattices._apply_rows(m, xs, xtop), lattices._exact_values(m, xs, xtop)
+    products = lattices._IntMatrix(m)
+    rows, values = products.apply_rows(xs, xtop), products.exact_values(xs, xtop)
     k, top, big = m.shape[1], max(xtop, 1), linalg.max_abs(m)
     assert rows.dtype == np.dtype(linalg.int_type(k * top * big))
     assert values.dtype == np.dtype(linalg.int_type((k * top) ** 2 * big))
@@ -578,10 +623,10 @@ def test_leech_products_memory():
     init = int(red.gram.diagonal().min())
     cands = lattices._enumerate(red.dvec, red.lmat, [0.0] * 24, red.radius(init, red.den), True)
     top = linalg.max_abs(cands)
-    for f, m in ((lattices._exact_values, red.gram), (lattices._apply_rows, red.u)):
+    for f in (red.gram_products.exact_values, red.u_products.apply_rows):
         tracemalloc.start()
         try:
-            out = f(m, cands, top)
+            out = f(cands, top)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -634,9 +679,10 @@ class TestScaleInvariance:
         x = PeriodicForm.make(PQF.from_rows(rows).scale(s), tcols)
         cert = certify(x)
         assert cert.verdict == NOT_EXTREME
-        eps = improvement_step(x, cert.improving, cert.lam)
-        assert eps is not None
-        stepped = x.add_tangent(cert.improving, eps)
+        found = improvement_step(x, cert.improving, cert.lam)
+        assert found is not None
+        eps, stepped = found
+        assert stepped == x.add_tangent(cert.improving, eps)
         assert density(stepped).center_density_squared > density(x).center_density_squared
 
     @pytest.mark.parametrize(
@@ -671,6 +717,5 @@ def test_generalized_min_reduces_each_form_once(monkeypatch):
         return real(q, *args, **kwargs)
 
     monkeypatch.setattr(lattices, "lll_reduce", counting)
-    lattices._reduce.cache_clear()
     generalized_min(x)
     assert len(calls) == 1

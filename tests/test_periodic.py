@@ -330,6 +330,11 @@ class TestRescale:
         y = rescale_to_min_one(x)
         assert y.q.form == SymForm.identity(2)
 
+    def test_min_one_is_kept(self):
+        """A form with lambda = 1 comes back as itself, reduction and all."""
+        x = PeriodicForm.lattice(PQF(SymForm.identity(2)))
+        assert rescale_to_min_one(x) is x
+
     def test_density_invariant(self):
         x = PeriodicForm.make(PQF.from_rows([[3, 1], [1, 5]]), [[Fr(1, 2), Fr(1, 3)]])
         before = density(x)

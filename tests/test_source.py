@@ -140,3 +140,24 @@ def test_one_cone_solver():
         if "linprog" in line
     ]
     assert SOURCES and found == []
+
+
+def test_no_process_wide_caches():
+    """No function is memoised across calls (``functools.lru_cache`` or
+    ``functools.cache``, as a decorator or imported), so no result depends on
+    what the process computed before; a form keeps its own reduction."""
+
+    def named(node):
+        node = node.func if isinstance(node, ast.Call) else node
+        return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and any(named(dec) in ("lru_cache", "cache") for dec in node.decorator_list)
+        or isinstance(node, ast.ImportFrom) and node.module == "functools"
+        and any(alias.name in ("lru_cache", "cache") for alias in node.names)
+    ]
+    assert SOURCES and found == []
