@@ -34,6 +34,7 @@ from .linalg import (
     PQF,
     TangentVector,
     ambient_dim,
+    factor_gram,
     inner,
     int_type,
     integer_row,
@@ -461,19 +462,61 @@ def improvement_step(
     min-one forms ``improve`` certifies.  Comparison is on the exact
     rational center density squared, which is scale-invariant, so no
     rescaling enters the verdict.  None after 256 halvings without a gain.
+
+    Most halvings are decided without a lattice walk.  A representation
+    (i, j, v) of the last rejected candidate's minimum stays a difference
+    vector w = t_i - t_j - v of X + eps N at every eps, and
+    lambda(X + eps N) <= Q_eps[w] (a zero w means the translates meet).  So
+    an eps with m^2 Q_eps[w]^d <= delta^2(X) 4^d det(Q_eps) for some kept
+    representation cannot gain, and is skipped; one integer factorisation
+    of a multiple of Q_eps gives that det and positive definiteness.  Only
+    the eps this bound cannot reject are measured by ``density``, so the
+    result is the one the plain halving loop gives.
     """
+    if n.d != x.d or n.m != x.m:
+        raise ValueError("tangent vector lives in a different space")
     before = density(x, lam).center_density_squared
-    eps = Fraction(2) ** (2 * log2_magnitude(lam))
-    for _ in range(256):
-        try:
-            cand = x.add_tangent(n, eps)
-        except ValueError:
-            eps /= 2
+    d, m = x.d, x.m
+    # With gram = s Q_eps and w = u / c in integers, the bound reads
+    # gram[u]^d m^2 den(before) <= num(before) 4^d det(gram) c^(2d).
+    lhs, rhs = m * m * before.denominator, before.numerator * 4 ** d
+    nden, ngram = n.qpart.integer_rows()
+    tden, tnum = integer_row([v for col in x.tcols for v in col])
+    sden, snum = integer_row([v for col in n.tcols for v in col])
+    top = 2 * log2_magnitude(lam)
+    blocks: tuple[MinBlock, ...] = ()
+    for k in range(top, top - 256, -1):
+        # At eps = 2^k, with f = 2^max(-k, 0) and e = 2^max(k, 0) = f 2^k:
+        # s = den(Q) den(N) f, and c = den(t) den(t^N) f clears the translates.
+        f, e = 1 << max(-k, 0), 1 << max(k, 0)
+        gram = [[nden * f * a + x.q.den * e * b for a, b in zip(qrow, nrow)]
+                for qrow, nrow in zip(x.q.gram, ngram)]
+        factors = factor_gram(1, gram)
+        if not factors.is_positive_definite:
             continue
+        if blocks:
+            c = tden * sden * f
+            flat = [sden * f * a + tden * e * b for a, b in zip(tnum, snum)]
+            ts = [flat[i : i + d] for i in range(0, len(flat), d)] + [[0] * d]
+            cap = rhs * factors.minors[-1] * c ** (2 * d)
+            if any(p ** d * lhs <= cap for p in _rep_values(blocks, ts, c, gram)):
+                continue
+        eps = Fraction(2) ** k
+        cand = x.add_tangent(n, eps)
         if density(cand).center_density_squared > before:
             return eps, cand
-        eps /= 2
+        blocks = generalized_min(cand).blocks
     return None
+
+
+def _rep_values(blocks, ts, c, gram):
+    """gram[u] for u = c (t_i - t_j - v), over the representations (i, j, v)
+    of ``blocks``, where ts[i - 1] = c t_i in integers."""
+    for b in blocks:
+        t = [p - q for p, q in zip(ts[b.i - 1], ts[b.j - 1])]
+        for v in b.vs.tolist():
+            u = [a - c * vi for a, vi in zip(t, v)]
+            yield sum(ui * sum(map(mul, row, u)) for ui, row in zip(u, gram))
 
 
 def periodic_extreme_by_theorem(q: PQF) -> bool:

@@ -58,6 +58,9 @@ def _primitive(rows: list[list[int]]) -> tuple[list[int], list[list[int]]]:
     return gcds, [[v // g for v in row] for row, g in zip(rows, gcds)]
 
 
+_NO_SHIFT = -(1 << 62)  # the magnitude of 0 in FloatImage: below every other
+
+
 def _scaled_float(n: int, d: int, k: int) -> float:
     """float(n / d * 2^k), correctly rounded, with no out-of-range float on the way."""
     return (n << k) / d if k >= 0 else n / (d << -k)
@@ -239,28 +242,32 @@ class FloatImage:
     Coordinate i is scaled by 2^-row_shift[i] and generator j by
     2^-col_shift[j], so that each row and column has its largest entry near
     1, and a target by a power of two after the row scaling.  The shifts
-    come from the distinct exact values in lowest terms.  Positive scalings
+    come from the distinct exact values in lowest terms, and each distinct
+    pair of a value and its shift is converted once.  Positive scalings
     of rows, columns and target change neither whether the target lies in
     the cone, nor in which face; and a form rescaled by a power of two gives
     the same float problem.
     """
 
     def __init__(self, matrix: np.ndarray, den: int):
-        rows = matrix.tolist()
-        magnitude = {v: log2_magnitude(Fraction(v, den)) for v in set().union(*rows) if v}
-        mags = [[magnitude.get(v) for v in row] for row in rows]
-        self.row_shift = [
-            max((mag[i] for mag in mags if mag[i] is not None), default=0)
-            for i in range(matrix.shape[1])
-        ]
-        col_shift = [
-            max((v - r for v, r in zip(mag, self.row_shift) if v is not None), default=0)
-            for mag in mags
-        ]
-        self.a = np.array([
-            [_scaled_float(row[i], den, -r - s) for row, s in zip(rows, col_shift)]
-            for i, r in enumerate(self.row_shift)
-        ])
+        values, where = np.unique(matrix, return_inverse=True)
+        where = where.reshape(matrix.shape)
+        mag = np.array([log2_magnitude(Fraction(v, den)) if v else _NO_SHIFT
+                        for v in values.tolist()])[where]
+        row_shift = mag.max(axis=0, initial=_NO_SHIFT)
+        row_shift[row_shift == _NO_SHIFT] = 0
+        col_shift = (mag - row_shift).max(axis=1, initial=_NO_SHIFT)
+        col_shift[col_shift < _NO_SHIFT // 2] = 0
+        self.row_shift = row_shift.tolist()
+        # One float per distinct (value, shift) pair, coded as one integer.
+        shift = row_shift + col_shift[:, None]
+        least = int(shift.min(initial=0))
+        span = int(shift.max(initial=0)) - least + 1
+        pairs, back = np.unique(where * span + (shift - least), return_inverse=True)
+        vals = values.tolist()
+        table = np.array([_scaled_float(vals[p // span], den, -least - p % span)
+                          for p in pairs.tolist()])
+        self.a = table[back].reshape(matrix.shape).T.copy()
 
     def support(self, goal: Sequence[Fraction]) -> tuple[int, ...]:
         """The columns a float nnls of ``goal`` onto the cone weighs

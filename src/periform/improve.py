@@ -10,6 +10,13 @@ so the reported density sequence is strictly increasing by construction.
 Iterates are snapped to denominators of at most _MAX_DENOMINATOR to keep
 coordinate heights from growing without bound; a snap is kept only when it
 still beats the density before the step.
+
+Each minimum is computed once.  The line search skips the halvings that a
+representation of an earlier candidate's minimum already rules out, and a
+form keeps the minimum it was measured with (``PeriodicForm.minimum``):
+the rescale of the accepted candidate, the certificate of the kept form and
+the opening rescale of a form that an earlier call returned walk no
+lattice.  Only a snap that moves the form is measured afresh.
 """
 
 from __future__ import annotations
@@ -58,6 +65,9 @@ class ImproveResult:
 
 
 def _snap(x: PeriodicForm) -> PeriodicForm | None:
+    """X with every entry rounded to a denominator of at most
+    _MAX_DENOMINATOR, and translations wrapped mod 1; X itself, minimum and
+    all, when that changes nothing; None when Q leaves the PD cone."""
     d = x.d
     rows = [
         [x.q.form.entry(i, j).limit_denominator(_MAX_DENOMINATOR) for j in range(d)]
@@ -67,16 +77,18 @@ def _snap(x: PeriodicForm) -> PeriodicForm | None:
         [v.limit_denominator(_MAX_DENOMINATOR) for v in col] for col in x.tcols
     ]
     try:
-        return PeriodicForm.make(PQF(SymForm.from_rows(rows)), cols)
+        snapped = PeriodicForm.make(PQF(SymForm.from_rows(rows)), cols)
     except ValueError:
         return None
+    return x if snapped == x else snapped
 
 
 def _accept(
     cand: PeriodicForm, floor: Fraction
 ) -> tuple[PeriodicForm, bool, DensityReport]:
-    """Rescale the form ``improvement_step`` verified to minimum one, then
-    snap if the snap still beats floor, the density before the step.
+    """Rescale the form ``improvement_step`` verified to minimum one (from
+    the minimum it was measured with), then snap if the snap still beats
+    floor, the density before the step.
 
     Returns the kept form, whether it is the snap, and its density report.
     """

@@ -36,6 +36,7 @@ __all__ = [
     "congruence",
     "TangentVector",
     "LDLResult",
+    "factor_gram",
     "ldl",
     "inner",
     "rank_span",
@@ -206,7 +207,7 @@ class LDLResult:
         return len(self.minors) > len(self.lam) and self.minors[-1] > 0
 
 
-def _factor(den: int, rows: Sequence[Sequence[int]]) -> LDLResult:
+def factor_gram(den: int, rows: Sequence[Sequence[int]]) -> LDLResult:
     """The LDLResult of the integer Gram ``rows`` = den * Q, one column at a
     time (de Weger 1987; Cohen, Algorithm 2.6.7).
 
@@ -242,7 +243,7 @@ def ldl(q: SymForm) -> LDLResult:
     pivot <= 0 stops the decomposition with ``is_positive_definite = False``:
     a positive definite form has only positive pivots in any order.
     """
-    return _factor(*q.integer_rows())
+    return factor_gram(*q.integer_rows())
 
 
 @dataclass(init=False, repr=False, unsafe_hash=True, slots=True)
@@ -267,7 +268,7 @@ class PQF:
 
     def __init__(self, form: SymForm):
         den, gram = form.integer_rows()
-        res = _factor(den, gram)
+        res = factor_gram(den, gram)
         if not res.is_positive_definite:
             raise ValueError("form is not positive definite")
         self._form, self.den, self.gram, self.ldl, self.reduction = form, den, gram, res, None

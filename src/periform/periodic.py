@@ -10,7 +10,7 @@ order data of the minimum constraints.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import floor, isqrt, pi
@@ -54,10 +54,18 @@ def _fractional(v: Fraction) -> Fraction:
 
 @dataclass(frozen=True)
 class PeriodicForm:
-    """X = (Q, t) with translations reduced mod 1 on ingestion."""
+    """X = (Q, t) with translations reduced mod 1 on ingestion.
+
+    ``minimum`` is lambda(X) with Min X, filled by the first
+    ``generalized_min`` of this object and read by every later one (as
+    ``PQF.reduction`` holds the form's LLL reduction).  Equality, hashing and
+    repr read only (q, tcols), so equal but distinct objects each compute
+    their own minimum.
+    """
 
     q: PQF
     tcols: tuple[tuple[Fraction, ...], ...]
+    minimum: GenMinResult | None = field(default=None, init=False, compare=False, repr=False)
 
     @staticmethod
     def make(q: PQF, tcols: Sequence[Sequence[RatLike]] = ()) -> "PeriodicForm":
@@ -177,7 +185,8 @@ class GenMinResult:
 
 
 def generalized_min(x: PeriodicForm) -> GenMinResult:
-    """lambda(X) and the complete canonical set of its representations.
+    """lambda(X) and the complete canonical set of its representations,
+    computed on the first call for this object and kept in ``x.minimum``.
 
     One SVP handles all pairs i = j (each lattice vector is recorded once per
     translate index).  A pair i < j with t_i - t_j = r + k, r in [0, 1)^d and
@@ -185,6 +194,8 @@ def generalized_min(x: PeriodicForm) -> GenMinResult:
     blocks are built only for the pairs whose class attains lambda.
     lambda = 0 is a reportable state for intersecting translates, not an error.
     """
+    if x.minimum is not None:
+        return x.minimum
     d = x.d
     svp = shortest_vectors(x.q)
     # v = -x: ascending v is descending x.
@@ -223,7 +234,8 @@ def generalized_min(x: PeriodicForm) -> GenMinResult:
             t = tuple(a - b for a, b in zip(x.translate(i), x.translate(j)))
             vs = affine_rows(cvp.array, 1, k) if any(k) else cvp.array
             blocks.append(MinBlock(i, j, t, vs))
-    return GenMinResult(lam, tuple(blocks))
+    object.__setattr__(x, "minimum", GenMinResult(lam, tuple(blocks)))
+    return x.minimum
 
 
 def unit_ball_volume(d: int) -> float:
@@ -325,8 +337,16 @@ def hessian_quadratic(x: PeriodicForm, rep, n: TangentVector) -> Fraction:
 
 def rescale_to_min_one(x: PeriodicForm) -> PeriodicForm:
     """Scale Q by 1/lambda(X); translations are untouched, density is not.
-    X itself when lambda(X) = 1, so its form keeps its reduction."""
-    lam = generalized_min(x).lam
-    if lam == 0:
+
+    X itself when lambda(X) = 1, so its form keeps its reduction.  Scaling Q
+    moves no minimizer, so the scaled copy keeps Min X: its ``minimum`` holds
+    the same blocks with lambda = 1, and no lattice is walked for it.
+    """
+    gen_min = generalized_min(x)
+    if gen_min.lam == 0:
         raise OverlapError("cannot rescale a form with lambda = 0")
-    return x if lam == 1 else x.with_q(x.q.scale(Fraction(1) / lam))
+    if gen_min.lam == 1:
+        return x
+    scaled = x.with_q(x.q.scale(Fraction(1) / gen_min.lam))
+    object.__setattr__(scaled, "minimum", GenMinResult(Fraction(1), gen_min.blocks))
+    return scaled

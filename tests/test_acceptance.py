@@ -325,9 +325,10 @@ def test_criterion_9_leech():
 @pytest.mark.slow
 def test_leech_rank_reduces_one_square(monkeypatch):
     """Leech's domain rank (98 280 rows, 300 columns) walks mod p over the
-    300 rows a float QR picks from the first chunk: the blocks handed to
-    ``_eliminate_modp`` hold at most 300 x 300 rows in all (44 850), where
-    reducing the whole first chunk greedily hands it 252 135."""
+    300 rows a float QR picks from 1 024 rows evenly spaced over the whole
+    matrix: the blocks handed to ``_eliminate_modp`` hold at most 300 x 300
+    rows in all (44 850), where reducing the first chunk greedily hands it
+    252 135."""
     cleared = []
     real = linalg._eliminate_modp
 

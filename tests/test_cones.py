@@ -6,12 +6,13 @@ from fractions import Fraction as Fr
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import periform
 from helpers import stack
-from periform.cones import project_to_cone
-from periform.linalg import SymForm, TangentVector, inner, metric_weights
+from periform.cones import FloatImage, project_to_cone
+from periform.linalg import SymForm, TangentVector, inner, int_matrix, metric_weights
 
 
 def tv1(q, t):
@@ -132,3 +133,47 @@ def test_small_domains_leave_scipy_linalg_out():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "360 False"
+
+
+def per_entry_image(matrix, den):
+    """FloatImage's shifts and floats, one entry at a time, from the exact
+    values: coordinate i and generator k scaled by 2^-row_shift[i] and
+    2^-col_shift[k] so each has its largest entry in [1/2, 2)."""
+    rows = matrix.tolist()
+
+    def mag(v):
+        f = Fr(v, den)
+        return f.numerator.bit_length() - f.denominator.bit_length()
+
+    dim = matrix.shape[1]
+    row_shift = [max((mag(r[i]) for r in rows if r[i]), default=0) for i in range(dim)]
+    col_shift = [max((mag(v) - s for v, s in zip(r, row_shift) if v), default=0) for r in rows]
+
+    def scaled(v, k):  # float(v / den * 2^-k), correctly rounded
+        return (v << -k) / den if k <= 0 else v / (den << k)
+
+    return row_shift, [[scaled(r[i], row_shift[i] + c) for r, c in zip(rows, col_shift)]
+                       for i in range(dim)]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_float_image_matches_per_entry(seed):
+    """One float per distinct (value, shift) pair gives the bits one float
+    per entry gives: repeated values, zero rows and columns, entries
+    2^+-1100 apart, Python-int matrices."""
+    rng = random.Random(f"float image {seed}")
+    n, dim = rng.randint(1, 30), rng.randint(1, 12)
+    palette = [0] + [rng.choice([-1, 1]) * rng.randint(1, 9) << rng.choice([0, 3, 60, 1100])
+                     for _ in range(rng.randint(1, 8))]
+    rows = [[rng.choice(palette) for _ in range(dim)] for _ in range(n)]
+    if seed % 3 == 0:
+        rows[0] = [0] * dim
+        for r in rows:
+            r[-1] = 0
+    den = rng.choice([1, 3, 2 ** 61, 10 ** 300])
+    matrix = int_matrix(rows)
+    for m in (matrix, matrix.astype(object)):
+        image = FloatImage(m, den)
+        row_shift, floats = per_entry_image(m, den)
+        assert image.row_shift == row_shift
+        assert image.a.tobytes() == np.array(floats, dtype=float).tobytes()

@@ -1,7 +1,11 @@
 """Each demo script runs to completion against the package in ``src`` and
-prints exactly its recorded output, ``demo_output/<script>.txt``."""
+prints exactly its recorded output, ``demo_output/<script>.txt``; the python
+blocks of the README run too."""
 
+import contextlib
+import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,3 +30,14 @@ def test_demo_runs(script):
 
 def test_every_golden_has_a_demo():
     assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == [p.stem for p in DEMOS]
+
+
+def test_readme_python_blocks_run():
+    """Every python block of README.md runs, in order, in one namespace."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", text, flags=re.M | re.S)
+    assert blocks
+    namespace: dict = {}
+    with contextlib.redirect_stdout(io.StringIO()):
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), namespace)

@@ -287,7 +287,7 @@ def test_reduce_factors_nothing(monkeypatch):
     """A fresh reduction factors no form and eliminates nothing: the reduced
     form comes back with the integral Gram-Schmidt data the LLL loop kept."""
     q = random_pd_gram(random.Random(5), 6)
-    calls = {"ldl": 0, "_factor": 0, "echelon": 0}
+    calls = {"ldl": 0, "factor_gram": 0, "echelon": 0}
     for name in calls:
         real = getattr(linalg, name)
 
@@ -299,7 +299,7 @@ def test_reduce_factors_nothing(monkeypatch):
             if getattr(mod, name, None) is real:
                 monkeypatch.setattr(mod, name, counting)
     red = lattices._reduce(q)
-    assert calls == {"ldl": 0, "_factor": 0, "echelon": 0}
+    assert calls == {"ldl": 0, "factor_gram": 0, "echelon": 0}
     qred, _, _ = lll_reduce(q)
     # What the loop kept is the reduced form's own factorisation.
     assert (qred.den, qred.gram) == qred.form.integer_rows()
