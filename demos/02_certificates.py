@@ -30,10 +30,10 @@ for label, x in [("hexagonal", HEX), ("square", SQUARE), ("diag(1,2)", STRETCHED
         n = cert.improving
         qrows = [[str(v) for v in row] for row in n.qpart.rows()]
         print(f"  improving direction Q-part: {qrows}")
-        eps, stepped = improvement_step(x, n, cert.lam)
-        before = density(x).center_density_squared
+        before = density(x, cert.lam)
+        eps, stepped = improvement_step(x, n, before)
         after = density(stepped).center_density_squared
-        print(f"  verified step eps = {eps}: center^2 {before} -> {after}")
+        print(f"  verified step eps = {eps}: center^2 {before.center_density_squared} -> {after}")
     print()
 
 # The square lattice's uncertainty direction is the shear toward hexagonal;

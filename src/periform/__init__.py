@@ -57,7 +57,6 @@ from .periodic import (
     OverlapError,
     PeriodicForm,
     density,
-    eval_p,
     generalized_min,
     gradient_p,
     hessian_quadratic,
@@ -99,7 +98,6 @@ __all__ = [
     "density",
     "dumps",
     "eutaxy_status",
-    "eval_p",
     "floating_components",
     "fluid_diamond",
     "from_document",

@@ -44,6 +44,7 @@ from .linalg import (
     rank_complement,
 )
 from .periodic import (
+    DensityReport,
     MinBlock,
     OverlapError,
     PeriodicForm,
@@ -88,7 +89,8 @@ class VoronoiDomain:
     ``lam`` and ``blocks`` are lambda(X) > 0 and Min X (``generalized_min``);
     ``target`` is the determinant gradient (Q^{-1}, 0).  Row k of ``matrix``
     / ``den`` is the gradient at the k-th canonical representation in
-    weighted coordinates (``TangentVector.flatten``).  The matrix is in
+    weighted coordinates (``TangentVector.flatten``): one row per constraint,
+    the block (1, 1) standing for all pairs (i, i).  The matrix is in
     ``linalg.int_type`` of a bound on its entries, holds Python ints when a
     column sum could pass int64, and is column-major (Fortran order).
     """
@@ -117,7 +119,7 @@ class EutaxyStatus:
     """Position of (Q^{-1}, 0) relative to the Voronoi domain.
 
     interior: ``witness`` holds strictly positive coefficients, one per
-    generator, reproducing the target exactly.
+    generator (row of the domain matrix), reproducing the target exactly.
     boundary: ``face`` lists the generator indices of the minimal face F(X).
     outside: ``separator`` is the residual s of the exact nearest-point
     projection of the target onto the domain, with <s, g> >= 0 for all
@@ -228,8 +230,8 @@ def strong_eutaxy(q: PQF) -> tuple[bool, Fraction | None]:
     The generators of the lattice domain are x x^t, one per +/- pair, so
     this is the uniform witness c there, with alpha = c / 2.
     """
-    c = _uniform_witness(voronoi_domain(PeriodicForm.lattice(q)))
-    return (False, None) if c is None else (True, c / 2)
+    witness = _uniform_witness(voronoi_domain(PeriodicForm.lattice(q)))
+    return (False, None) if witness is None else (True, witness[0] / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -237,17 +239,22 @@ def strong_eutaxy(q: PQF) -> tuple[bool, Fraction | None]:
 # ---------------------------------------------------------------------------
 
 
-def _uniform_witness(domain: VoronoiDomain) -> Fraction | None:
-    """c > 0 with c * sum(generators) = target, if it exists (strong-eutaxy shape)."""
+def _uniform_witness(domain: VoronoiDomain) -> tuple[Fraction, ...] | None:
+    """m c on the rows of the block (1, 1), each standing for the m pairs
+    (i, i), and c on the others, for a c > 0 that gives the target, if there
+    is one (strong-eutaxy shape)."""
+    diag = next((len(b.vs) for b in domain.blocks if b.i == b.j), 0)
     wide = object if domain.matrix.dtype == object else np.int64
-    total = [Fraction(v, domain.den) for v in domain.matrix.sum(axis=0, dtype=wide).tolist()]
+    sums = [domain.matrix[part].sum(axis=0, dtype=wide).tolist()
+            for part in (slice(diag), slice(diag, None))]
+    total = [Fraction(domain.m * a + b, domain.den) for a, b in zip(*sums)]
     goal = domain.target.flatten(weighted=True)
     k = next((k for k, v in enumerate(total) if v), None)
     if k is None:
         return None
     c = goal[k] / total[k]
     if c > 0 and all(c * v == g for v, g in zip(total, goal)):
-        return c
+        return (domain.m * c,) * diag + (c,) * (len(domain.matrix) - diag)
     return None
 
 
@@ -315,9 +322,9 @@ def eutaxy_status(domain: VoronoiDomain) -> EutaxyStatus:
     finitely generated cone is the set of strictly positive combinations of
     all its generators.
     """
-    c = _uniform_witness(domain)
-    if c is not None:
-        return EutaxyStatus(INTERIOR, witness=(c,) * len(domain.matrix))
+    witness = _uniform_witness(domain)
+    if witness is not None:
+        return EutaxyStatus(INTERIOR, witness=witness)
     return _classify(domain.matrix, domain.den, domain.target)
 
 
@@ -451,10 +458,10 @@ def certify(x: PeriodicForm) -> Certificate:
 
 
 def improvement_step(
-    x: PeriodicForm, n: TangentVector, lam: Fraction
+    x: PeriodicForm, n: TangentVector, before: DensityReport
 ) -> tuple[Fraction, PeriodicForm] | None:
-    """Backtrack eps from 2^k until delta(X + eps N) > delta(X), exactly, and
-    return eps with the form X + eps N that the comparison read.
+    """Backtrack eps from 2^k until delta(X + eps N) > delta(X), the ``before =
+    density(x)``, exactly; return eps with the form X + eps N the comparison read.
 
     The Q-part of N scales like Q^{-1}, so the admissible steps scale like
     lam^2 (about 2^-2200 for Q scaled by 2^-1100) and a fixed start misses
@@ -475,11 +482,11 @@ def improvement_step(
     """
     if n.d != x.d or n.m != x.m:
         raise ValueError("tangent vector lives in a different space")
-    before = density(x, lam).center_density_squared
+    lam, floor = before.lam, before.center_density_squared
     d, m = x.d, x.m
     # With gram = s Q_eps and w = u / c in integers, the bound reads
-    # gram[u]^d m^2 den(before) <= num(before) 4^d det(gram) c^(2d).
-    lhs, rhs = m * m * before.denominator, before.numerator * 4 ** d
+    # gram[u]^d m^2 den(floor) <= num(floor) 4^d det(gram) c^(2d).
+    lhs, rhs = m * m * floor.denominator, floor.numerator * 4 ** d
     nden, ngram = n.qpart.integer_rows()
     tden, tnum = integer_row([v for col in x.tcols for v in col])
     sden, snum = integer_row([v for col in n.tcols for v in col])
@@ -503,7 +510,7 @@ def improvement_step(
                 continue
         eps = Fraction(2) ** k
         cand = x.add_tangent(n, eps)
-        if density(cand).center_density_squared > before:
+        if density(cand).center_density_squared > floor:
             return eps, cand
         blocks = generalized_min(cand).blocks
     return None

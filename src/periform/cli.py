@@ -152,7 +152,7 @@ def _certificate_payload(cert, x: PeriodicForm) -> dict:
         "is_floating": cert.is_floating,
     }
     if cert.improving is not None:
-        found = improvement_step(x, cert.improving, cert.lam)
+        found = improvement_step(x, cert.improving, density(x, cert.lam))
         if found is None:
             raise RuntimeError("no verified improvement step found along N")
         payload["improving_direction"] = tangent_to_document(cert.improving)

@@ -127,17 +127,17 @@ def improve(
             action = "escape"
             directions = [n.scale(sign) for n in cert.uncertainty_basis for sign in (1, -1)]
             rng.shuffle(directions)
+        before = density(x, cert.lam)
         found = None
         for direction in directions:
-            found = improvement_step(x, direction, cert.lam)
+            found = improvement_step(x, direction, before)
             if found is not None:
                 break
         if found is None:
             stalled = True
             break
         eps, cand = found
-        floor = density(x, cert.lam).center_density_squared
-        x, was_snapped, stats = _accept(cand, floor)
+        x, was_snapped, stats = _accept(cand, before.center_density_squared)
         trail.append(
             ImproveStep(
                 index, action, eps, stats.center_density_squared,

@@ -496,8 +496,9 @@ def shortest_vectors(q: PQF) -> VecResult:
     return VecResult(Fraction(best, red.den), _lex_sorted(_positive_first(xs)))
 
 
-def closest_vectors(q: PQF, c: Sequence[RatLike]) -> VecResult:
-    """Exact minimum of Q[x - c] over x in Z^d, with all minimizers (ties kept)."""
+def closest_vectors(q: PQF, c: Sequence[RatLike], bound: Fraction | None = None) -> VecResult:
+    """Exact minimum of Q[x - c] over x in Z^d, with all minimizers (ties kept).
+    With ``bound``, only a minimum above it may come back inexact, as some larger value."""
     cvec = [Fraction(v) for v in c]
     if len(cvec) != q.d:
         raise ValueError("target length mismatch")
@@ -511,10 +512,11 @@ def closest_vectors(q: PQF, c: Sequence[RatLike]) -> VecResult:
     r = [n - cden * b for n, b in zip(cnum, babai)]
     vden = red.den * cden * cden
     init = sum(map(mul, r, (sum(map(mul, row, r)) for row in red.gram.tolist())))
-    cands = _enumerate(
-        red.dvec, red.lmat, [n / cden for n in r], red.radius(init, vden), half=False
-    )
-    if not len(cands):  # the Babai point itself is always inside the radius
+    radius = red.radius(init, vden)
+    if bound is not None:
+        radius = min(radius, red.radius(bound.numerator, bound.denominator))
+    cands = _enumerate(red.dvec, red.lmat, [n / cden for n in r], radius, half=False)
+    if not len(cands):  # the Babai point is inside every radius but the bound
         cands = np.zeros((1, q.d), np.int64)
     top = max_abs(cands)
     shifted = affine_rows(cands, cden, [-n for n in r], top)

@@ -36,7 +36,6 @@ __all__ = [
     "OverlapError",
     "generalized_min",
     "density",
-    "eval_p",
     "gradient_p",
     "hessian_quadratic",
     "rescale_to_min_one",
@@ -121,8 +120,8 @@ class MinRep:
     """One representation w = t_i - t_j - v of the generalized minimum.
 
     Canonical form: i <= j; for i = j the first nonzero coordinate of w is
-    positive.  The mirrored triple (j, i, -v) is the same constraint and is
-    never stored.
+    positive.  Each constraint Q[w] is stored once: never its mirror
+    (j, i, -v), and the diagonal class, Q[v] for every i = j, as i = j = 1.
     """
 
     i: int
@@ -140,8 +139,9 @@ class MinBlock:
 
     t = t_i - t_j, and the rows of ``vs`` are the integer v in ascending
     order, as the lattice walks return them: a fixed-width integer array
-    (int8 for small vectors) or Python ints; for i = j, t = 0 and each v is
-    minus a canonical shortest vector.
+    (int8 for small vectors) or Python ints; the one block with i = j is
+    (1, 1), stands for all pairs (i, i), and has t = 0 and v = -x for each
+    canonical shortest vector x.
     """
 
     i: int
@@ -188,11 +188,12 @@ def generalized_min(x: PeriodicForm) -> GenMinResult:
     """lambda(X) and the complete canonical set of its representations,
     computed on the first call for this object and kept in ``x.minimum``.
 
-    One SVP handles all pairs i = j (each lattice vector is recorded once per
-    translate index).  A pair i < j with t_i - t_j = r + k, r in [0, 1)^d and
-    k integral, takes the minimizers of one CVP per class r, shifted by k;
-    blocks are built only for the pairs whose class attains lambda.
-    lambda = 0 is a reportable state for intersecting translates, not an error.
+    One SVP gives the block (1, 1) for all pairs i = j, whose Q[v] do not
+    depend on i.  A pair i < j with t_i - t_j = r + k, r in [0, 1)^d and k
+    integral, takes the minimizers of one CVP per class r, capped at the SVP
+    minimum and shifted by k; blocks are built only for the pairs whose class
+    attains lambda.  lambda = 0 is a reportable state for intersecting
+    translates, not an error.
     """
     if x.minimum is not None:
         return x.minimum
@@ -217,15 +218,12 @@ def generalized_min(x: PeriodicForm) -> GenMinResult:
             r.append(digit % den)
         r = tuple(r)
         if r not in cvps:
-            cvps[r] = closest_vectors(x.q, [Fraction(c, den) for c in r])
+            cvps[r] = closest_vectors(x.q, [Fraction(c, den) for c in r], svp.min)
         classes[code] = (r, cvps[r])
     lam = min([svp.min] + [cvp.min for cvp in cvps.values()])
     minimal = {code: rc for code, rc in classes.items() if rc[1].min == lam}
-    zero = (Fraction(0),) * d
-    blocks = []
+    blocks = [MinBlock(1, 1, (Fraction(0),) * d, lattice_vs)] if svp.min == lam else []
     for i, row in enumerate(diffs, 1):
-        if svp.min == lam:
-            blocks.append(MinBlock(i, i, zero, lattice_vs))
         for j, code in enumerate(row, i + 1):
             if code not in minimal:
                 continue
@@ -291,11 +289,6 @@ def _constraint(x: PeriodicForm, rep) -> tuple[int, int, list[Fraction]]:
     if len(v) != x.d:
         raise IndexError("integer vector length mismatch")
     return i, j, [a - b - int(c) for a, b, c in zip(x.translate(i), x.translate(j), v)]
-
-
-def eval_p(x: PeriodicForm, rep) -> Fraction:
-    """The constraint polynomial p_{i,j,v}(X) = Q[t_i - t_j - v]."""
-    return x.q.value(_constraint(x, rep)[2])
 
 
 def gradient_p(x: PeriodicForm, rep) -> TangentVector:

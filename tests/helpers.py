@@ -41,6 +41,15 @@ def det_target(x) -> TangentVector:
     return TangentVector.make(x.q.inverse(), [[0] * x.d for _ in range(x.m - 1)])
 
 
+def constraint_value(x, triple) -> Fr:
+    """p_{i,j,v}(X) = Q[w] for w = t_i - t_j - v, as ``x.q.value(rep.w)``
+    reads it at a representation, for any triple (i, j, v)."""
+    i, j, v = triple
+    if len(v) != x.d:
+        raise IndexError("integer vector length mismatch")
+    return x.q.value([a - b - c for a, b, c in zip(x.translate(i), x.translate(j), v)])
+
+
 def gradients(x) -> list:
     """The Voronoi domain generators as tangent vectors: gradient_p at each rep."""
     return [gradient_p(x, rep) for rep in generalized_min(x).reps]

@@ -10,6 +10,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
+from helpers import constraint_value
 from periform import linalg
 from periform.catalog import fluid_diamond, get, sublattice_representation
 from periform.certify import (
@@ -31,7 +32,6 @@ from periform.linalg import PQF, SymForm, TangentVector, inner
 from periform.periodic import (
     PeriodicForm,
     density,
-    eval_p,
     generalized_min,
     gradient_p,
     hessian_quadratic,
@@ -185,7 +185,7 @@ def test_criterion_5_derivatives():
         g = inner(gradient_p(x, triple), n)
         h = Fr(1, 100000)
         numeric = float(
-            (eval_p(x.add_tangent(n, h), triple) - eval_p(x.add_tangent(n, -h), triple))
+            (constraint_value(x.add_tangent(n, h), triple) - constraint_value(x.add_tangent(n, -h), triple))
             / (2 * h)
         )
         # Relative where the gradient has size, absolute near zero (the
@@ -195,11 +195,11 @@ def test_criterion_5_derivatives():
             grad_bad += 1
         # Cubic Taylor remainder: r(eps) / eps^3 must be the same constant at
         # eps = 1/100 and 1/1000 (p is exactly cubic along a line).
-        p0 = eval_p(x, triple)
+        p0 = constraint_value(x, triple)
         hq = hessian_quadratic(x, triple, n)
         ratios = []
         for eps in (Fr(1, 100), Fr(1, 1000)):
-            r = eval_p(x.add_tangent(n, eps), triple) - p0 - eps * g - eps * eps * hq / 2
+            r = constraint_value(x.add_tangent(n, eps), triple) - p0 - eps * g - eps * eps * hq / 2
             ratios.append(r / eps ** 3)
         if ratios[0] != ratios[1]:
             hess_bad += 1
@@ -349,7 +349,7 @@ def test_leech_rank_reduces_one_square(monkeypatch):
 def test_over_a_sublattice_certifies(name, index, monkeypatch):
     """K12 and Leech over the sublattice diag(index, 1, ..., 1) are
     IsolatedExtreme.  The rank is found in the first block the mod-p walk
-    reduces, one elimination per row taken: on Leech's 196 560 and 294 840
+    reduces, one elimination per row taken: on Leech's 147 432 and 224 964
     rows that block is the float pick from rows spread over the whole
     matrix, where a pick from the leading rows, all from one translate
     pair, left 15 045 eliminations at index 2."""
@@ -367,6 +367,23 @@ def test_over_a_sublattice_certifies(name, index, monkeypatch):
     assert cert.verdict == ISOLATED_EXTREME
     assert cert.rank == cert.ambient
     assert len(cleared) == cert.rank - 1
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("index, diagonal, rows",
+                         [(2, 49_128, 147_432), (3, 34_938, 224_964), (4, 32_936, 294_312)])
+def test_leech_domain_holds_each_constraint_once(index, diagonal, rows):
+    """Leech over diag(index, 1, ..., 1): the shortest vectors of the
+    sublattice enter the domain once, as the block (1, 1), not once per
+    translate (196 560, 294 840 and 393 120 rows in all), and the domain
+    keeps full rank."""
+    q = get("Leech").form
+    h = [[index if i == j == 0 else int(i == j) for j in range(24)] for i in range(24)]
+    domain = voronoi_domain(sublattice_representation(q, h))
+    assert [(b.i, b.j, len(b.vs)) for b in domain.blocks if b.i == b.j] == [(1, 1, diagonal)]
+    assert domain.matrix.shape[0] == rows
+    assert rows + (index - 1) * diagonal == {2: 196_560, 3: 294_840, 4: 393_120}[index]
+    assert domain.rank == domain.ambient
 
 
 @pytest.mark.slow

@@ -202,7 +202,7 @@ class TestFluidDiamond:
         gm = generalized_min(x)
         assert gm.lam == 2
         assert all(r.i == r.j for r in gm.reps)
-        assert len(gm.reps) == 2 * 72  # Min D_9 classes, once per translate
+        assert len(gm.reps) == 72  # Min D_9 classes, once for both translates
 
     def test_integral_alpha_has_extra_vectors(self):
         for alpha in (0, 1):
@@ -211,7 +211,7 @@ class TestFluidDiamond:
             assert gm.lam == 2
             cross = [r for r in gm.reps if r.i != r.j]
             assert len(cross) == 128  # resolved by enumeration, not by count
-            assert len(gm.reps) == 144 + 128
+            assert len(gm.reps) == 72 + 128
 
     @pytest.mark.parametrize("seed", range(20))
     def test_min_two_for_random_alpha(self, seed):

@@ -355,7 +355,7 @@ class TestCertify:
         cert = certify(LINE_2_5)
         assert cert.verdict == NOT_EXTREME
         assert cert.improving is not None
-        found = improvement_step(LINE_2_5, cert.improving, cert.lam)
+        found = improvement_step(LINE_2_5, cert.improving, density(LINE_2_5, cert.lam))
         assert found is not None
         eps, stepped = found
         assert stepped == LINE_2_5.add_tangent(cert.improving, eps)
@@ -457,6 +457,34 @@ class TestWitnessSoundness:
             g = gradient_p(x, rep).scale(a)
             combo = g if combo is None else combo.add(g)
         assert combo.sub(target).is_zero()
+
+
+@pytest.mark.parametrize("name, d", [("A", 2), ("D", 4)])
+def test_uniform_witnesses_reproduce_the_target(name, d):
+    """Every representation of A2 and D4 over index <= 4 takes the uniform
+    shortcut: m c on the rows of the diagonal class (1, 1), which stands for
+    the m pairs (i, i), and c on the others.  Checked exactly here: every
+    coefficient is positive and sum_k alpha_k row_k / den is the target."""
+    from periform.intmat import enumerate_sublattice_hnf
+
+    q = get(name, d).form
+    forms = 0
+    for index in range(1, 5):
+        for h in enumerate_sublattice_hnf(d, index):
+            x = sublattice_representation(q, h)
+            domain = voronoi_domain(x)
+            alpha = eutaxy_status(domain).witness
+            first = domain.blocks[0]
+            diag = len(first.vs) if (first.i, first.j) == (1, 1) else 0
+            c = alpha[-1]
+            assert alpha == (x.m * c,) * diag + (c,) * (len(alpha) - diag)
+            assert len(alpha) == len(domain.matrix) and all(a > 0 for a in alpha)
+            rows = domain.matrix.tolist()
+            goal = domain.target.flatten(weighted=True)
+            for col, g in enumerate(goal):
+                assert sum(a * row[col] for a, row in zip(alpha, rows)) / domain.den == g
+            forms += 1
+    assert forms == {2: 15, 4: 211}[d]
 
 
 class TestLemmaConsistency:

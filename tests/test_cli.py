@@ -168,7 +168,7 @@ class TestImproveCommand:
 
     def test_stalled_text_output(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(importlib.import_module("periform.improve"), "improvement_step",
-                            lambda x, n, lam: None)
+                            lambda x, n, before: None)
         path = write_form(tmp_path, [[1, 0], [0, 2]])
         assert main(["improve", path, "--steps", "5"]) == 0
         lines = capsys.readouterr().out.splitlines()

@@ -114,7 +114,7 @@ def test_import_leaves_scipy_optimize_out():
 def test_small_domains_leave_scipy_linalg_out():
     """The float pick of the domain rank imports scipy.linalg only past one
     chunk of rows; certificates below that, as sublattice representations of
-    A2, D4 and E8 (360 rows), never load it."""
+    A2, D4 and E8 (288 rows), never load it."""
     code = (
         "import sys, periform as P\n"
         "for name, params, h in [\n"
@@ -132,7 +132,7 @@ def test_small_domains_leave_scipy_linalg_out():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "360 False"
+    assert out.stdout.strip() == "288 False"
 
 
 def per_entry_image(matrix, den):

@@ -175,16 +175,16 @@ class TestStepWork:
         assert improving
         for s in improving:
             x, cert = certified[s.index]
-            assert s.epsilon == improvement_step(x, cert.improving, cert.lam)[0]
+            assert s.epsilon == improvement_step(x, cert.improving, density(x, cert.lam))[0]
 
     @pytest.mark.parametrize("steps", [1, 3])
     def test_one_search_per_not_extreme_step(self, monkeypatch, steps):
         """One step search per NotExtreme step, and none from the final form."""
         searched = []
 
-        def recording(x, n, lam):
+        def recording(x, n, before):
             searched.append(x)
-            return improvement_step(x, n, lam)
+            return improvement_step(x, n, before)
 
         for mod in ("periform.improve", "periform.certify"):
             monkeypatch.setattr(sys.modules[mod], "improvement_step", recording)
@@ -196,7 +196,7 @@ class TestStepWork:
 
     def test_not_extreme_without_a_step_stalls(self, monkeypatch):
         monkeypatch.setattr(sys.modules["periform.improve"], "improvement_step",
-                            lambda x, n, lam: None)
+                            lambda x, n, before: None)
         res = improve(DIAG, steps=5)
         assert res.stalled and res.steps == ()
         assert res.certificate.verdict == NOT_EXTREME
@@ -204,7 +204,7 @@ class TestStepWork:
     def test_direction_from_another_space_raises(self):
         line = certify(PeriodicForm.make(PQF.from_rows([[1]]), [[Fr(2, 5)]]))
         with pytest.raises(ValueError, match="different space"):
-            improvement_step(DIAG, line.improving, Fr(1))
+            improvement_step(DIAG, line.improving, density(DIAG))
 
     def test_a_returned_form_walks_nothing_again(self, monkeypatch):
         """improve from the form an earlier call returned reads the minimum
@@ -330,7 +330,7 @@ def line_search_problems(case: int) -> list[str]:
         measured = []
         PeriodicForm.add_tangent = lambda self, n, eps=1: measured.append(eps) or real(self, n, eps)
         try:
-            found = improvement_step(x, n, cert.lam)
+            found = improvement_step(x, n, density(x, cert.lam))
         finally:
             PeriodicForm.add_tangent = real
         if repr(found) != repr(expected):

@@ -407,6 +407,49 @@ class TestClosestVectors:
         )
 
 
+class TestCappedClosestVectors:
+    """``closest_vectors`` with a bound: exact, ties kept, at or below the
+    bound, and some value above it otherwise."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_contract(self, seed):
+        rng = random.Random(f"capped cvp {seed}")
+        d = rng.randint(1, 4)
+        q = random_pd_gram(rng, d, spread=2)
+        c = [Fr(rng.randint(-8, 8), rng.randint(1, 5)) for _ in range(d)]
+        full = closest_vectors(q, c)
+        for bound in (full.min, full.min * Fr(rng.randint(1, 9), 10), full.min + Fr(1, 7)):
+            capped = closest_vectors(q, c, bound)
+            if full.min <= bound:
+                assert (capped.min, capped.vectors) == (full.min, full.vectors)
+            else:
+                assert capped.min > bound
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_generalized_min_keeps_min_x(self, seed, monkeypatch):
+        """Capping each CVP walk at the SVP minimum changes no lambda and no
+        block of Min X: the same as with uncapped walks."""
+        from periform import periodic
+
+        from periform.intmat import enumerate_sublattice_hnf
+
+        rng = random.Random(f"capped genmin {seed}")
+        d = rng.randint(1, 4)
+        q = random_pd_gram(rng, d, spread=2).scale(Fr(rng.randint(1, 9), rng.randint(1, 9)))
+        h = rng.choice(list(enumerate_sublattice_hnf(d, rng.randint(2, 4))))
+        x = sublattice_representation(q, h)
+        if seed % 2:  # moved off the cosets, so some pairs come closer
+            x = PeriodicForm.make(x.q, [[v + Fr(rng.randint(-2, 2), 9) for v in col]
+                                        for col in x.tcols])
+        capped = generalized_min(x)
+        monkeypatch.setattr(periodic, "closest_vectors",
+                            lambda q, c, bound: closest_vectors(q, c))
+        full = generalized_min(PeriodicForm(PQF(x.q.form), x.tcols))
+        assert capped.lam == full.lam
+        assert [(b.i, b.j, b.t, b.vs.tolist()) for b in capped.blocks] == [
+            (b.i, b.j, b.t, b.vs.tolist()) for b in full.blocks]
+
+
 class TestLevelWalker:
     """The level walker returns the node walker's points in the node walker's
     order, on both sides of ``BATCH_MIN_DIM``."""
@@ -679,7 +722,7 @@ class TestScaleInvariance:
         x = PeriodicForm.make(PQF.from_rows(rows).scale(s), tcols)
         cert = certify(x)
         assert cert.verdict == NOT_EXTREME
-        found = improvement_step(x, cert.improving, cert.lam)
+        found = improvement_step(x, cert.improving, density(x, cert.lam))
         assert found is not None
         eps, stepped = found
         assert stepped == x.add_tangent(cert.improving, eps)
@@ -702,7 +745,7 @@ class TestScaleInvariance:
         assert cvp.min == (tiny + 1) / 4
         assert cvp.vectors == ((0, 0), (0, 1), (1, 0), (1, 1))
         assert gm.lam == tiny
-        assert [(r.i, r.j, r.v) for r in gm.reps] == [(1, 1, (-1, 0)), (2, 2, (-1, 0))]
+        assert [(r.i, r.j, r.v) for r in gm.reps] == [(1, 1, (-1, 0))]
 
 
 def test_generalized_min_reduces_each_form_once(monkeypatch):

@@ -4,12 +4,12 @@ from itertools import product
 
 import pytest
 
+from helpers import constraint_value
 from periform.linalg import PQF, SymForm, TangentVector, inner
 from periform.periodic import (
     OverlapError,
     PeriodicForm,
     density,
-    eval_p,
     generalized_min,
     gradient_p,
     hessian_quadratic,
@@ -110,7 +110,16 @@ class TestGeneralizedMin:
         res = generalized_min(x)
         lam, reps = oracle_generalized_min(x, 10)
         assert res.lam == lam
-        assert [r.key() for r in res.reps] == reps
+        assert [r.key() for r in res.reps] == one_diagonal_class(reps)
+
+    def test_diagonal_class_once(self):
+        """Z^2 over 2Z x Z: lambda = 1 is attained by e2 and across the
+        translates; the lattice vector is stored once, as (1, 1)."""
+        x = PeriodicForm.make(PQF.from_rows([[4, 0], [0, 1]]), [[Fr(1, 2), 0]])
+        res = generalized_min(x)
+        assert res.lam == 1
+        assert [(b.i, b.j) for b in res.blocks] == [(1, 1), (1, 2)]
+        assert [r.key() for r in res.reps] == [(1, 1, (0, -1)), (1, 2, (0, 0)), (1, 2, (1, 0))]
 
     @pytest.mark.parametrize("seed", range(20))
     def test_m1_equals_svp(self, seed):
@@ -123,19 +132,26 @@ class TestGeneralizedMin:
         assert len(res.reps) == len(svp.vectors)
 
 
+def one_diagonal_class(triples):
+    """The (i, j, v) without the copies (i, i, v), i > 1, of the diagonal
+    class: p_{i,i,v} = Q[v] for every i, and Min X stores it as (1, 1)."""
+    return [t for t in triples if not t[0] == t[1] > 1]
+
+
 def rep_tuples(reps):
-    return [(r.i, r.j, r.v, r.w) for r in reps]
+    return one_diagonal_class([(r.i, r.j, r.v, r.w) for r in reps])
 
 
 class TestMatchesReference:
     """lambda and the reps view (i, j, v, w, in order) against the old
-    one-MinRep-per-representation generalized minimum."""
+    one-MinRep-per-representation generalized minimum, whose diagonal copies
+    (i, i, v) for i > 1 the reps view does not hold."""
 
     def check(self, x):
         res, ref = generalized_min(x), reference_generalized_min(x)
         assert res.lam == ref.lam
-        assert len(res.reps) == len(ref.reps)
-        assert rep_tuples(res.reps) == rep_tuples(ref.reps)
+        assert len(res.reps) == len(rep_tuples(ref.reps))
+        assert [(r.i, r.j, r.v, r.w) for r in res.reps] == rep_tuples(ref.reps)
 
     @pytest.mark.parametrize("name,params", [
         ("Zd", (2,)), ("Zd", (3,)), ("A", (2,)), ("A", (3,)), ("D", (4,)),
@@ -162,7 +178,7 @@ class TestMatchesReference:
         calls = []
         real = periodic.closest_vectors
         monkeypatch.setattr(
-            periodic, "closest_vectors", lambda q, c: calls.append(c) or real(q, c)
+            periodic, "closest_vectors", lambda q, c, bound: calls.append(c) or real(q, c, bound)
         )
         d4 = get("D", 4).form
         off_cube = ((Fr(-4, 3), Fr(5, 2)), (Fr(13, 3), Fr(-3, 4)))
@@ -226,28 +242,36 @@ class TestDensity:
 
 
 class TestEvalP:
+    """The constraint value p_{i,j,v}(X) = Q[w], read as ``x.q.value(rep.w)``."""
+
     def test_direct_value(self):
-        assert eval_p(D1M2_HALF, (1, 2, (0,))) == Fr(1, 4)
+        rep = generalized_min(D1M2_HALF).reps[0]
+        assert rep.key() == (1, 2, (0,))
+        assert D1M2_HALF.q.value(rep.w) == Fr(1, 4)
 
     def test_lattice_pair_is_linear_case(self):
         x = PeriodicForm.make(A2, [[Fr(1, 3), Fr(1, 3)]])
         v = (1, -2)
-        assert eval_p(x, (1, 1, v)) == x.q.value(v)
-        assert eval_p(x, (2, 2, v)) == x.q.value(v)
+        assert constraint_value(x, (1, 1, v)) == x.q.value(v)
+        assert constraint_value(x, (2, 2, v)) == x.q.value(v)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_mirror_symmetry(self, seed):
+        """(j, i, -v) is the same constraint as (i, j, v), and every stored
+        representation attains lambda."""
         rng = random.Random(200 + seed)
         x = random_periodic_form(rng)
         i = rng.randint(1, x.m)
         j = rng.randint(1, x.m)
         v = tuple(rng.randint(-3, 3) for _ in range(x.d))
         mv = tuple(-c for c in v)
-        assert eval_p(x, (i, j, v)) == eval_p(x, (j, i, mv))
+        assert constraint_value(x, (i, j, v)) == constraint_value(x, (j, i, mv))
+        res = generalized_min(x)
+        assert all(x.q.value(rep.w) == res.lam for rep in res.reps)
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
-            eval_p(D1M2_HALF, (1, 3, (0,)))
+            constraint_value(D1M2_HALF, (1, 3, (0,)))
 
 
 class TestGradient:
@@ -272,8 +296,8 @@ class TestGradient:
         n = random_tangent(rng, x.d, x.m)
         g = gradient_p(x, (i, j, v))
         h = Fr(1, 100000)
-        plus = eval_p(x.add_tangent(n, h), (i, j, v))
-        minus = eval_p(x.add_tangent(n, -h), (i, j, v))
+        plus = constraint_value(x.add_tangent(n, h), (i, j, v))
+        minus = constraint_value(x.add_tangent(n, -h), (i, j, v))
         numeric = float((plus - minus) / (2 * h))
         exact = float(inner(g, n))
         scale = max(abs(numeric), abs(exact), 1e-12)
@@ -304,7 +328,7 @@ class TestHessian:
         j = rng.randint(i, x.m)
         v = tuple(rng.randint(-2, 2) for _ in range(x.d))
         n = random_tangent(rng, x.d, x.m)
-        p0 = eval_p(x, (i, j, v))
+        p0 = constraint_value(x, (i, j, v))
         g = inner(gradient_p(x, (i, j, v)), n)
         h = hessian_quadratic(x, (i, j, v), n)
 
