@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 from operator import mul
 from typing import Sequence
@@ -87,18 +88,19 @@ class VoronoiDomain:
     stage of a certificate reads.
 
     ``lam`` and ``blocks`` are lambda(X) > 0 and Min X (``generalized_min``);
-    ``target`` is the determinant gradient (Q^{-1}, 0).  Row k of ``matrix``
+    ``target`` is the determinant gradient (Q^{-1}, 0).  Row k of ``rows``
     / ``den`` is the gradient at the k-th canonical representation in
     weighted coordinates (``TangentVector.flatten``): one row per constraint,
-    the block (1, 1) standing for all pairs (i, i).  The matrix is in
-    ``linalg.int_type`` of a bound on its entries, holds Python ints when a
-    column sum could pass int64, and is column-major (Fortran order).
+    the block (1, 1) standing for all pairs (i, i).  ``rows`` builds them
+    from the blocks where a stage reads them (``GradientRows``): the rank
+    reads a sample, the uniform witness column sums, and only the cone
+    stages the whole matrix.
     """
 
     lam: Fraction
     blocks: tuple[MinBlock, ...]
     target: TangentVector
-    matrix: np.ndarray
+    rows: GradientRows
     den: int
     d: int
     m: int
@@ -156,57 +158,102 @@ class Certificate:
 # The generalized Voronoi domain: one integer row per representation.
 # ---------------------------------------------------------------------------
 
+_ROW_CHUNK = 4096  # rows of one block built together for a column sum or the whole matrix
 
-def _gradient_matrix(x: PeriodicForm, blocks: Sequence[MinBlock]) -> tuple[np.ndarray, int]:
-    """(M, den): row k of M / den is grad p at the k-th representation.
 
-    In block (i, j), w = (c - tden v) / tden with c / tden = t_i - t_j, so a
-    row holds w w^t over tden^2 (off-diagonal entries doubled) and +-2Qw
-    over qden tden at columns i and j, for Q = qnum / qden, all brought to
-    one denominator.  M and its products are in ``int_type`` of a bound on
-    the entries (Leech: 98280 rows of 300 entries up to 1089, 59 MB as int16
-    against 236 MB as int64), and in Python ints when a column sum could
-    pass int64, since ``_uniform_witness`` sums the columns in int64.  M is
-    column-major and filled in place, one contiguous column at a time, since
-    whole-matrix temporaries would each take as much memory as M.
+class GradientRows:
+    """The rows of the Voronoi domain, built from Min X where a stage reads them.
+
+    Row k / ``den`` is grad p at the k-th representation, block after block:
+    in block (i, j), w w^t over tden^2 (off-diagonal entries doubled) and
+    +-2Qw over qden tden at columns i and j, for w = (c - tden v) / tden with
+    c / tden = t_i - t_j.  ``den`` and ``dtype`` come once from all blocks:
+    ``int_type`` of a bound on the entries (Leech: up to 1089, int16), or
+    Python ints when a column sum of all rows could pass int64.
+    ``rows[index]`` builds the rows at ``index`` in order, C-contiguous, and
+    ``chunks`` a range of rows at most ``_ROW_CHUNK`` of one block at a time.
+    ``full()``, or a read of every row, builds the column-major matrix in such
+    chunks and keeps it: later reads take their rows from it.
     """
-    d, m = x.d, x.m
-    tri = [(a, c) for a in range(d) for c in range(a, d)]
-    nq = len(tri)
-    qden, qnum = x.q.den, x.q.gram
-    qmax = max(abs(v) for row in qnum for v in row)
-    scaled = [integer_row(b.t) for b in blocks]  # (tden, c) per block
-    den = lcm(*(t * t if b.i == b.j else t * lcm(t, qden) for b, (t, _) in zip(blocks, scaled)))
-    vs = [b.vs for b in blocks]
-    # wmax bounds |c - tden v|, so a Q-part entry is at most 2 wmax^2 den /
-    # tden^2, and a translation entry (i != j only) 2 d qmax wmax den / (qden
-    # tden).
-    wmax = [max(map(abs, c)) + t * max_abs(v) for (t, c), v in zip(scaled, vs)]
-    rows = sum(len(v) for v in vs)
-    bound = 2 * max(
-        max(den // (t * t) * w * w, 0 if b.i == b.j else den // (qden * t) * d * qmax * w)
-        for b, (t, _), w in zip(blocks, scaled, wmax)
-    )
-    dtype = object if int_type(rows * bound) is object else int_type(bound)
-    matrix = np.zeros((rows, ambient_dim(d, m)), dtype=dtype, order="F")
-    start = 0
-    for b, (t, c), v in zip(blocks, scaled, vs):
-        # Every factor below is at most the bound, except t itself.
-        wtype = dtype if dtype is object else int_type(max(bound, t))
-        # Column-major, so each w[:, a] read below is contiguous; no temporary as large as w.
-        w = np.multiply(v, -t, dtype=wtype, order="F")
+
+    def __init__(self, x: PeriodicForm, blocks: Sequence[MinBlock]):
+        d, qden = x.d, x.q.den
+        scaled = [integer_row(b.t) for b in blocks]  # (tden, c) per block
+        den = lcm(*(t * t if b.i == b.j else t * lcm(t, qden) for b, (t, _) in zip(blocks, scaled)))
+        # wmax bounds |c - tden v|, so a Q-part entry is at most 2 wmax^2 den /
+        # tden^2, and a translation entry (i != j only) 2 d qmax wmax den / (qden
+        # tden).
+        qmax = max(abs(v) for row in x.q.gram for v in row)
+        wmax = [max(map(abs, c)) + t * max_abs(b.vs) for b, (t, c) in zip(blocks, scaled)]
+        bound = 2 * max(
+            max(den // (t * t) * w * w, 0 if b.i == b.j else den // (qden * t) * d * qmax * w)
+            for b, (t, _), w in zip(blocks, scaled, wmax)
+        )
+        n = sum(len(b.vs) for b in blocks)
+        self.x, self.blocks, self.den, self.shape = x, blocks, den, (n, ambient_dim(d, x.m))
+        self.dtype = np.dtype(object if int_type(n * bound) is object else int_type(bound))
+        self._bound, self._scaled, self._matrix = bound, scaled, None
+        self._tri = [(a, e) for a in range(d) for e in range(a, d)]
+        self._starts = list(accumulate((len(b.vs) for b in blocks[:-1]), initial=0))
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, index) -> np.ndarray:
+        index = np.asarray(index, dtype=np.intp)
+        if self._matrix is not None or len(index) == len(self):
+            return self.full()[index]
+        out = np.empty((len(index), self.shape[1]), dtype=self.dtype)
+        which = np.searchsorted(self._starts, index, side="right") - 1
+        for k in np.unique(which):
+            out[which == k] = self._block_rows(k, index[which == k] - self._starts[k])
+        return out
+
+    def full(self) -> np.ndarray:
+        """The whole matrix, column-major: built on the first call and kept."""
+        if self._matrix is None:
+            matrix = np.zeros(self.shape, dtype=self.dtype, order="F")
+            for k, s, lo, hi in self._spans(0, len(self)):
+                self._block_rows(k, slice(lo, hi), matrix[s + lo : s + hi])
+            self._matrix = matrix
+        return self._matrix
+
+    def chunks(self, start: int, stop: int):
+        """Rows start..stop-1 in order: a view of the kept matrix, or rows
+        built at most ``_ROW_CHUNK`` of one block at a time."""
+        if self._matrix is not None:
+            return iter([self._matrix[start:stop]])
+        return (self._block_rows(k, slice(lo, hi)) for k, _, lo, hi in self._spans(start, stop))
+
+    def _spans(self, start: int, stop: int):
+        """(block k, its first row, lo, hi): rows lo..hi-1 of block k, in
+        pieces of at most ``_ROW_CHUNK`` rows, over rows start..stop-1."""
+        for k, s in enumerate(self._starts):
+            top = min(stop - s, len(self.blocks[k].vs))
+            for lo in range(max(start - s, 0), top, _ROW_CHUNK):
+                yield k, s, lo, min(lo + _ROW_CHUNK, top)
+
+    def _block_rows(self, k: int, local, out: np.ndarray | None = None) -> np.ndarray:
+        """Rows ``local`` (indices or a slice) of block k, filled one
+        contiguous column at a time into ``out``, zero and column-major, or
+        into a new array."""
+        b, (t, c), (d, tri) = self.blocks[k], self._scaled[k], (self.x.d, self._tri)
+        # Every factor of a row is at most the bound, except t itself.
+        wtype = object if self.dtype == object else int_type(max(self._bound, t))
+        w = np.multiply(b.vs[local], -t, dtype=wtype, order="F")
         w += np.array(c, dtype=wtype)
-        part = matrix[start : start + len(v)]
-        start += len(v)
-        fq = den // (t * t)
-        for k, (a, c) in enumerate(tri):
-            np.multiply(w[:, a], w[:, c] * (fq if a == c else 2 * fq), out=part[:, k])
+        if out is None:
+            out = np.zeros((len(w), self.shape[1]), dtype=self.dtype, order="F")
+        fq, nq = self.den // (t * t), len(tri)
+        for col, (a, e) in enumerate(tri):
+            np.multiply(w[:, a], w[:, e] * (fq if a == e else 2 * fq), out=out[:, col])
         if b.i != b.j:
-            grad = (w @ np.array(qnum, dtype=wtype).T) * (2 * den // (qden * t))
-            part[:, nq + (b.i - 1) * d : nq + b.i * d] = grad
-            if b.j != m:
-                part[:, nq + (b.j - 1) * d : nq + b.j * d] = -grad
-    return matrix, den
+            q = self.x.q
+            grad = (w @ np.array(q.gram, dtype=wtype).T) * (2 * self.den // (q.den * t))
+            out[:, nq + (b.i - 1) * d : nq + b.i * d] = grad
+            if b.j != self.x.m:
+                out[:, nq + (b.j - 1) * d : nq + b.j * d] = -grad
+        return out
 
 
 def voronoi_domain(x: PeriodicForm) -> VoronoiDomain:
@@ -215,12 +262,12 @@ def voronoi_domain(x: PeriodicForm) -> VoronoiDomain:
     gen_min = generalized_min(x)
     if gen_min.lam == 0:
         raise OverlapError("Voronoi domain undefined for lambda = 0")
-    matrix, den = _gradient_matrix(x, gen_min.blocks)
-    rank, complement = rank_complement(matrix)
+    rows = GradientRows(x, gen_min.blocks)
+    rank, complement = rank_complement(rows)
     nullspace = tuple(TangentVector.unflatten(c, x.d, x.m) for c in complement)
     target = TangentVector.make(x.q.inverse(), [[0] * x.d for _ in range(x.m - 1)])
     return VoronoiDomain(
-        gen_min.lam, gen_min.blocks, target, matrix, den, x.d, x.m, rank, nullspace
+        gen_min.lam, gen_min.blocks, target, rows, rows.den, x.d, x.m, rank, nullspace
     )
 
 
@@ -242,19 +289,20 @@ def strong_eutaxy(q: PQF) -> tuple[bool, Fraction | None]:
 def _uniform_witness(domain: VoronoiDomain) -> tuple[Fraction, ...] | None:
     """m c on the rows of the block (1, 1), each standing for the m pairs
     (i, i), and c on the others, for a c > 0 that gives the target, if there
-    is one (strong-eutaxy shape)."""
-    diag = next((len(b.vs) for b in domain.blocks if b.i == b.j), 0)
-    wide = object if domain.matrix.dtype == object else np.int64
-    sums = [domain.matrix[part].sum(axis=0, dtype=wide).tolist()
-            for part in (slice(diag), slice(diag, None))]
-    total = [Fraction(domain.m * a + b, domain.den) for a, b in zip(*sums)]
+    is one (strong-eutaxy shape): read from the column sums of the rows."""
+    diag, n = next((len(b.vs) for b in domain.blocks if b.i == b.j), 0), len(domain.rows)
+    wide, total = object if domain.rows.dtype == object else np.int64, [0] * domain.ambient
+    for f, start, stop in ((domain.m, 0, diag), (1, diag, n)):
+        for part in domain.rows.chunks(start, stop):
+            total = [a + f * b for a, b in zip(total, part.sum(axis=0, dtype=wide).tolist())]
+    total = [Fraction(v, domain.den) for v in total]
     goal = domain.target.flatten(weighted=True)
     k = next((k for k, v in enumerate(total) if v), None)
     if k is None:
         return None
     c = goal[k] / total[k]
     if c > 0 and all(c * v == g for v, g in zip(total, goal)):
-        return (domain.m * c,) * diag + (c,) * (len(domain.matrix) - diag)
+        return (domain.m * c,) * diag + (c,) * (n - diag)
     return None
 
 
@@ -325,7 +373,7 @@ def eutaxy_status(domain: VoronoiDomain) -> EutaxyStatus:
     witness = _uniform_witness(domain)
     if witness is not None:
         return EutaxyStatus(INTERIOR, witness=witness)
-    return _classify(domain.matrix, domain.den, domain.target)
+    return _classify(domain.rows.full(), domain.den, domain.target)
 
 
 def improving_direction(status: EutaxyStatus) -> TangentVector | None:
@@ -364,7 +412,7 @@ def uncertainty_space(
         raise ValueError("uncertainty set is defined only inside the domain")
     if status.tag == INTERIOR:
         return domain.nullspace, True
-    _, basis = rank_complement(domain.matrix[list(status.face)])
+    _, basis = rank_complement(domain.rows[list(status.face)])
     return tuple(TangentVector.unflatten(c, domain.d, domain.m) for c in basis), False
 
 

@@ -559,12 +559,15 @@ def _float_pick(head: np.ndarray, count: int) -> np.ndarray:
     return perm[:count]
 
 
-def independent_rows_modp(rows: np.ndarray, limit: int) -> list[int]:
+def independent_rows_modp(rows, limit: int) -> list[int]:
     """Indices of rows independent mod RANK_PRIME, taken greedily, at most ``limit``.
 
-    ``rows`` is an integer array of any type ``int_type`` names, and is not
-    modified; it is reduced mod p one block at a time, in int64 unless it
-    holds Python ints (the narrower types cannot hold RANK_PRIME).
+    ``rows`` is an integer array of any type ``int_type`` names, or a row
+    source with its ``shape``, ``dtype`` and ``rows[index]`` (the Voronoi
+    domain's ``GradientRows``, which builds only the rows read here); it is
+    not modified.  The rows of one block at a time are read and reduced mod
+    p, in int64 unless they are Python ints (the narrower types cannot hold
+    RANK_PRIME).
     Each row is reduced against the rows taken before it and is taken when
     something is left.  A set of integer rows independent mod p is independent
     over Q, so the rank over Q is at least the length of the result.
@@ -616,13 +619,14 @@ def log2_magnitude(v: Fraction) -> int:
     return v.numerator.bit_length() - v.denominator.bit_length()
 
 
-def rank_complement(rows: np.ndarray) -> tuple[int, list[list[Fraction]]]:
+def rank_complement(rows) -> tuple[int, list[list[Fraction]]]:
     """Exact rank of an integer matrix and a basis of {c : row . c = 0 for all rows}.
 
-    ``rows`` is an integer array as ``independent_rows_modp`` takes.  The
-    rows independent mod RANK_PRIME are picked first, in the order that
-    function tries them (float-picked rows first on matrices taller than one
-    chunk); when they fill the space the rank is proved.  Otherwise the
+    ``rows`` is an integer array or a row source, as ``independent_rows_modp``
+    takes.  The rows independent mod RANK_PRIME are picked first, in the
+    order that function tries them (float-picked rows first on matrices
+    taller than one chunk); when they fill the space the rank is proved and
+    no other row is read.  Otherwise every row is read at once, the
     reduced echelon form of the picked rows gives the complement, and every
     row is checked exactly against it.  A row that fails the check (the
     prime divided one of its minors) joins the picked rows, raising the
@@ -633,7 +637,7 @@ def rank_complement(rows: np.ndarray) -> tuple[int, list[list[Fraction]]]:
     taken = independent_rows_modp(rows, ncols)
     if len(taken) == ncols:
         return ncols, []
-    exact = rows.tolist()
+    exact = rows[np.arange(rows.shape[0])].tolist()
     while True:
         rank, pivcols, ech, den = echelon([exact[i] for i in taken])
         # den times each complement vector: den at its free column and minus

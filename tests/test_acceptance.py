@@ -8,6 +8,7 @@ import random
 import time
 from fractions import Fraction as Fr
 
+import numpy as np
 import pytest
 
 from helpers import constraint_value
@@ -27,7 +28,7 @@ from periform.certify import (
 )
 from periform.improve import improve
 from periform.intmat import enumerate_sublattice_hnf
-from periform.lattices import shortest_vectors
+from periform.lattices import closest_vectors, shortest_vectors
 from periform.linalg import PQF, SymForm, TangentVector, inner
 from periform.periodic import (
     PeriodicForm,
@@ -338,7 +339,7 @@ def test_leech_rank_reduces_one_square(monkeypatch):
 
     monkeypatch.setattr(linalg, "_eliminate_modp", counting)
     domain = voronoi_domain(lattice(get("Leech").form))
-    assert domain.matrix.shape == (98280, 300)
+    assert domain.rows.shape == (98280, 300)
     assert domain.rank == 300 and domain.nullspace == ()
     assert sum(cleared) <= 300 * 300
 
@@ -381,9 +382,42 @@ def test_leech_domain_holds_each_constraint_once(index, diagonal, rows):
     h = [[index if i == j == 0 else int(i == j) for j in range(24)] for i in range(24)]
     domain = voronoi_domain(sublattice_representation(q, h))
     assert [(b.i, b.j, len(b.vs)) for b in domain.blocks if b.i == b.j] == [(1, 1, diagonal)]
-    assert domain.matrix.shape[0] == rows
+    assert len(domain.rows) == rows
     assert rows + (index - 1) * diagonal == {2: 196_560, 3: 294_840, 4: 393_120}[index]
     assert domain.rank == domain.ambient
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("vtype", [2, 3, 4])
+def test_leech_every_index_two_class_certifies(vtype):
+    """Up to automorphisms, Leech has three sublattices of index 2: the
+    kernels of x -> x.v mod 2 for v of type 2, 3 and 4, that is of least
+    norm 4, 6 and 8 in v + 2L at the catalog's scale (Conway and Sloane,
+    *SPLAG*, ch. 10).  Here v is a shortest vector s, then s + t for a
+    shortest t with s.t = -1, then the v with x.v = x_1, whose kernel is
+    diag(2, 1, ..., 1).  One CVP on v / 2 gives the least norm in v + 2L.
+    Each representation is IsolatedExtreme at full rank, 324."""
+    q = get("Leech").form
+    gram = np.array(q.gram, dtype=np.int64)  # q.den == 1: the Gram is unimodular
+    if vtype == 4:
+        v = np.array([int(q.inverse().entry(i, 0)) for i in range(24)])
+    else:
+        short = shortest_vectors(q).array.astype(np.int64)
+        s = short[0]
+        v = s if vtype == 2 else s + short[np.flatnonzero(short @ gram @ s == -1)[0]]
+    least = 4 * closest_vectors(q, [Fr(int(a), 2) for a in v]).min
+    assert least == {2: 4, 3: 6, 4: 8}[vtype]
+    assert vtype == 4 or q.value(v.tolist()) == least
+    # x.v = x^t G v, so the kernel is {x : u.x even} for u = G v mod 2: basis
+    # columns 2 e_p and e_i + u_i e_p (i != p), for a p with u_p = 1.
+    u = gram @ v % 2
+    p = int(np.flatnonzero(u)[0])
+    h = [[int(r == c) * (2 if c == p else 1) + int(r == p != c and u[c]) for c in range(24)]
+         for r in range(24)]
+    assert vtype != 4 or h == [[2 if i == j == 0 else int(i == j) for j in range(24)]
+                               for i in range(24)]
+    cert = certify(sublattice_representation(q, h))
+    assert (cert.verdict, cert.rank, cert.ambient) == (ISOLATED_EXTREME, 324, 324)
 
 
 @pytest.mark.slow

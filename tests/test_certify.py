@@ -1,7 +1,11 @@
+import os
 import random
+import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction as Fr
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -18,7 +22,8 @@ from periform.certify import (
     NOT_EXTREME,
     OUTSIDE,
     _classify,
-    _gradient_matrix,
+    _uniform_witness,
+    GradientRows,
     certify,
     eutaxy_status,
     floating_components,
@@ -69,7 +74,7 @@ def floating_of(x):
 
 def rows_of(dom):
     """The generators of a domain as rows of weighted coordinates."""
-    return {tuple(Fr(v, dom.den) for v in row) for row in dom.matrix.tolist()}
+    return {tuple(Fr(v, dom.den) for v in row) for row in dom.rows.full().tolist()}
 
 
 class TestVoronoiDomain:
@@ -109,27 +114,52 @@ class TestVoronoiDomain:
         exact, are gradient_p at each rep, in order."""
         gm = generalized_min(x)
         dom = voronoi_domain(x)
-        assert dom.matrix.dtype == dtype
-        assert len(dom.matrix) == len(gm.reps)
-        assert dom.matrix.tolist() == [
+        matrix = dom.rows.full()
+        assert matrix.dtype == dtype
+        assert len(dom.rows) == len(gm.reps)
+        assert matrix.tolist() == [
             [dom.den * c for c in gradient_p(x, rep).flatten(weighted=True)]
             for rep in gm.reps
         ]
 
     @pytest.mark.slow
     def test_leech_matrix_memory(self):
-        """Leech's 98 280 x 300 matrix is filled column by column in place:
-        building it holds at most 8 MB beside the matrix itself."""
+        """Leech's 98 280 x 300 matrix, built whole, is filled in chunks of
+        rows, column by column: building it holds at most 8 MB beside the
+        matrix itself."""
         x = lattice(get("Leech").form)
         blocks = generalized_min(x).blocks
         tracemalloc.start()
         try:
-            matrix, _ = _gradient_matrix(x, blocks)
+            matrix = GradientRows(x, blocks).full()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert matrix.shape == (98280, 300) and matrix.flags.f_contiguous
         assert peak - matrix.nbytes <= 8 * 2 ** 20
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("index, limit", [(4, 150), (2, 120)])
+    def test_leech_sublattice_peak_rss(self, index, limit):
+        """``certify`` on Leech over diag(index, 1, ..., 1) builds no whole
+        gradient matrix (147 432 x 324 int32 at index 2), so the process
+        peaks under ``limit`` MB, each in a fresh interpreter.  The peak is
+        the interpreter's VmHWM: its ``ru_maxrss`` would start at the RSS of
+        the test process that spawned it, which Linux carries across exec."""
+        code = (
+            "import periform as P\n"
+            f"h = [[{index} if i == j == 0 else int(i == j) for j in range(24)] for i in range(24)]\n"
+            "cert = P.certify(P.sublattice_representation(P.get('Leech').form, h))\n"
+            "hwm = next(s for s in open('/proc/self/status') if s.startswith('VmHWM:'))\n"
+            "print(cert.verdict, hwm.split()[1])\n"
+        )
+        src = str(Path(sys.modules["periform"].__file__).resolve().parent.parent)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src), timeout=600)
+        assert out.returncode == 0, out.stderr
+        verdict, kib = out.stdout.split()
+        assert verdict == ISOLATED_EXTREME
+        assert int(kib) < limit * 1024
 
     def test_certify_calls_no_gradient_p(self, monkeypatch):
         """A uniform witness and a full mod-p rank never build a tangent vector."""
@@ -146,6 +176,103 @@ class TestVoronoiDomain:
         for x in (lattice(e8_gram()), sublattice_representation(get("D", 4).form, h)):
             assert certify(x).verdict == ISOLATED_EXTREME
         assert calls == []
+
+
+def row_source_forms():
+    """The A2 and D4 representations of index <= 4, Lambda9, and two forms
+    whose rows are Python ints."""
+    from periform.intmat import enumerate_sublattice_hnf
+
+    for name, d in (("A", 2), ("D", 4)):
+        q = get(name, d).form
+        for index in range(1, 5):
+            for h in enumerate_sublattice_hnf(d, index):
+                yield sublattice_representation(q, h)
+    yield fluid_diamond(0)
+    yield PeriodicForm.make(A2.scale(Fr(1, 2 ** 1100)), [[Fr(1, 3), Fr(2, 3)]])
+    yield PeriodicForm.lattice(A2.congruent([[1, 0], [2 ** 70, 1]]))
+
+
+class TestGradientRows:
+    def test_rows_at_any_index_are_the_full_build(self):
+        """For seeded index sets, sorted or not and with repeats, the rows
+        built from the blocks equal those rows of the whole matrix, in dtype
+        and values, and come C-contiguous."""
+        rng = np.random.default_rng(26)
+        dtypes = set()
+        for x in row_source_forms():
+            blocks = generalized_min(x).blocks
+            whole = GradientRows(x, blocks).full()
+            dtypes.add(whole.dtype)
+            for size in {1, len(whole) // 2, len(whole) - 1} - {0}:
+                index = rng.integers(0, len(whole), size)
+                for idx in (index, np.sort(index)):
+                    rows = GradientRows(x, blocks)[idx]
+                    assert rows.dtype == whole.dtype and rows.flags.c_contiguous
+                    assert rows.tolist() == whole[idx].tolist()
+        assert dtypes >= {np.dtype(object), np.dtype(np.int8), np.dtype(np.int16)}
+
+    def test_column_sums_by_chunks(self, monkeypatch):
+        """Rows built three at a time within a block, as Leech's are built
+        4096 at a time, give the whole matrix and its column sums, and the
+        uniform witness read from them is the one read from the kept matrix."""
+        cases = []
+        for x in row_source_forms():
+            domain = voronoi_domain(x)
+            cases.append((x, domain, domain.rows.full(), _uniform_witness(domain)))
+        monkeypatch.setattr(sys.modules["periform.certify"], "_ROW_CHUNK", 3)
+        for x, domain, whole, witness in cases:
+            source = GradientRows(x, domain.blocks)
+            sums = [0] * whole.shape[1]
+            start = 0
+            for part in source.chunks(0, len(source)):
+                assert 0 < len(part) <= 3 and part.dtype == whole.dtype
+                assert part.tolist() == whole[start : start + len(part)].tolist()
+                sums = [a + b for a, b in zip(sums, part.sum(axis=0, dtype=object).tolist())]
+                start += len(part)
+            assert sums == whole.sum(axis=0, dtype=object).tolist()
+            assert _uniform_witness(replace(domain, rows=source)) == witness
+            rebuilt = GradientRows(x, domain.blocks).full()
+            assert rebuilt.dtype == whole.dtype and rebuilt.flags.f_contiguous
+            assert rebuilt.tolist() == whole.tolist()
+
+    def test_small_domains_build_their_rows_once(self, monkeypatch):
+        """A domain of at most one rank chunk (1 024 rows) builds each of its
+        blocks once per ``certify``, whatever verdict it reaches: the rank
+        keeps the whole matrix, and the later stages read it."""
+        built = []
+        real = GradientRows._block_rows
+
+        def counting(rows, k, local, *out):
+            built.append((k, len(rows.blocks[k].vs[local])))
+            return real(rows, k, local, *out)
+
+        monkeypatch.setattr(GradientRows, "_block_rows", counting)
+        verdicts = set()
+        for x in [*row_source_forms(), lattice(Z2), get("Dplus", 3).form]:
+            blocks = generalized_min(x).blocks
+            assert sum(len(b.vs) for b in blocks) <= 1024
+            built.clear()
+            verdicts.add(certify(x).verdict)
+            assert sorted(built) == [(k, len(b.vs)) for k, b in enumerate(blocks)]
+        assert verdicts == {ISOLATED_EXTREME, EXTREME_TRANSLATIONAL, INCONCLUSIVE, NOT_EXTREME}
+
+    @pytest.mark.slow
+    def test_leech_builds_no_whole_matrix(self, monkeypatch):
+        """``certify`` on Leech builds the 1 024 sampled rows, the 300 the
+        rank takes from them, and each row once more for the column sums,
+        at most 4 096 rows per call: never the 98 280 x 300 matrix."""
+        sizes = []
+        real = GradientRows._block_rows
+
+        def counting(rows, k, local, *out):
+            sizes.append(len(rows.blocks[k].vs[local]))
+            return real(rows, k, local, *out)
+
+        monkeypatch.setattr(GradientRows, "_block_rows", counting)
+        cert = certify(lattice(get("Leech").form))
+        assert cert.verdict == ISOLATED_EXTREME
+        assert max(sizes) <= 4096 and sum(sizes) == 1024 + 300 + 98280
 
 
 class TestPerfection:
@@ -224,7 +351,7 @@ class TestOverflowGuard:
         for q in (DIAG12, A2_PLUS_LINE):  # outside, interior
             x = lattice(sheared(q, 2 ** 18))
             dom = voronoi_domain(x)
-            yield dom.matrix, dom.den, det_target(x)
+            yield dom.rows.full(), dom.den, det_target(x)
         big = TangentVector.make(SymForm.outer([2 ** 17, 1]))
         matrix, den = stack([big, TangentVector.make(SymForm.outer([0, 1]))])
         yield matrix, den, big  # boundary
@@ -303,7 +430,7 @@ class TestUncertainty:
         ]
         target = TangentVector.make(SymForm.outer([1, 0]))
         matrix, den = stack(gens)
-        dom = SimpleNamespace(matrix=matrix, d=2, m=1)  # all a boundary status reads
+        dom = SimpleNamespace(rows=matrix, d=2, m=1)  # all a boundary status reads
         basis, is_sub = uncertainty_space(dom, _classify(matrix, den, target))
         assert len(basis) == 2
         assert all(inner(n, gens[0]) == 0 for n in basis)
@@ -478,8 +605,8 @@ def test_uniform_witnesses_reproduce_the_target(name, d):
             diag = len(first.vs) if (first.i, first.j) == (1, 1) else 0
             c = alpha[-1]
             assert alpha == (x.m * c,) * diag + (c,) * (len(alpha) - diag)
-            assert len(alpha) == len(domain.matrix) and all(a > 0 for a in alpha)
-            rows = domain.matrix.tolist()
+            assert len(alpha) == len(domain.rows) and all(a > 0 for a in alpha)
+            rows = domain.rows.full().tolist()
             goal = domain.target.flatten(weighted=True)
             for col, g in enumerate(goal):
                 assert sum(a * row[col] for a, row in zip(alpha, rows)) / domain.den == g

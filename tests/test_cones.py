@@ -124,7 +124,7 @@ def test_small_domains_leave_scipy_linalg_out():
         "                    for i in range(8)])]:\n"
         "    x = P.sublattice_representation(P.get(name, *params).form, h)\n"
         "    P.certify(x)\n"
-        "print(P.voronoi_domain(x).matrix.shape[0], 'scipy.linalg' in sys.modules)\n"
+        "print(len(P.voronoi_domain(x).rows), 'scipy.linalg' in sys.modules)\n"
     )
     src = str(Path(periform.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)

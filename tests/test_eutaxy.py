@@ -147,7 +147,7 @@ def random_cone(seed):
 
 def domain_of(gens):
     """All that ``uncertainty_space`` reads of a domain on the boundary."""
-    return SimpleNamespace(matrix=stack(gens)[0], d=gens[0].d, m=gens[0].m)
+    return SimpleNamespace(rows=stack(gens)[0], d=gens[0].d, m=gens[0].m)
 
 
 def classify(gens, target):
