@@ -32,6 +32,7 @@ import numpy as np
 
 from .cones import FloatImage, minimal_face, project_to_cone
 from .linalg import (
+    FLOAT_EXACT,
     PQF,
     TangentVector,
     ambient_dim,
@@ -170,10 +171,9 @@ class GradientRows:
     c / tden = t_i - t_j.  ``den`` and ``dtype`` come once from all blocks:
     ``int_type`` of a bound on the entries (Leech: up to 1089, int16), or
     Python ints when a column sum of all rows could pass int64.
-    ``rows[index]`` builds the rows at ``index`` in order, C-contiguous, and
-    ``chunks`` a range of rows at most ``_ROW_CHUNK`` of one block at a time.
-    ``full()``, or a read of every row, builds the column-major matrix in such
-    chunks and keeps it: later reads take their rows from it.
+    ``rows[index]`` builds the rows at ``index`` in order, C-contiguous.
+    ``full()``, or a read of every row, builds the column-major matrix
+    ``_ROW_CHUNK`` rows of one block at a time and keeps it for later reads.
     """
 
     def __init__(self, x: PeriodicForm, blocks: Sequence[MinBlock]):
@@ -192,9 +192,9 @@ class GradientRows:
         n = sum(len(b.vs) for b in blocks)
         self.x, self.blocks, self.den, self.shape = x, blocks, den, (n, ambient_dim(d, x.m))
         self.dtype = np.dtype(object if int_type(n * bound) is object else int_type(bound))
-        self._bound, self._scaled, self._matrix = bound, scaled, None
+        self._bound, self._scaled, self._wmax, self._matrix = bound, scaled, wmax, None
         self._tri = [(a, e) for a in range(d) for e in range(a, d)]
-        self._starts = list(accumulate((len(b.vs) for b in blocks[:-1]), initial=0))
+        self._starts = list(accumulate((len(b.vs) for b in blocks), initial=0))
 
     def __len__(self) -> int:
         return self.shape[0]
@@ -213,25 +213,36 @@ class GradientRows:
         """The whole matrix, column-major: built on the first call and kept."""
         if self._matrix is None:
             matrix = np.zeros(self.shape, dtype=self.dtype, order="F")
-            for k, s, lo, hi in self._spans(0, len(self)):
-                self._block_rows(k, slice(lo, hi), matrix[s + lo : s + hi])
+            for k, (s, b) in enumerate(zip(self._starts, self.blocks)):
+                for lo in range(0, len(b.vs), _ROW_CHUNK):
+                    hi = min(lo + _ROW_CHUNK, len(b.vs))
+                    self._block_rows(k, slice(lo, hi), matrix[s + lo : s + hi])
             self._matrix = matrix
         return self._matrix
 
-    def chunks(self, start: int, stop: int):
-        """Rows start..stop-1 in order: a view of the kept matrix, or rows
-        built at most ``_ROW_CHUNK`` of one block at a time."""
+    def sums(self, lo: int, hi: int) -> list[int]:
+        """Exact column sums of the rows of blocks lo..hi-1: of the kept matrix
+        (on small domains the faster), or, building no row, fq (W^T W)_ae (off
+        the diagonal doubled) and +-2Q sum(w) den / (qden tden) per block, from
+        ``_ROW_CHUNK`` w at a time, in float64 BLAS under 2^53, else in ints."""
         if self._matrix is not None:
-            return iter([self._matrix[start:stop]])
-        return (self._block_rows(k, slice(lo, hi)) for k, _, lo, hi in self._spans(start, stop))
-
-    def _spans(self, start: int, stop: int):
-        """(block k, its first row, lo, hi): rows lo..hi-1 of block k, in
-        pieces of at most ``_ROW_CHUNK`` rows, over rows start..stop-1."""
-        for k, s in enumerate(self._starts):
-            top = min(stop - s, len(self.blocks[k].vs))
-            for lo in range(max(start - s, 0), top, _ROW_CHUNK):
-                yield k, s, lo, min(lo + _ROW_CHUNK, top)
+            part = self._matrix[self._starts[lo] : self._starts[hi]]
+            return part.sum(axis=0, dtype=object if self.dtype == object else np.int64).tolist()
+        d, nq, q, out = self.x.d, len(self._tri), self.x.q, [0] * self.shape[1]
+        for k in range(lo, hi):
+            b, (t, c) = self.blocks[k], self._scaled[k]
+            wide = float if len(b.vs) * self._wmax[k] ** 2 < FLOAT_EXACT else object
+            ww, sw = np.zeros((d, d), dtype=wide), np.zeros(d, dtype=wide)
+            for s in range(0, len(b.vs), _ROW_CHUNK):
+                w = np.multiply(b.vs[s : s + _ROW_CHUNK], -t, dtype=wide) + np.array(c, dtype=wide)
+                ww, sw = ww + w.T @ w, sw + w.sum(axis=0)
+            fq, ww, sw = self.den // (t * t), ww.tolist(), [int(v) for v in sw.tolist()]
+            for col, (a, e) in enumerate(self._tri):
+                out[col] += int(ww[a][e]) * (fq if a == e else 2 * fq)
+            for sign, j in ((1, b.i), (-1, b.j)) if b.i != b.j else ():
+                for col, row in enumerate(q.gram if j != self.x.m else (), nq + (j - 1) * d):
+                    out[col] += sign * 2 * self.den // (q.den * t) * sum(map(mul, row, sw))
+        return out
 
     def _block_rows(self, k: int, local, out: np.ndarray | None = None) -> np.ndarray:
         """Rows ``local`` (indices or a slice) of block k, filled one
@@ -289,19 +300,17 @@ def strong_eutaxy(q: PQF) -> tuple[bool, Fraction | None]:
 def _uniform_witness(domain: VoronoiDomain) -> tuple[Fraction, ...] | None:
     """m c on the rows of the block (1, 1), each standing for the m pairs
     (i, i), and c on the others, for a c > 0 that gives the target, if there
-    is one (strong-eutaxy shape): read from the column sums of the rows."""
+    is one (strong-eutaxy shape): c total / den = goal / gden, in integers,
+    for the column sums ``total`` of the rows and the target goal / gden."""
     diag, n = next((len(b.vs) for b in domain.blocks if b.i == b.j), 0), len(domain.rows)
-    wide, total = object if domain.rows.dtype == object else np.int64, [0] * domain.ambient
-    for f, start, stop in ((domain.m, 0, diag), (1, diag, n)):
-        for part in domain.rows.chunks(start, stop):
-            total = [a + f * b for a, b in zip(total, part.sum(axis=0, dtype=wide).tolist())]
-    total = [Fraction(v, domain.den) for v in total]
-    goal = domain.target.flatten(weighted=True)
+    k, rows = int(diag > 0), domain.rows  # the block (1, 1) comes first
+    total = [domain.m * a + b for a, b in zip(rows.sums(0, k), rows.sums(k, len(domain.blocks)))]
+    gden, goal = integer_row(domain.target.flatten(weighted=True))
     k = next((k for k, v in enumerate(total) if v), None)
     if k is None:
         return None
-    c = goal[k] / total[k]
-    if c > 0 and all(c * v == g for v, g in zip(total, goal)):
+    c = Fraction(goal[k] * domain.den, total[k] * gden)
+    if c > 0 and all(goal[k] * v == g * total[k] for v, g in zip(total, goal)):
         return (domain.m * c,) * diag + (c,) * (n - diag)
     return None
 

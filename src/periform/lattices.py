@@ -45,6 +45,7 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import (
+    FLOAT_EXACT,
     PQF,
     LDLResult,
     RatLike,
@@ -79,7 +80,6 @@ BATCH_MIN_DIM = 12
 _CHUNK = 2048
 # Exact products with every partial sum at most FLOAT_EXACT run in float64
 # BLAS, _ROW_BLOCK rows at a time; x^t M x needs _FLOAT_MIN_TERMS terms, too.
-FLOAT_EXACT = 2 ** 53
 _FLOAT_MIN_TERMS = 256
 _ROW_BLOCK = 4096
 

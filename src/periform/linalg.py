@@ -1,10 +1,11 @@
 """Exact rational linear algebra for symmetric forms and tangent vectors.
 
 All certificate-bearing arithmetic in the package goes through this module
-and stays in ``fractions.Fraction`` or Python ints.  Ranks are first found
-modulo a prime, in int64 arrays, and then verified exactly over Q.  Floats
-enter in one place: past one chunk of rows, a float QR orders the rows the
-mod-p walk tries, and never decides which are independent.  Symmetric
+and stays in ``fractions.Fraction`` or Python ints.  A full rank is proved by
+an integer Y with Y A strictly diagonally dominant, other ranks modulo a
+prime and then exactly over Q.  Floats decide nothing: past one chunk, a
+float QR orders the rows the rank reads first, and a float left inverse
+proposes Y, whose product is then exact (float64 BLAS under 2^53).  Symmetric
 matrices are stored as their upper triangle, so symmetry holds by
 construction and the inner product doubles off-diagonal contributions.
 ``SymForm.integer_rows`` is the one place a form's denominators are cleared:
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, frexp, lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
 
@@ -57,6 +58,7 @@ __all__ = [
 
 RANK_PRIME = 2147483647  # 2^31 - 1: a product of two residues fits in int64
 _MODP_CHUNK = 1024  # rows reduced together by one vectorized elimination step
+FLOAT_EXACT = 2 ** 53  # float64 holds every integer up to here: BLAS sums below it are exact
 # The fixed-width integer types of int_type, narrowest first, with the
 # largest |value| each holds.
 _INT_TYPES = tuple((t, int(np.iinfo(t).max)) for t in (np.int8, np.int16, np.int32, np.int64))
@@ -542,24 +544,57 @@ def _eliminate_modp(block: np.ndarray, row: np.ndarray, col: int) -> None:
         block[nz] = (block[nz] - factors[nz, None] * row[None, :]) % RANK_PRIME
 
 
-def _float_pick(head: np.ndarray, count: int) -> np.ndarray:
-    """Up to ``count`` rows of ``head``, in the order a column-pivoted float QR
-    of head^T takes them; none if the QR fails.  Python-int rows are first
-    scaled by powers of two to at most 53 bits, so no float overflows."""
+def _head(rows) -> tuple[np.ndarray, np.ndarray]:
+    """(indices, rows there) of the rows the rank reads first: all of at most
+    one chunk; past one chunk, up to ncols of ``_MODP_CHUNK`` rows evenly
+    spaced over the matrix (a periodic set's rows come translate pair by
+    pair), in the order a column-pivoted float QR of their transpose takes
+    them, or none if the QR fails.  Python-int rows are first scaled by
+    powers of two to at most 53 bits, so no float overflows."""
+    n, ncols = rows.shape
+    if n <= _MODP_CHUNK:
+        return np.arange(n), rows[np.arange(n)]
     from scipy.linalg import LinAlgError, qr
 
-    if head.dtype == object:
-        shifts = [max(int(t).bit_length() - 53, 0) for t in np.abs(head).max(axis=1)]
-        head = head >> np.array(shifts, dtype=object)[:, None]
+    sample = np.arange(_MODP_CHUNK) * n // _MODP_CHUNK
+    picked = scaled = rows[sample]
+    if picked.dtype == object:
+        shifts = [max(int(t).bit_length() - 53, 0) for t in np.abs(picked).max(axis=1)]
+        scaled = picked >> np.array(shifts, dtype=object)[:, None]
     try:
-        _, perm = qr(head.T.astype(float), mode="r", pivoting=True, overwrite_a=True,
+        _, perm = qr(scaled.T.astype(float), mode="r", pivoting=True, overwrite_a=True,
                      check_finite=False)
     except LinAlgError:
-        return np.zeros(0, np.intp)
-    return perm[:count]
+        perm = np.zeros(0, np.intp)
+    return sample[perm[:ncols]], picked[perm[:ncols]]
 
 
-def independent_rows_modp(rows, limit: int) -> list[int]:
+def _full_rank(head: np.ndarray) -> bool:
+    """True only if the integer rows ``head`` span every column, by one exact
+    check (Rump, *Acta Numerica* 19, 2010): for X a float left inverse of
+    ``head`` and Y = rint(2^s X), Y head is strictly diagonally dominant, so
+    nonsingular (Levy-Desplanques).  s = f - e, for max|X| < 2^e, keeps
+    |Y| <= 2^f, and n ncols max|head| 2^f <= 2^52 (Y = 0 if f < 0): every
+    partial sum of Y head and of a row of its absolute values is an exact
+    float64.  False declines: Python-int rows, fewer rows than columns, a
+    failed or non-finite X, or no dominance."""
+    n, ncols = head.shape
+    if head.dtype == object or n < ncols:
+        return False
+    f = (FLOAT_EXACT // 2 // max(n * ncols * max_abs(head), 1)).bit_length() - 1
+    a = head.astype(float)
+    try:
+        x = np.linalg.inv(a.T @ a) @ a.T
+    except np.linalg.LinAlgError:
+        return False
+    xmax = np.abs(x).max(initial=0)
+    if not np.isfinite(xmax):
+        return False
+    b = np.abs(np.rint(np.ldexp(x, f - frexp(xmax)[1])) @ a)
+    return bool((b.sum(axis=1) < 2 * b.diagonal()).all())
+
+
+def independent_rows_modp(rows, limit: int, head: tuple[np.ndarray, np.ndarray]) -> list[int]:
     """Indices of rows independent mod RANK_PRIME, taken greedily, at most ``limit``.
 
     ``rows`` is an integer array of any type ``int_type`` names, or a row
@@ -571,25 +606,19 @@ def independent_rows_modp(rows, limit: int) -> list[int]:
     Each row is reduced against the rows taken before it and is taken when
     something is left.  A set of integer rows independent mod p is independent
     over Q, so the rank over Q is at least the length of the result.
-    Rows are tried in order, in chunks of ``_MODP_CHUNK``; past one chunk,
-    the up to ncols rows that ``_float_pick`` chooses from ``_MODP_CHUNK``
-    rows evenly spaced over the whole matrix (a periodic set's rows come one
-    translate pair after another) form the first block, and the other rows
-    follow.  The floats only order the rows: a poor pick makes the walk
-    longer, never its result wrong.
+    ``head``, as ``_head(rows)`` gives it, is the first block, with its rows
+    already read, and the others follow in order, in chunks of
+    ``_MODP_CHUNK``.  A poor float pick makes the walk longer, never its
+    result wrong.
     """
-    n, ncols = rows.shape
-    order, first = np.arange(n), []
-    if n > _MODP_CHUNK:
-        sample = np.arange(_MODP_CHUNK) * n // _MODP_CHUNK
-        first = [sample[_float_pick(rows[sample], ncols)]]
-        order = np.delete(order, first[0])
-    blocks = first + [order[s : s + _MODP_CHUNK] for s in range(0, len(order), _MODP_CHUNK)]
+    index, top = head
+    order = np.delete(np.arange(rows.shape[0]), index)
+    blocks = [index] + [order[s : s + _MODP_CHUNK] for s in range(0, len(order), _MODP_CHUNK)]
     taken: list[int] = []
     basis: list[tuple[np.ndarray, int]] = []
     wide = object if rows.dtype == object else np.int64
-    for block in blocks:
-        chunk = rows[block].astype(wide, copy=False)
+    for k, block in enumerate(blocks):
+        chunk = (rows[block] if k else top).astype(wide, copy=False)
         chunk = (chunk % RANK_PRIME).astype(np.int64, copy=False)
         for brow, col in basis:
             _eliminate_modp(chunk, brow, col)
@@ -623,18 +652,20 @@ def rank_complement(rows) -> tuple[int, list[list[Fraction]]]:
     """Exact rank of an integer matrix and a basis of {c : row . c = 0 for all rows}.
 
     ``rows`` is an integer array or a row source, as ``independent_rows_modp``
-    takes.  The rows independent mod RANK_PRIME are picked first, in the
-    order that function tries them (float-picked rows first on matrices
-    taller than one chunk); when they fill the space the rank is proved and
-    no other row is read.  Otherwise every row is read at once, the
+    takes.  When ``_full_rank`` proves the ``_head`` rows span every column,
+    no other row is read.  Otherwise the rows independent mod RANK_PRIME are
+    picked, head first, and when they fill the space no other row is read
+    either.  Otherwise every row is read at once, the
     reduced echelon form of the picked rows gives the complement, and every
     row is checked exactly against it.  A row that fails the check (the
     prime divided one of its minors) joins the picked rows, raising the
     rank.  The reduced echelon form of a row space is unique, so the result
     is the one an echelon over all rows gives.
     """
-    ncols = rows.shape[1]
-    taken = independent_rows_modp(rows, ncols)
+    ncols, head = rows.shape[1], _head(rows)
+    if _full_rank(head[1]):
+        return ncols, []
+    taken = independent_rows_modp(rows, ncols, head)
     if len(taken) == ncols:
         return ncols, []
     exact = rows[np.arange(rows.shape[0])].tolist()

@@ -323,25 +323,29 @@ def test_criterion_9_leech():
     )
 
 
+def counted(monkeypatch, name):
+    """The list of calls to ``linalg.<name>``, which still does its work."""
+    calls, real = [], getattr(linalg, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(linalg, name, counting)
+    return calls
+
+
 @pytest.mark.slow
 def test_leech_rank_reduces_one_square(monkeypatch):
-    """Leech's domain rank (98 280 rows, 300 columns) walks mod p over the
-    300 rows a float QR picks from 1 024 rows evenly spaced over the whole
-    matrix: the blocks handed to ``_eliminate_modp`` hold at most 300 x 300
-    rows in all (44 850), where reducing the first chunk greedily hands it
-    252 135."""
-    cleared = []
-    real = linalg._eliminate_modp
-
-    def counting(block, row, col):
-        cleared.append(block.shape[0])
-        real(block, row, col)
-
-    monkeypatch.setattr(linalg, "_eliminate_modp", counting)
+    """Leech's domain rank (98 280 rows, 300 columns) reads the 300 rows a
+    float QR picks from 1 024 rows evenly spaced over the whole matrix, and
+    one exact left-inverse check on that 300 x 300 square proves the rank
+    full: no row is reduced mod p."""
+    cleared = counted(monkeypatch, "_eliminate_modp")
     domain = voronoi_domain(lattice(get("Leech").form))
     assert domain.rows.shape == (98280, 300)
     assert domain.rank == 300 and domain.nullspace == ()
-    assert sum(cleared) <= 300 * 300
+    assert cleared == []
 
 
 @pytest.mark.slow
@@ -349,25 +353,18 @@ def test_leech_rank_reduces_one_square(monkeypatch):
 @pytest.mark.parametrize("name", ["K12", "Leech"])
 def test_over_a_sublattice_certifies(name, index, monkeypatch):
     """K12 and Leech over the sublattice diag(index, 1, ..., 1) are
-    IsolatedExtreme.  The rank is found in the first block the mod-p walk
-    reduces, one elimination per row taken: on Leech's 147 432 and 224 964
-    rows that block is the float pick from rows spread over the whole
-    matrix, where a pick from the leading rows, all from one translate
-    pair, left 15 045 eliminations at index 2."""
-    cleared = []
-    real = linalg._eliminate_modp
-
-    def counting(block, row, col):
-        cleared.append(block.shape[0])
-        real(block, row, col)
-
-    monkeypatch.setattr(linalg, "_eliminate_modp", counting)
+    IsolatedExtreme.  The rank is proved on the rows the float QR picks
+    from rows spread over the whole matrix, by the exact left-inverse
+    check, with no mod-p elimination; on Leech's 147 432 and 224 964 rows
+    a pick from the leading rows, all from one translate pair, left 15 045
+    eliminations at index 2."""
+    cleared = counted(monkeypatch, "_eliminate_modp")
     q = get(name).form
     h = [[index if i == j == 0 else int(i == j) for j in range(q.d)] for i in range(q.d)]
     cert = certify(sublattice_representation(q, h))
     assert cert.verdict == ISOLATED_EXTREME
     assert cert.rank == cert.ambient
-    assert len(cleared) == cert.rank - 1
+    assert cleared == []
 
 
 @pytest.mark.slow
@@ -431,3 +428,33 @@ def test_every_representation_certifies(name, index):
     for h in enumerate_sublattice_hnf(q.d, index):
         cert = certify(sublattice_representation(q, h))
         assert (cert.verdict, cert.lam) == (ISOLATED_EXTREME, lam), h
+
+
+# The (10, 40, 4) code of P10c = 2Z^10 + C: 40 words of length 10 as bit
+# masks, pairwise distance >= 4 and every weight even, found by a tabu search
+# over the even-weight words and XORed with 12 so that 0 is among them.
+P10C_WORDS = tuple(w ^ 12 for w in (
+    12, 48, 63, 71, 106, 139, 166, 210, 221, 225, 258, 293, 329, 371, 380, 401, 414, 424,
+    452, 495, 538, 547, 593, 621, 630, 640, 663, 700, 718, 763, 788, 814, 825, 863, 864,
+    909, 946, 963, 984, 1013))
+
+
+def test_p10c_words_are_a_code():
+    assert len(set(P10C_WORDS)) == 40 and 0 in P10C_WORDS
+    assert all(bin(w).count("1") % 2 == 0 for w in P10C_WORDS)
+    assert min(bin(a ^ b).count("1") for a in P10C_WORDS for b in P10C_WORDS if a != b) >= 4
+
+
+@pytest.mark.slow
+def test_p10c_certifies_without_elimination(monkeypatch):
+    """P10c at m = 40, as (4 I_10, c / 2 for c in C) with the word 0 as the
+    pinned translate, is IsolatedExtreme at rank 445 of 445, with center
+    density (5/128)^2; the exact left-inverse check on the float-picked rows
+    proves the rank, and no row is reduced mod p."""
+    walks = counted(monkeypatch, "independent_rows_modp")
+    cols = [[Fr((w >> k) & 1, 2) for k in range(10)] for w in P10C_WORDS if w]
+    x = PeriodicForm.make(PQF(SymForm.identity(10).scale(4)), cols)
+    cert = certify(x)
+    assert (cert.verdict, cert.rank, cert.ambient) == (ISOLATED_EXTREME, 445, 445)
+    assert density(x).center_density_squared == Fr(25, 16384)
+    assert walks == []

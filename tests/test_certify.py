@@ -35,6 +35,7 @@ from periform.certify import (
     uncertainty_space,
     voronoi_domain,
 )
+from periform import linalg
 from periform.catalog import fluid_diamond, get, sublattice_representation
 from periform.linalg import PQF, SymForm, TangentVector, inner, metric_weights
 from periform.periodic import (
@@ -213,28 +214,31 @@ class TestGradientRows:
         assert dtypes >= {np.dtype(object), np.dtype(np.int8), np.dtype(np.int16)}
 
     def test_column_sums_by_chunks(self, monkeypatch):
-        """Rows built three at a time within a block, as Leech's are built
-        4096 at a time, give the whole matrix and its column sums, and the
-        uniform witness read from them is the one read from the kept matrix."""
+        """The column sums of every range of blocks from the products W^T W
+        and sum(w), taken three rows at a time as Leech's are 4 096 at a
+        time, in float64 or in Python ints, equal those of the kept matrix,
+        build no row, and give the uniform witness read from the kept matrix;
+        the matrix rebuilt three rows at a time is the kept one."""
         cases = []
         for x in row_source_forms():
             domain = voronoi_domain(x)
             cases.append((x, domain, domain.rows.full(), _uniform_witness(domain)))
         monkeypatch.setattr(sys.modules["periform.certify"], "_ROW_CHUNK", 3)
+        in_float = set()
         for x, domain, whole, witness in cases:
             source = GradientRows(x, domain.blocks)
-            sums = [0] * whole.shape[1]
-            start = 0
-            for part in source.chunks(0, len(source)):
-                assert 0 < len(part) <= 3 and part.dtype == whole.dtype
-                assert part.tolist() == whole[start : start + len(part)].tolist()
-                sums = [a + b for a, b in zip(sums, part.sum(axis=0, dtype=object).tolist())]
-                start += len(part)
-            assert sums == whole.sum(axis=0, dtype=object).tolist()
+            starts = [0, *np.cumsum([len(b.vs) for b in domain.blocks]).tolist()]
+            for lo in range(len(starts)):
+                for hi in range(lo, len(starts)):
+                    sums = whole[starts[lo] : starts[hi]].sum(axis=0, dtype=object).tolist()
+                    assert source.sums(lo, hi) == domain.rows.sums(lo, hi) == sums
+            in_float |= {len(b.vs) * w * w < 2 ** 53 for b, w in zip(domain.blocks, source._wmax)}
             assert _uniform_witness(replace(domain, rows=source)) == witness
+            assert source._matrix is None
             rebuilt = GradientRows(x, domain.blocks).full()
             assert rebuilt.dtype == whole.dtype and rebuilt.flags.f_contiguous
             assert rebuilt.tolist() == whole.tolist()
+        assert in_float == {True, False}
 
     def test_small_domains_build_their_rows_once(self, monkeypatch):
         """A domain of at most one rank chunk (1 024 rows) builds each of its
@@ -259,9 +263,9 @@ class TestGradientRows:
 
     @pytest.mark.slow
     def test_leech_builds_no_whole_matrix(self, monkeypatch):
-        """``certify`` on Leech builds the 1 024 sampled rows, the 300 the
-        rank takes from them, and each row once more for the column sums,
-        at most 4 096 rows per call: never the 98 280 x 300 matrix."""
+        """``certify`` on Leech builds only the 1 024 sampled rows: the 300
+        the rank takes from them prove the rank full, the column sums come
+        from products of the minimal vectors, and no other row is built."""
         sizes = []
         real = GradientRows._block_rows
 
@@ -272,7 +276,7 @@ class TestGradientRows:
         monkeypatch.setattr(GradientRows, "_block_rows", counting)
         cert = certify(lattice(get("Leech").form))
         assert cert.verdict == ISOLATED_EXTREME
-        assert max(sizes) <= 4096 and sum(sizes) == 1024 + 300 + 98280
+        assert sizes == [1024]
 
 
 class TestPerfection:
@@ -287,6 +291,25 @@ class TestPerfection:
     def test_e8_perfect(self):
         dom = voronoi_domain(lattice(e8_gram()))
         assert dom.is_full_dimensional and dom.rank == dom.ambient == 36
+
+    def test_small_representations_take_no_mod_p_walk(self, monkeypatch):
+        """The 226 representations of A2 and D4 over sublattices of index <= 4
+        are perfect, and the exact left-inverse check proves each rank: the
+        mod-p walk never runs."""
+        from periform.intmat import enumerate_sublattice_hnf
+
+        walks, real = [], linalg.independent_rows_modp
+        monkeypatch.setattr(linalg, "independent_rows_modp",
+                            lambda *args: walks.append(args) or real(*args))
+        count = 0
+        for name, d in (("A", 2), ("D", 4)):
+            q = get(name, d).form
+            for index in range(1, 5):
+                for h in enumerate_sublattice_hnf(d, index):
+                    dom = voronoi_domain(sublattice_representation(q, h))
+                    assert dom.is_full_dimensional and dom.nullspace == ()
+                    count += 1
+        assert (count, walks) == (226, [])
 
 
 class TestEutaxyStatus:

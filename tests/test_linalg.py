@@ -17,6 +17,8 @@ import reference_lll
 from periform.catalog import get
 from periform.linalg import (
     _MODP_CHUNK,
+    _full_rank,
+    _head,
     PQF,
     RANK_PRIME,
     SymForm,
@@ -636,7 +638,8 @@ class TestPastOneChunk:
         reordering: the rows they name are independent, and as many as the
         rank unless p divides a minor."""
         rows, rank = LARGE_CASES[name]
-        taken = independent_rows_modp(int_matrix(rows), len(rows[0]))
+        matrix = int_matrix(rows)
+        taken = independent_rows_modp(matrix, len(rows[0]), _head(matrix))
         assert len(set(taken)) == len(taken) == echelon([rows[i] for i in taken])[0]
         assert len(taken) == (1 if name == "unlucky-prime-nowhere" else rank)
 
@@ -706,3 +709,116 @@ class TestGarbagePicks:
         assert out.returncode == 0, out.stderr
         got = json.loads(out.stdout.strip().splitlines()[-1])
         assert got == {kind: reference_results() for kind in GARBAGE_PICKS}
+
+
+# ---------------------------------------------------------------------------
+# The full-rank check: a float left inverse proposes, one exact product proves.
+# ---------------------------------------------------------------------------
+
+_INV = np.linalg.inv
+# Stand-ins for the inverse the check takes: the true inverse with its rows
+# reversed, all zeros, all NaN, or a failure.
+GARBAGE_INVERSES = ("reversed", "zero", "nan", "raise")
+SMALL_CASES = {name: rows for name, rows in ECHELON_CASES if rows}
+
+
+def garbage_inv(kind, calls):
+    def inv(a):
+        calls.append(kind)
+        if kind == "raise":
+            raise np.linalg.LinAlgError("inverse stand-in")
+        if kind == "reversed":
+            return _INV(a)[::-1]
+        return np.full(a.shape, 0.0 if kind == "zero" else np.nan)
+
+    return inv
+
+
+def small_results():
+    """rank_complement of every small case, as JSON values."""
+    return {name: _as_json(*rank_complement(int_matrix(rows)))
+            for name, rows in SMALL_CASES.items()}
+
+
+@functools.cache
+def small_reference_results():
+    return {name: _as_json(*reference_rank_complement(rows)) for name, rows in SMALL_CASES.items()}
+
+
+def checked_heads():
+    """How many of the small and large cases reach the inverse: integer rows
+    no fewer than their columns (a large case's head is its float pick, one
+    row per column)."""
+    small = [int_matrix(rows) for rows in SMALL_CASES.values()]
+    large = [int_matrix(rows) for rows, _ in LARGE_CASES.values()]
+    return sum(m.dtype != object and len(m) >= m.shape[1] for m in small + large)
+
+
+class TestGarbageInverses:
+    """The float inverse only proposes Y: whatever it returns, or if it
+    fails, rank and complement are those of the exact echelon, and a matrix
+    past one chunk still takes one float QR per call."""
+
+    @pytest.mark.parametrize("kind", GARBAGE_INVERSES)
+    def test_in_process(self, kind, monkeypatch):
+        inverses, picks, qr = [], [], scipy.linalg.qr
+
+        def counting_qr(*args, **kwargs):
+            picks.append(1)
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "qr", counting_qr)
+        monkeypatch.setattr(np.linalg, "inv", garbage_inv(kind, inverses))
+        assert large_results() == reference_results()
+        assert len(picks) == len(LARGE_CASES)
+        assert small_results() == small_reference_results()
+        assert len(inverses) == checked_heads() > len(LARGE_CASES)
+
+    def test_without_asserts(self):
+        here = Path(__file__).resolve().parent
+        code = (
+            "import json, numpy as np, test_linalg as t\n"
+            "out = {}\n"
+            "for kind in t.GARBAGE_INVERSES:\n"
+            "    np.linalg.inv = t.garbage_inv(kind, [])\n"
+            "    out[kind] = [t.large_results(), t.small_results()]\n"
+            "print(json.dumps(out))\n"
+        )
+        src = str(Path(periform.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, str(here)]))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert out.returncode == 0, out.stderr
+        got = json.loads(out.stdout.strip().splitlines()[-1])
+        want = [reference_results(), small_reference_results()]
+        assert got == {kind: want for kind in GARBAGE_INVERSES}
+
+
+INT_DTYPES = (np.int8, np.int16, np.int32, np.int64)
+
+
+# Rank 1 over Q, but rank 2 in float64 (the second row rounds to 3 * 2^53 + 4):
+# only the bound on the entries keeps the check from trusting the floats.
+FLOAT_RANK_TWO = [[2 ** 53 + 1, 3], [3 * 2 ** 53 + 3, 9]]
+
+
+class TestFullRankCheck:
+    def test_accepts_full_rank_heads(self):
+        """On small full-rank matrices of every integer type the check proves
+        the rank itself; on Python ints it leaves the rank to the walk."""
+        for dtype in INT_DTYPES:
+            assert _full_rank(np.array([[1, 0], [0, 1], [1, 1]], dtype=dtype))
+        assert not _full_rank(np.array([[1, 0], [0, 1]], dtype=object))
+
+    def test_declines_where_no_product_is_exact(self):
+        """The check claims a rank only from exact float products: with n
+        ncols max|head| > 2^52 no Y keeps every partial sum of Y head under
+        2^53, so it declines even on full-rank heads, which the walk then
+        proves."""
+        for size, shift, proved in ((4, 46, True), (8, 47, False), (4, 50, False), (2, 62, False)):
+            head = np.eye(size, dtype=np.int64) << shift
+            assert _full_rank(head) == proved
+            assert rank_complement(head) == (size, [])
+        assert not _full_rank(np.array(FLOAT_RANK_TWO, dtype=np.int64))
