@@ -13,18 +13,17 @@ nodes instead of 3 157 319.
 Two walkers visit the lattice points of the reduced form with floating-point
 bounds (radii inflated by 1 + 2^-20) on the reduced Gram scaled exactly by a
 power of two, so the float bounds do not depend on the scale of the form.
-``_walk_nodes`` takes one tree node per Python step.  ``_walk_levels``
-expands up to ``_CHUNK`` nodes of one tree level per numpy step with the same
-float operations, and returns the same points in the same order; a chunk
-links to its parent chunk, not to a copy of the coordinates above it.  Each
-expansion costs about 40 us, so ``_enumerate`` picks it only from
-``BATCH_MIN_DIM`` = 12 levels on.  Shortest-vector walks, node walker against
-level walker (CPython 3.11, numpy 2.4, a shared 2-core x86-64 VM): random
-forms with d <= 4, 8-10 us against 150-190 us; E8, 0.5-0.7 against 0.4-0.7
-ms; Lambda9 (d = 9), 0.4-0.6 against 0.7 ms; D12, 1.5 against 0.8-0.9 ms;
-K12, 2.8 against 0.7 ms; D16, 2.6 against 0.9 ms; Leech, 8.0 against 0.45 s.
-Reduced forms with d >= 12 and few short vectors lose up to 1 ms this way
-(0.07-0.5 ms against 0.5-1 ms), where the dense lattices gain seconds.
+``_walk_nodes`` takes one tree node per Python step, ``_walk_levels`` one
+chunk of a tree level per numpy step at 35-110 us, so ``_enumerate`` picks
+it from ``BATCH_MIN_DIM`` = 12 levels on.  Node against level walker in ms,
+for shortest vectors, then for one ``closest_vectors`` walk (CPython 3.11,
+numpy 2.4, a shared 2-core x86-64 VM, two runs): d <= 4, 0.01-0.02 / 0.2-0.3
+both; E8, 0.69-0.76 / 0.53-0.67, 0.13-0.14 / 0.47-0.54; Lambda9, 0.58 /
+0.62-0.70, 0.11 / 0.56; D12, 0.84-1.5 / 0.47-1.1, 0.18-0.31 / 0.50-0.92;
+K12, 2.4-4.5 / 0.59-1.3, 0.07-0.14 / 0.41-0.80; D16, 2.4-4.3 / 0.78-1.6,
+0.55-0.97 / 0.80-1.5; Leech, 5 300-7 200 / 230-320, 180-270 / 40-60.  So
+closest-vector walks with d >= 12 and few nodes run 1.5-6 times slower level
+by level, by under 1 ms, where the dense lattices gain seconds.
 
 Candidates stay integer arrays: a vector is accepted only after exact
 integer evaluation, in float64 BLAS while float64 holds every partial sum
@@ -76,8 +75,8 @@ MAX_PIVOT_SPAN_BITS = 52
 # (_walk_levels), smaller ones node by node in Python (_walk_nodes); see the
 # module docstring for the measurements behind it.
 BATCH_MIN_DIM = 12
-# Nodes per chunk of the level walker.
-_CHUNK = 2048
+# Partial centers per chunk of the level walker, k + 1 per node at level k.
+_FLOAT_BUDGET = 2048 * 24
 # Exact products with every partial sum at most FLOAT_EXACT run in float64
 # BLAS, _ROW_BLOCK rows at a time; x^t M x needs _FLOAT_MIN_TERMS terms, too.
 _FLOAT_MIN_TERMS = 256
@@ -287,18 +286,18 @@ def _walk_levels(
     radius: float,
     half: bool,
 ) -> np.ndarray:
-    """``_enumerate`` one tree level of up to _CHUNK nodes per numpy step.
+    """``_enumerate`` one chunk of nodes of one tree level per numpy step.
 
-    A depth-first stack holds chunks of nodes of one level k: the link
+    A depth-first stack holds chunks of n nodes of one level k: the link
     (x_{k+1}, parent index, parent chunk's link) that leaves read their
-    x_{k+1..d-1} back by, the partial centers of levels 0..k, the value of
-    the levels above k and whether those levels are all zero.  Expanding a
-    chunk gives all its children at once, in the order the node walker
-    visits them, with the same float operations.  The node walker shrinks the
-    radius after each leaf; here a leaf is kept iff its value is at most the
-    radius shrunk by every leaf before it, which keeps the same leaves, and
-    inner levels prune with the radius of the last leaf batch, which only
-    adds nodes whose leaves are all dropped.
+    x_{k+1..d-1} back by, the partial centers of levels 0..k as a (k + 1) x n
+    array of at most _FLOAT_BUDGET floats (or one node), the value of the
+    levels above k and whether those levels are all zero.  A chunk's children
+    come at once, in the node walker's order and by its float operations.  The
+    node walker shrinks the radius after each leaf; here a leaf is kept iff its
+    value is at most the radius shrunk by every leaf before it (the same
+    leaves), and inner levels prune with the radius of the last leaf batch,
+    which only adds nodes whose leaves are all dropped.
     """
     d = len(dvec)
     skip_zero = half and not any(center)
@@ -306,34 +305,34 @@ def _walk_levels(
     cen = np.array(center, dtype=float)
     best = radius
     leaves = []
-    stack = [(d - 1, None, cen[None, :], np.zeros(1), np.ones(1, bool))]
+    stack = [(d - 1, None, cen[:, None], np.zeros(1), np.ones(1, bool))]
     while stack:
         k, link, cs, acc, zero = stack.pop()
-        ck = cs[:, k]
+        ck = cs[k]
         rem = best - acc
         spread = np.sqrt(np.maximum(rem, 0.0) / dvec[k])
         lo = np.ceil(ck - spread - 1e-9)
         if skip_zero:
             lo[zero & (lo < 0.0)] = 0.0
         counts = np.floor(ck + spread + 1e-9) - lo + 1.0
-        counts = np.where(rem < 0.0, 0, np.maximum(counts, 0.0)).astype(np.int64)
+        counts[rem < 0.0] = 0.0
+        counts = np.maximum(counts, 0.0, out=counts).astype(np.int64)
         total = int(counts.sum())
         if not total:
             continue
         parent = np.repeat(np.arange(len(acc)), counts)
         starts = lo.astype(np.int64) - (np.cumsum(counts) - counts)
-        xk = np.arange(total) + np.repeat(starts, counts)
+        xk = np.arange(total) + starts[parent]
         diff = xk - ck[parent]
         val = acc[parent] + dvec[k] * diff * diff
         keep = val <= best
         if k == 0 and skip_zero:
             keep &= ~(zero[parent] & (xk == 0))
-        parent, xk, val = parent[keep], xk[keep], val[keep]
+        if not keep.all():
+            parent, xk, val = parent[keep], xk[keep], val[keep]
         if k == 0:
             if len(val):
-                bound = np.minimum.accumulate(
-                    np.concatenate(([best], val * RADIUS_INFLATION))
-                )
+                bound = np.minimum.accumulate(np.concatenate(([best], val * RADIUS_INFLATION)))
                 keep = val <= bound[:-1]
                 cols, idx = [xk[keep]], parent[keep]
                 while link is not None:
@@ -343,12 +342,13 @@ def _walk_levels(
                 leaves.append(small_ints(np.column_stack(cols)))
                 best = float(bound[-1])
             continue
-        cs = cs[parent, :k]
-        cs -= np.multiply.outer(xk - cen[k], lower[k, :k])
+        cs = cs[:k].take(parent, axis=1)
+        cs -= lower[k, :k, None] * (xk - cen[k])
         zero = zero[parent] & (xk == 0)
-        for s in reversed(range(0, len(val), _CHUNK)):
-            t = s + _CHUNK
-            stack.append((k - 1, (xk[s:t], parent[s:t], link), cs[s:t], val[s:t], zero[s:t]))
+        step = max(_FLOAT_BUDGET // k, 1)
+        for s in reversed(range(0, len(val), step)):
+            t = s + step
+            stack.append((k - 1, (xk[s:t], parent[s:t], link), cs[:, s:t], val[s:t], zero[s:t]))
     if not leaves:
         return np.zeros((0, d), np.int64)
     return np.concatenate(leaves)

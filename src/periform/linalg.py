@@ -512,7 +512,7 @@ def int_type(bound: int) -> type:
 
 def max_abs(a: np.ndarray) -> int:
     """The largest |entry| of an integer array, as a Python int; 0 if empty."""
-    return int(np.abs(a).max()) if a.size else 0
+    return max(-int(a.min()), int(a.max())) if a.size else 0
 
 
 def int_matrix(rows: Sequence[Sequence[int]]) -> np.ndarray:

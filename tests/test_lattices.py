@@ -480,9 +480,10 @@ class TestLevelWalker:
 
     @pytest.mark.parametrize("d", range(12, 17))
     def test_short_chunks(self, d, monkeypatch):
-        """Chunks of 3 nodes at four times the shortest-vector radius: long
-        link chains, each leaf batch read back through up to d - 1 links."""
-        monkeypatch.setattr(lattices, "_CHUNK", 3)
+        """A budget of 3 d floats at four times the shortest-vector radius:
+        chunks of 3 nodes at the top level up to 3 d at the lowest, long link
+        chains, each leaf batch read back through up to d - 1 links."""
+        monkeypatch.setattr(lattices, "_FLOAT_BUDGET", 3 * d)
         rng = random.Random(f"short chunks {d}")
         q = random_pd_gram(rng, d, 1)
         self.assert_same_walk(q, widen=4)
@@ -498,18 +499,58 @@ class TestLevelWalker:
             for c, half in ((None, True), (center, False), (center, True)):
                 self.assert_same_walk(q, c, half, widen=4)
 
-    @pytest.mark.parametrize("chunk", [1, 7, lattices._CHUNK])
-    def test_k12(self, chunk, monkeypatch):
-        """Chunks of 7 nodes split every level, and of 1 node make each link
-        chain as long as the tree is deep: the depth-first order holds."""
-        monkeypatch.setattr(lattices, "_CHUNK", chunk)
+    @pytest.mark.parametrize("budget", [1, 7, lattices._FLOAT_BUDGET])
+    def test_k12(self, budget, monkeypatch):
+        """Budgets of 7 floats split every level, and of 1 float make every
+        chunk one node and each link chain as long as the tree is deep: the
+        depth-first order holds."""
+        monkeypatch.setattr(lattices, "_FLOAT_BUDGET", budget)
         q = get("K12").form
         assert len(self.assert_same_walk(q)) == 378
         self.assert_same_walk(q, [0.5, -0.25] + [0.0] * 10, half=False)
 
+    @pytest.mark.parametrize("budget", [12, 50, 200])
+    def test_chunks_within_budget(self, budget, monkeypatch):
+        """No chunk the walker pushes holds more partial centers than the
+        budget, k + 1 per node at level k, and some level fills its chunks.
+        Each push is the top of the stack at the walker's next line."""
+        monkeypatch.setattr(lattices, "_FLOAT_BUDGET", budget)
+        pushed = set()
+
+        def trace(frame, event, arg):
+            if frame.f_code is not lattices._walk_levels.__code__:
+                return None
+            stack = frame.f_locals.get("stack")
+            if stack:
+                pushed.add(stack[-1][2].shape)
+            return trace
+
+        outer = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            self.assert_same_walk(get("K12").form)
+        finally:
+            sys.settrace(outer)
+        assert max(levels * nodes for levels, nodes in pushed) <= budget
+        assert any(levels > 1 and nodes == budget // levels for levels, nodes in pushed)
+
     @pytest.mark.slow
     def test_leech(self):
         assert len(self.assert_same_walk(get("Leech").form)) == 98280
+
+    @pytest.mark.slow
+    def test_leech_memory(self):
+        """One level walk over Leech peaks below 16 MB: 7.2 MB with chunks of
+        2 048 nodes on every level, 11.0 MB with the float budget."""
+        red = lattices._reduce(get("Leech").form)
+        args = (red.dvec, red.lmat, [0.0] * 24, red.radius(int(red.gram.diagonal().min()), red.den), True)
+        tracemalloc.start()
+        try:
+            lattices._walk_levels(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2 ** 20
 
     def test_zero_prefix(self):
         """Half mode on Z^12: every minimal vector is one unit vector, so each

@@ -29,6 +29,7 @@ from periform.linalg import (
     inner,
     int_matrix,
     ldl,
+    max_abs,
     rank_complement,
     rank_span,
     solve_exact,
@@ -49,6 +50,17 @@ def reconstruct(res, d):
                     acc += low[i][k] * piv[k] * low[j][k]
             rows[i][j] = acc
     return tuple(tuple(r) for r in rows)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
+def test_max_abs_at_type_minimum(dtype):
+    """A type's least value -2^(b-1) has no |value| in the type; np.abs of it
+    stays negative, and the bound must still be 2^(b-1)."""
+    info = np.iinfo(dtype)
+    assert max_abs(np.array([info.min, 3], dtype)) == 2 ** (info.bits - 1)
+    assert max_abs(np.array([[info.max], [info.min + 1]], dtype)) == info.max
+    assert max_abs(np.array([-3, 2], dtype)) == 3
+    assert max_abs(np.zeros((0, 2), dtype)) == 0
 
 
 class TestLdl:
