@@ -90,9 +90,9 @@ class VecResult:
     """The least value of Q[x] (shortest vectors, one per +/- pair) or of
     Q[x - c] (closest vectors) over Z^d, and every x attaining it.
 
-    ``array`` holds the minimizers as integer rows in ``int_type`` of a
-    bound on their entries; ``vectors`` is the same as tuples, built when
-    read.
+    ``array`` holds the minimizers as integer rows in ``int_type`` of their
+    largest |entry| (Leech's Min Q: int8); ``vectors`` is the same as tuples,
+    built when read.
     """
 
     min: Fraction
@@ -292,8 +292,10 @@ def _walk_levels(
     (x_{k+1}, parent index, parent chunk's link) that leaves read their
     x_{k+1..d-1} back by, the partial centers of levels 0..k as a (k + 1) x n
     array of at most _FLOAT_BUDGET floats (or one node), the value of the
-    levels above k and whether those levels are all zero.  A chunk's children
-    come at once, in the node walker's order and by its float operations.  The
+    levels above k and one flag: node 0 has every level above k zero.  With
+    ``half`` that node is node 0 of the first chunk at its level, as its
+    first child is x = 0 at value 0, always kept.  A chunk's children come at
+    once, in the node walker's order and by its float operations.  The
     node walker shrinks the radius after each leaf; here a leaf is kept iff its
     value is at most the radius shrunk by every leaf before it (the same
     leaves), and inner levels prune with the radius of the last leaf batch,
@@ -305,15 +307,15 @@ def _walk_levels(
     cen = np.array(center, dtype=float)
     best = radius
     leaves = []
-    stack = [(d - 1, None, cen[:, None], np.zeros(1), np.ones(1, bool))]
+    stack = [(d - 1, None, cen[:, None], np.zeros(1), skip_zero)]
     while stack:
         k, link, cs, acc, zero = stack.pop()
         ck = cs[k]
         rem = best - acc
         spread = np.sqrt(np.maximum(rem, 0.0) / dvec[k])
         lo = np.ceil(ck - spread - 1e-9)
-        if skip_zero:
-            lo[zero & (lo < 0.0)] = 0.0
+        if zero:
+            lo[0] = 0.0
         counts = np.floor(ck + spread + 1e-9) - lo + 1.0
         counts[rem < 0.0] = 0.0
         counts = np.maximum(counts, 0.0, out=counts).astype(np.int64)
@@ -326,8 +328,8 @@ def _walk_levels(
         diff = xk - ck[parent]
         val = acc[parent] + dvec[k] * diff * diff
         keep = val <= best
-        if k == 0 and skip_zero:
-            keep &= ~(zero[parent] & (xk == 0))
+        if k == 0 and zero:
+            keep[0] = False
         if not keep.all():
             parent, xk, val = parent[keep], xk[keep], val[keep]
         if k == 0:
@@ -344,11 +346,11 @@ def _walk_levels(
             continue
         cs = cs[:k].take(parent, axis=1)
         cs -= lower[k, :k, None] * (xk - cen[k])
-        zero = zero[parent] & (xk == 0)
         step = max(_FLOAT_BUDGET // k, 1)
         for s in reversed(range(0, len(val), step)):
             t = s + step
-            stack.append((k - 1, (xk[s:t], parent[s:t], link), cs[:, s:t], val[s:t], zero[s:t]))
+            stack.append((k - 1, (xk[s:t], parent[s:t], link), cs[:, s:t], val[s:t],
+                          zero and s == 0))
     if not leaves:
         return np.zeros((0, d), np.int64)
     return np.concatenate(leaves)
@@ -492,7 +494,7 @@ def shortest_vectors(q: PQF) -> VecResult:
     cands = _enumerate(red.dvec, red.lmat, [0.0] * q.d, red.radius(init, red.den), half=True)
     top = max_abs(cands)
     best, winners = _minimizers(cands, red.gram_products.exact_values(cands, top))
-    xs = red.u_products.apply_rows(winners, top)
+    xs = small_ints(red.u_products.apply_rows(winners, top))
     return VecResult(Fraction(best, red.den), _lex_sorted(_positive_first(xs)))
 
 
@@ -526,4 +528,4 @@ def closest_vectors(q: PQF, c: Sequence[RatLike], bound: Fraction | None = None)
     if any(babai):
         ubabai = [sum(map(mul, row, babai)) for row in red.u.tolist()]
         xs = affine_rows(xs, 1, ubabai, q.d * top * red.u_products.top)
-    return VecResult(Fraction(best, vden), _lex_sorted(xs))
+    return VecResult(Fraction(best, vden), _lex_sorted(small_ints(xs)))

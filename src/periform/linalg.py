@@ -3,8 +3,7 @@
 All certificate-bearing arithmetic in the package goes through this module
 and stays in ``fractions.Fraction`` or Python ints.  A full rank is proved by
 an integer Y with Y A strictly diagonally dominant, other ranks modulo a
-prime and then exactly over Q.  Floats decide nothing: past one chunk, a
-float QR orders the rows the rank reads first, and a float left inverse
+prime and then exactly over Q.  Floats decide nothing: a float left inverse
 proposes Y, whose product is then exact (float64 BLAS under 2^53).  Symmetric
 matrices are stored as their upper triangle, so symmetry holds by
 construction and the inner product doubles off-diagonal contributions.
@@ -546,27 +545,12 @@ def _eliminate_modp(block: np.ndarray, row: np.ndarray, col: int) -> None:
 
 def _head(rows) -> tuple[np.ndarray, np.ndarray]:
     """(indices, rows there) of the rows the rank reads first: all of at most
-    one chunk; past one chunk, up to ncols of ``_MODP_CHUNK`` rows evenly
-    spaced over the matrix (a periodic set's rows come translate pair by
-    pair), in the order a column-pivoted float QR of their transpose takes
-    them, or none if the QR fails.  Python-int rows are first scaled by
-    powers of two to at most 53 bits, so no float overflows."""
-    n, ncols = rows.shape
-    if n <= _MODP_CHUNK:
-        return np.arange(n), rows[np.arange(n)]
-    from scipy.linalg import LinAlgError, qr
-
-    sample = np.arange(_MODP_CHUNK) * n // _MODP_CHUNK
-    picked = scaled = rows[sample]
-    if picked.dtype == object:
-        shifts = [max(int(t).bit_length() - 53, 0) for t in np.abs(picked).max(axis=1)]
-        scaled = picked >> np.array(shifts, dtype=object)[:, None]
-    try:
-        _, perm = qr(scaled.T.astype(float), mode="r", pivoting=True, overwrite_a=True,
-                     check_finite=False)
-    except LinAlgError:
-        perm = np.zeros(0, np.intp)
-    return sample[perm[:ncols]], picked[perm[:ncols]]
+    one chunk; past one chunk, ``_MODP_CHUNK`` rows evenly spaced over the
+    matrix, in order (a periodic set's rows come translate pair by pair)."""
+    n = rows.shape[0]
+    k = min(n, _MODP_CHUNK)
+    index = np.arange(k) * n // k
+    return index, rows[index]
 
 
 def _full_rank(head: np.ndarray) -> bool:
@@ -576,8 +560,10 @@ def _full_rank(head: np.ndarray) -> bool:
     nonsingular (Levy-Desplanques).  s = f - e, for max|X| < 2^e, keeps
     |Y| <= 2^f, and n ncols max|head| 2^f <= 2^52 (Y = 0 if f < 0): every
     partial sum of Y head and of a row of its absolute values is an exact
-    float64.  False declines: Python-int rows, fewer rows than columns, a
-    failed or non-finite X, or no dominance."""
+    float64.  The head may be tall: past one chunk it is the 1 024-row
+    sample, and Y head is still ncols x ncols.  False declines: Python-int
+    rows, fewer rows than columns, a failed or non-finite X, or no
+    dominance."""
     n, ncols = head.shape
     if head.dtype == object or n < ncols:
         return False
@@ -607,9 +593,8 @@ def independent_rows_modp(rows, limit: int, head: tuple[np.ndarray, np.ndarray])
     something is left.  A set of integer rows independent mod p is independent
     over Q, so the rank over Q is at least the length of the result.
     ``head``, as ``_head(rows)`` gives it, is the first block, with its rows
-    already read, and the others follow in order, in chunks of
-    ``_MODP_CHUNK``.  A poor float pick makes the walk longer, never its
-    result wrong.
+    already read and taken in their order, and the rows outside it follow in
+    order, in chunks of ``_MODP_CHUNK``.
     """
     index, top = head
     order = np.delete(np.arange(rows.shape[0]), index)
@@ -652,15 +637,16 @@ def rank_complement(rows) -> tuple[int, list[list[Fraction]]]:
     """Exact rank of an integer matrix and a basis of {c : row . c = 0 for all rows}.
 
     ``rows`` is an integer array or a row source, as ``independent_rows_modp``
-    takes.  When ``_full_rank`` proves the ``_head`` rows span every column,
-    no other row is read.  Otherwise the rows independent mod RANK_PRIME are
-    picked, head first, and when they fill the space no other row is read
-    either.  Otherwise every row is read at once, the
-    reduced echelon form of the picked rows gives the complement, and every
-    row is checked exactly against it.  A row that fails the check (the
-    prime divided one of its minors) joins the picked rows, raising the
-    rank.  The reduced echelon form of a row space is unique, so the result
-    is the one an echelon over all rows gives.
+    takes.  When ``_full_rank`` proves the ``_head`` rows (every row of one
+    chunk, or the evenly spaced sample past it) span every column, no other
+    row is read.  Otherwise the rows independent mod RANK_PRIME are picked,
+    head first, and when they fill the space no other row is read either.
+    Otherwise every row is read at once, the reduced echelon form of the
+    picked rows gives the complement, and every row is checked exactly
+    against it.  A row that fails the check (the prime divided one of its
+    minors) joins the picked rows, raising the rank.  The reduced echelon
+    form of a row space is unique, so the result is the one an echelon over
+    all rows gives.
     """
     ncols, head = rows.shape[1], _head(rows)
     if _full_rank(head[1]):

@@ -337,14 +337,15 @@ def counted(monkeypatch, name):
 
 @pytest.mark.slow
 def test_leech_rank_reduces_one_square(monkeypatch):
-    """Leech's domain rank (98 280 rows, 300 columns) reads the 300 rows a
-    float QR picks from 1 024 rows evenly spaced over the whole matrix, and
-    one exact left-inverse check on that 300 x 300 square proves the rank
-    full: no row is reduced mod p."""
+    """Leech's domain rank (98 280 rows, 300 columns) reads 1 024 rows
+    evenly spaced over the whole matrix, and one exact left-inverse check on
+    that 1 024 x 300 sample proves the rank full: no row is reduced mod p."""
+    checks = counted(monkeypatch, "_full_rank")
     cleared = counted(monkeypatch, "_eliminate_modp")
     domain = voronoi_domain(lattice(get("Leech").form))
     assert domain.rows.shape == (98280, 300)
     assert domain.rank == 300 and domain.nullspace == ()
+    assert [head.shape for head, in checks] == [(1024, 300)]
     assert cleared == []
 
 
@@ -353,11 +354,11 @@ def test_leech_rank_reduces_one_square(monkeypatch):
 @pytest.mark.parametrize("name", ["K12", "Leech"])
 def test_over_a_sublattice_certifies(name, index, monkeypatch):
     """K12 and Leech over the sublattice diag(index, 1, ..., 1) are
-    IsolatedExtreme.  The rank is proved on the rows the float QR picks
-    from rows spread over the whole matrix, by the exact left-inverse
-    check, with no mod-p elimination; on Leech's 147 432 and 224 964 rows
-    a pick from the leading rows, all from one translate pair, left 15 045
-    eliminations at index 2."""
+    IsolatedExtreme.  The rank is proved on 1 024 rows spread over the
+    whole matrix, by the exact left-inverse check, with no mod-p
+    elimination; on Leech's 147 432 and 224 964 rows a pick from the
+    leading rows, all from one translate pair, left 15 045 eliminations at
+    index 2."""
     cleared = counted(monkeypatch, "_eliminate_modp")
     q = get(name).form
     h = [[index if i == j == 0 else int(i == j) for j in range(q.d)] for i in range(q.d)]
@@ -449,8 +450,8 @@ def test_p10c_words_are_a_code():
 def test_p10c_certifies_without_elimination(monkeypatch):
     """P10c at m = 40, as (4 I_10, c / 2 for c in C) with the word 0 as the
     pinned translate, is IsolatedExtreme at rank 445 of 445, with center
-    density (5/128)^2; the exact left-inverse check on the float-picked rows
-    proves the rank, and no row is reduced mod p."""
+    density (5/128)^2; the exact left-inverse check on the 1 024 sampled
+    rows proves the rank, and no row is reduced mod p."""
     walks = counted(monkeypatch, "independent_rows_modp")
     cols = [[Fr((w >> k) & 1, 2) for k in range(10)] for w in P10C_WORDS if w]
     x = PeriodicForm.make(PQF(SymForm.identity(10).scale(4)), cols)

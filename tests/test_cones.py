@@ -112,9 +112,8 @@ def test_import_leaves_scipy_optimize_out():
 
 
 def test_small_domains_leave_scipy_linalg_out():
-    """The float pick of the domain rank imports scipy.linalg only past one
-    chunk of rows; certificates below that, as sublattice representations of
-    A2, D4 and E8 (288 rows), never load it."""
+    """Certificates of small domains, as sublattice representations of A2,
+    D4 and E8 (288 rows), never load scipy.linalg."""
     code = (
         "import sys, periform as P\n"
         "for name, params, h in [\n"

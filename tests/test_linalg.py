@@ -581,7 +581,7 @@ class TestInverseReference:
 
 
 # ---------------------------------------------------------------------------
-# Past one chunk: a float QR picks the first block of the mod-p walk.
+# Past one chunk: 1 024 rows evenly spaced over the matrix are the head.
 # ---------------------------------------------------------------------------
 
 
@@ -608,8 +608,7 @@ def _large_cases():
 
     zero_head = [[0] * 8 for _ in range(_MODP_CHUNK)]
     few = _span_rows(rng, 3, 8, 3, small)
-    # (1, 0) and (0, p) are independent over Q, but the square the float QR
-    # picks from them is singular mod p.
+    # (1, 0) and (0, p) are independent over Q, but singular mod p.
     unlucky = [[1, 0], [0, RANK_PRIME]] + [[0, 0]] * (_MODP_CHUNK - 2)
     return {
         "full-rank": (_span_rows(rng, n, 8, 8, small), 8),
@@ -658,9 +657,27 @@ class TestPastOneChunk:
     def test_tall_rows_are_python_ints(self):
         assert int_matrix(LARGE_CASES["tall-2^+-1100"][0]).dtype == object
 
+    def test_full_rank_leaves_scipy_linalg_out(self):
+        """Past one chunk the check reads the sampled rows themselves: no
+        float QR orders them, so ranking never imports scipy.linalg."""
+        code = (
+            "import json, sys\n"
+            "from periform.linalg import int_matrix, rank_complement\n"
+            "rank, complement = rank_complement(int_matrix(json.load(sys.stdin)))\n"
+            "print(rank, len(complement), 'scipy.linalg' in sys.modules)\n"
+        )
+        src = str(Path(periform.__file__).resolve().parent.parent)
+        out = subprocess.run(
+            [sys.executable, "-c", code], input=json.dumps(LARGE_CASES["full-rank"][0]),
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "8 0 False"
 
-# Stand-ins for the float pick: scipy.linalg.qr(a, pivoting=True) returning a
-# column order that is reversed, repeats one column, or is empty, or failing.
+
+# Stand-ins for a float pick by scipy.linalg.qr(a, pivoting=True), which the
+# rank no longer calls: a column order that is reversed, repeats one column,
+# or is empty, or a failure.
 GARBAGE_PICKS = ("reversed", "dependent", "empty", "raise")
 
 
@@ -692,15 +709,16 @@ def reference_results():
 
 
 class TestGarbagePicks:
-    """The float pick only orders the rows: whatever it returns, or if it
-    fails, rank and complement are those of the exact echelon."""
+    """No float pick orders the rows: with a garbage scipy.linalg.qr in place,
+    it is never called, and rank and complement are those of the exact
+    echelon."""
 
     @pytest.mark.parametrize("kind", GARBAGE_PICKS)
     def test_in_process(self, kind, monkeypatch):
         calls = []
         monkeypatch.setattr(scipy.linalg, "qr", garbage_qr(kind, calls))
         assert large_results() == reference_results()
-        assert len(calls) == len(LARGE_CASES)
+        assert len(calls) == 0
 
     def test_without_asserts(self):
         here = Path(__file__).resolve().parent
@@ -759,8 +777,8 @@ def small_reference_results():
 
 def checked_heads():
     """How many of the small and large cases reach the inverse: integer rows
-    no fewer than their columns (a large case's head is its float pick, one
-    row per column)."""
+    no fewer than their columns (a large case's head is its 1 024-row
+    sample)."""
     small = [int_matrix(rows) for rows in SMALL_CASES.values()]
     large = [int_matrix(rows) for rows, _ in LARGE_CASES.values()]
     return sum(m.dtype != object and len(m) >= m.shape[1] for m in small + large)
@@ -768,8 +786,8 @@ def checked_heads():
 
 class TestGarbageInverses:
     """The float inverse only proposes Y: whatever it returns, or if it
-    fails, rank and complement are those of the exact echelon, and a matrix
-    past one chunk still takes one float QR per call."""
+    fails, rank and complement are those of the exact echelon, and no matrix
+    takes a float QR."""
 
     @pytest.mark.parametrize("kind", GARBAGE_INVERSES)
     def test_in_process(self, kind, monkeypatch):
@@ -782,7 +800,7 @@ class TestGarbageInverses:
         monkeypatch.setattr(scipy.linalg, "qr", counting_qr)
         monkeypatch.setattr(np.linalg, "inv", garbage_inv(kind, inverses))
         assert large_results() == reference_results()
-        assert len(picks) == len(LARGE_CASES)
+        assert len(picks) == 0
         assert small_results() == small_reference_results()
         assert len(inverses) == checked_heads() > len(LARGE_CASES)
 
