@@ -4,15 +4,16 @@ The decision tree follows the first-order geometry of the density function
 on the space of periodic forms.  ``voronoi_domain(x)`` computes, once, every
 fact about X that the later stages read: Min X, the generalized Voronoi
 domain (conic hull of the active constraint gradients) with its rank and
-nullspace, and the determinant gradient (Q^{-1}, 0).  Each stage then takes
-only what it needs: ``eutaxy_status(domain)`` places the target in the
+nullspace, and the determinant gradient (Q^{-1}, 0) as one integer row over
+one denominator, so that the eutaxy checks compare integers.  Each stage
+then takes only what it needs: ``eutaxy_status(domain)`` places the target in the
 domain with one exact solver, the nearest-point projection of ``cones``
 (membership, then face descent), ``uncertainty_space(domain, status)``
 gives the directions where first-order analysis is silent, and
 ``translational_criterion(basis, blocks)`` may still certify them;
 ``certify`` chains the stages.  Every verdict ships exact rational
 witnesses that third parties can re-verify without re-solving anything:
-NotExtreme carries the separator, checked by dot products, and
+NotExtreme carries the separator, checked by integer dot products, and
 ``improvement_step`` searches for a step along it.
 
 The package binds ``periform.certify`` to the function ``certify``; the
@@ -37,7 +38,6 @@ from .linalg import (
     TangentVector,
     ambient_dim,
     factor_gram,
-    inner,
     int_type,
     integer_row,
     log2_magnitude,
@@ -88,11 +88,11 @@ class VoronoiDomain:
     """Min X and the conic hull of its constraint gradients: what every later
     stage of a certificate reads.
 
-    ``lam`` and ``blocks`` are lambda(X) > 0 and Min X (``generalized_min``);
-    ``target`` is the determinant gradient (Q^{-1}, 0).  Row k of ``rows``
-    / ``den`` is the gradient at the k-th canonical representation in
-    weighted coordinates (``TangentVector.flatten``): one row per constraint,
-    the block (1, 1) standing for all pairs (i, i).  ``rows`` builds them
+    ``lam`` and ``blocks`` are lambda(X) > 0 and Min X (``generalized_min``).
+    ``goal`` / ``gden`` is the target (Q^{-1}, 0), and row k of ``rows`` /
+    ``den`` the gradient at the k-th canonical representation, both integers
+    in weighted coordinates (``TangentVector.flatten``): one row per
+    constraint, the block (1, 1) standing for all pairs (i, i).  ``rows`` builds them
     from the blocks where a stage reads them (``GradientRows``): the rank
     reads a sample, the uniform witness column sums, and only the cone
     stages the whole matrix.
@@ -100,7 +100,8 @@ class VoronoiDomain:
 
     lam: Fraction
     blocks: tuple[MinBlock, ...]
-    target: TangentVector
+    goal: tuple[int, ...]
+    gden: int
     rows: GradientRows
     den: int
     d: int
@@ -269,7 +270,7 @@ class GradientRows:
 
 def voronoi_domain(x: PeriodicForm) -> VoronoiDomain:
     """Min X, its generators (one per canonical representation) with their
-    rank and nullspace, and the target (Q^{-1}, 0), each computed once."""
+    rank and nullspace, and the target (Q^{-1}, 0) as goal / gden, each once."""
     gen_min = generalized_min(x)
     if gen_min.lam == 0:
         raise OverlapError("Voronoi domain undefined for lambda = 0")
@@ -277,8 +278,9 @@ def voronoi_domain(x: PeriodicForm) -> VoronoiDomain:
     rank, complement = rank_complement(rows)
     nullspace = tuple(TangentVector.unflatten(c, x.d, x.m) for c in complement)
     target = TangentVector.make(x.q.inverse(), [[0] * x.d for _ in range(x.m - 1)])
+    gden, goal = integer_row(target.flatten(weighted=True))
     return VoronoiDomain(
-        gen_min.lam, gen_min.blocks, target, rows, rows.den, x.d, x.m, rank, nullspace
+        gen_min.lam, gen_min.blocks, tuple(goal), gden, rows, rows.den, x.d, x.m, rank, nullspace
     )
 
 
@@ -301,61 +303,61 @@ def _uniform_witness(domain: VoronoiDomain) -> tuple[Fraction, ...] | None:
     """m c on the rows of the block (1, 1), each standing for the m pairs
     (i, i), and c on the others, for a c > 0 that gives the target, if there
     is one (strong-eutaxy shape): c total / den = goal / gden, in integers,
-    for the column sums ``total`` of the rows and the target goal / gden."""
+    for the column sums ``total`` of the rows."""
     diag, n = next((len(b.vs) for b in domain.blocks if b.i == b.j), 0), len(domain.rows)
-    k, rows = int(diag > 0), domain.rows  # the block (1, 1) comes first
+    k, rows, goal = int(diag > 0), domain.rows, domain.goal  # the block (1, 1) comes first
     total = [domain.m * a + b for a, b in zip(rows.sums(0, k), rows.sums(k, len(domain.blocks)))]
-    gden, goal = integer_row(domain.target.flatten(weighted=True))
     k = next((k for k, v in enumerate(total) if v), None)
     if k is None:
         return None
-    c = Fraction(goal[k] * domain.den, total[k] * gden)
+    c = Fraction(goal[k] * domain.den, total[k] * domain.gden)
     if c > 0 and all(goal[k] * v == g * total[k] for v, g in zip(total, goal)):
         return (domain.m * c,) * diag + (c,) * (n - diag)
     return None
 
 
 def _is_witness(
-    matrix: np.ndarray, den: int, alpha: Sequence[Fraction], target: TangentVector
+    matrix: np.ndarray, den: int, alpha: Sequence[Fraction], goal: Sequence[int], gden: int
 ) -> bool:
-    """Exact check: every alpha_k > 0 and sum_k alpha_k row_k / den == target."""
+    """Exact check: every alpha_k > 0 and sum_k alpha_k row_k / den == goal / gden."""
     if len(alpha) != len(matrix) or not all(a > 0 for a in alpha):
         return False
     scale, coeffs = integer_row(alpha)
-    goal = target.flatten(weighted=True)
     return all(
-        sum(map(mul, coeffs, col)) * g.denominator == scale * den * g.numerator
+        sum(map(mul, coeffs, col)) * gden == scale * den * g
         for col, g in zip(zip(*matrix.tolist()), goal)
     )
 
 
-def _is_separator(matrix: np.ndarray, target: TangentVector, s: TangentVector) -> bool:
+def _is_separator(matrix: np.ndarray, goal: Sequence[int], plain: Sequence[int]) -> bool:
     """Exact check: <g, s> >= 0 for every generator and <target, s> < 0.
 
-    A weighted row dotted with the plain coordinates of s is a positive
-    multiple of <g, s>.
+    ``plain`` is a positive multiple of the plain coordinates of s, so a
+    weighted row, or the goal, dotted with it is one of <g, s>, or <target, s>.
     """
-    _, plain = integer_row(s.flatten())
-    return inner(target, s) < 0 and all(sum(map(mul, row, plain)) >= 0 for row in matrix.tolist())
+    rows = matrix.tolist()
+    return sum(map(mul, goal, plain)) < 0 and all(sum(map(mul, r, plain)) >= 0 for r in rows)
 
 
-def _classify(matrix: np.ndarray, den: int, target: TangentVector) -> EutaxyStatus:
-    """Steps 2 to 4 of ``eutaxy_status`` for any target and rows matrix / den."""
-    goal = target.flatten(weighted=True)
-    metric = metric_weights(target.d, target.m)
-    warm = FloatImage(matrix, den).support(goal)
-    proj = project_to_cone(matrix, den, goal, metric, warm)
+def _classify(
+    matrix: np.ndarray, den: int, goal: Sequence[int], gden: int, d: int, m: int
+) -> EutaxyStatus:
+    """Steps 2 to 4 of ``eutaxy_status`` for rows matrix / den and a target
+    goal / gden in weighted coordinates of the d x (m) tangent space."""
+    metric = metric_weights(d, m)
+    warm = FloatImage(matrix, den).support(goal, gden)
+    proj = project_to_cone(matrix, den, goal, gden, metric, warm)
     if any(proj.residual):
-        # The plain coordinates of the residual are w_i r_i / 2.
-        plain = [w * r / 2 for w, r in zip(metric, proj.residual)]
-        n = TangentVector.unflatten(plain, target.d, target.m)
-        if not _is_separator(matrix, target, n):
+        # The plain coordinates of the residual are w_i r_i / (2 scale).
+        plain = [w * r for w, r in zip(metric, proj.residual)]
+        if not _is_separator(matrix, goal, plain):
             raise RuntimeError("the cone projection gave no separator")
+        n = TangentVector.unflatten([Fraction(v, 2 * proj.scale) for v in plain], d, m)
         return EutaxyStatus(OUTSIDE, separator=n)
-    face, alpha = minimal_face(matrix, den, goal, proj.coeffs)
+    face, alpha = minimal_face(matrix, den, goal, gden, proj.coeffs)
     if alpha is None:
         return EutaxyStatus(BOUNDARY, face=face)
-    if not _is_witness(matrix, den, alpha, target):
+    if not _is_witness(matrix, den, alpha, goal, gden):
         raise RuntimeError("face descent gave no witness")
     return EutaxyStatus(INTERIOR, witness=alpha)
 
@@ -382,7 +384,7 @@ def eutaxy_status(domain: VoronoiDomain) -> EutaxyStatus:
     witness = _uniform_witness(domain)
     if witness is not None:
         return EutaxyStatus(INTERIOR, witness=witness)
-    return _classify(domain.rows.full(), domain.den, domain.target)
+    return _classify(domain.rows.full(), domain.den, domain.goal, domain.gden, domain.d, domain.m)
 
 
 def improving_direction(status: EutaxyStatus) -> TangentVector | None:

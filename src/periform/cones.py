@@ -1,9 +1,9 @@
 """Cones spanned by integer rows, exactly: nearest points and minimal faces.
 
 A cone is given by the rows of an integer matrix over one common denominator
-``den`` (of any type ``linalg.int_type`` names), and a target by its
-coordinates as Fractions.  Products of two entries may pass int64, so every
-exact sum of products is taken in Python ints.
+``den`` (of any type ``linalg.int_type`` names), and a target, the goal, by
+one integer row over its own denominator ``gden``.  Products of two entries
+may pass int64, so every exact sum of products is taken in Python ints.
 
 ``project_to_cone`` is a Lawson-Hanson style nonnegative least squares
 active-set iteration in exact rationals, warm-started from the positive
@@ -36,15 +36,14 @@ _SUPPORT_WEIGHT = 1e-12  # float nnls weights above this make the warm start
 
 @dataclass(frozen=True)
 class ConeProjection:
-    """point = sum_k coeffs[k] * row k / den, the cone point nearest to the target.
-
-    ``point`` and ``residual`` = point - target are coordinates like the
-    target's.
+    """sum_k coeffs[k] * row k / den is the cone point nearest to the goal, and
+    ``residual`` / ``scale`` that point minus the goal, in integers
+    (``scale`` > 0), in the goal's coordinates.
     """
 
-    point: tuple[Fraction, ...]
     coeffs: tuple[Fraction, ...]
-    residual: tuple[Fraction, ...]
+    residual: tuple[int, ...]
+    scale: int
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
@@ -69,11 +68,12 @@ def _scaled_float(n: int, d: int, k: int) -> float:
 def project_to_cone(
     matrix: np.ndarray,
     den: int,
-    goal: Sequence[Fraction],
+    goal: Sequence[int],
+    gden: int,
     metric: Sequence[int],
     warm: Sequence[int] = (),
 ) -> ConeProjection:
-    """Exact nearest point to ``goal`` in the cone of the rows of matrix / den.
+    """Exact nearest point to goal / gden in the cone of the rows of matrix / den.
 
     Distances are in the inner product sum_i metric_i a_i b_i / 2 (see
     ``linalg.metric_weights``).  ``warm`` guesses the active set.  The result
@@ -81,18 +81,16 @@ def project_to_cone(
     every row and <point, residual> = 0.
 
     Each row enters as the primitive integer vector r_k = row_k / g_k on its
-    ray, which moves neither the point nor the residual.  With goal = b /
-    gscale for integers b, the normal equations on an active set read sum_j
-    beta_j <r_i, r_j> = <r_i, b> in the doubled metric, for beta_k = coeffs_k
-    g_k gscale / den.
+    ray, which moves neither the point nor the residual.  The normal
+    equations on an active set read sum_j beta_j <r_i, r_j> = <r_i, goal> in
+    the doubled metric, for beta_k = coeffs_k g_k gden / den.
     """
     gcds, rows = _primitive(matrix.tolist())
     n = len(rows)
     if not n:
         raise ValueError("cone needs at least one generator")
     wrows = [[w * v for w, v in zip(metric, row)] for row in rows]
-    gscale, b = integer_row(goal)
-    rhs = [_dot(wr, b) for wr in wrows]
+    rhs = [_dot(wr, goal) for wr in wrows]
 
     def solve_active(active: list[int]) -> list[Fraction]:
         """Normal equations on the active set; always consistent for a Gram system."""
@@ -107,7 +105,7 @@ def project_to_cone(
     def combine(beta: dict[int, Fraction]) -> tuple[int, list[int]]:
         """(s, p): p = s * sum_k beta_k row_k in integers."""
         s, ints = integer_row(list(beta.values()))
-        p = [0] * len(b)
+        p = [0] * len(goal)
         for k, c in zip(beta, ints):
             p = [a + c * v for a, v in zip(p, rows[k])]
         return s, p
@@ -167,28 +165,25 @@ def project_to_cone(
     else:
         raise RuntimeError("cone projection failed to converge")
 
-    # point = p / (s gscale) and residual = point - goal, exactly.
+    # point = p / (s gden) and residual = point - goal / gden, exactly.
     s, p = combine(alpha)
-    res = [a - s * v for a, v in zip(p, b)]
+    res = [a - s * v for a, v in zip(p, goal)]
     if any(_dot(wr, res) < 0 for wr in wrows):
         raise RuntimeError("cone projection residual is negative on a generator")
     if _dot([w * v for w, v in zip(metric, p)], res) != 0:
         raise RuntimeError("cone projection residual is not orthogonal to the point")
-    scale = s * gscale
-    factor = Fraction(den, gscale)
+    factor = Fraction(den, gden)
     return ConeProjection(
-        tuple(Fraction(v, scale) for v in p),
-        tuple(factor / g * alpha.get(i, 0) for i, g in enumerate(gcds)),
-        tuple(Fraction(v, scale) for v in res),
+        tuple(factor / g * alpha.get(i, 0) for i, g in enumerate(gcds)), tuple(res), s * gden
     )
 
 
 def minimal_face(
-    matrix: np.ndarray, den: int, goal: Sequence[Fraction], coeffs: Sequence[Fraction]
+    matrix: np.ndarray, den: int, goal: Sequence[int], gden: int, coeffs: Sequence[Fraction]
 ) -> tuple[tuple[int, ...], tuple[Fraction, ...] | None]:
     """(F, alpha): the rows that carry weight in some nonnegative combination
-    equal to ``goal``, and, when F is every row, weights alpha > 0 with
-    sum_k alpha_k row_k / den = goal (None otherwise).
+    equal to goal / gden, and, when F is every row, weights alpha > 0 with
+    sum_k alpha_k row_k / den = goal / gden (None otherwise).
 
     ``coeffs`` >= 0 reproduce the goal: they are the coefficients of a
     ``project_to_cone`` of the goal with zero residual.  Face descent runs on
@@ -208,8 +203,7 @@ def minimal_face(
     largest, so a form rescaled by a power of two gives the same problem.
     """
     n, dim = matrix.shape
-    scale, b = integer_row(goal)
-    rays = matrix.tolist() + [[-v for v in b]]
+    rays = matrix.tolist() + [[-v for v in goal]]
     bits = [max(abs(ray[i]) for ray in rays).bit_length() for i in range(dim)]
     shifts = [max(bits) - e for e in bits]
     gcds, prim = _primitive([[v << k for v, k in zip(ray, shifts)] for ray in rays])
@@ -218,10 +212,10 @@ def minimal_face(
     face = list(range(n))
     while True:
         target = [-sum(prim[k][i] for k in face) for i in range(dim)]
-        proj = project_to_cone(cone, 1, target, metric, image.support(target))
-        if not any(proj.residual):
+        proj = project_to_cone(cone, 1, target, 1, metric, image.support(target, 1))
+        y = proj.residual
+        if not any(y):
             break
-        y = integer_row(proj.residual)[1]
         off = {k for k in face if _dot(y, prim[k]) > 0}
         if not off:  # cannot happen: <y, y> > 0 is a sum over T
             raise RuntimeError("face descent dropped no generator")
@@ -230,8 +224,8 @@ def minimal_face(
         return tuple(face), None
     c, mu = proj.coeffs[:n], proj.coeffs[n]
     # Weight w on r_k is weight w den / gcds[k] on row k / den, and -r_n is
-    # goal * scale / gcds[n] in the scaled coordinates.
-    base, f = ((0,) * n, Fraction(gcds[n], scale) / mu) if mu else (coeffs, 1)
+    # (goal / gden) gden / gcds[n] in the scaled coordinates.
+    base, f = ((0,) * n, Fraction(gcds[n], gden) / mu) if mu else (coeffs, 1)
     return tuple(face), tuple(a + (1 + ck) * f * den / g for a, ck, g in zip(base, c, gcds))
 
 
@@ -269,17 +263,18 @@ class FloatImage:
                           for p in pairs.tolist()])
         self.a = table[back].reshape(matrix.shape).T.copy()
 
-    def support(self, goal: Sequence[Fraction]) -> tuple[int, ...]:
-        """The columns a float nnls of ``goal`` onto the cone weighs
+    def support(self, goal: Sequence[int], gden: int) -> tuple[int, ...]:
+        """The columns a float nnls of goal / gden onto the cone weighs
         positively: the warm start of the exact projection, () when nnls
-        stops at its iteration limit."""
+        stops at its iteration limit.  Magnitudes read the lowest terms."""
         from scipy.optimize import nnls
 
-        shift = max((log2_magnitude(v) - r for v, r in zip(goal, self.row_shift) if v),
+        exact = [Fraction(v, gden) for v in goal]
+        shift = max((log2_magnitude(v) - r for v, r in zip(exact, self.row_shift) if v),
                     default=0)
         b = np.array([
             _scaled_float(v.numerator, v.denominator, -r - shift)
-            for v, r in zip(goal, self.row_shift)
+            for v, r in zip(exact, self.row_shift)
         ])
         try:
             weights, _ = nnls(self.a, b)

@@ -78,8 +78,7 @@ BATCH_MIN_DIM = 12
 # Partial centers per chunk of the level walker, k + 1 per node at level k.
 _FLOAT_BUDGET = 2048 * 24
 # Exact products with every partial sum at most FLOAT_EXACT run in float64
-# BLAS, _ROW_BLOCK rows at a time; x^t M x needs _FLOAT_MIN_TERMS terms, too.
-_FLOAT_MIN_TERMS = 256
+# BLAS, _ROW_BLOCK rows at a time.
 _ROW_BLOCK = 4096
 
 IntRows = tuple[tuple[int, ...], ...]
@@ -378,10 +377,9 @@ class _IntMatrix:
 
     def exact_values(self, xs: np.ndarray, xtop: int) -> np.ndarray:
         """x^t M x for each integer row x of ``xs``, exactly, with |x_i| <= ``xtop``,
-        as ``apply_rows`` computes M x: d^2 terms of at most xtop^2 max|M|.  One
-        einsum is faster than the float path below _FLOAT_MIN_TERMS terms."""
+        as ``apply_rows`` computes M x: d^2 terms of at most xtop^2 max|M|."""
         bound = (self.m.shape[1] * max(xtop, 1)) ** 2 * self.top
-        if bound > FLOAT_EXACT or xs.size * len(self.m) < _FLOAT_MIN_TERMS:
+        if bound > FLOAT_EXACT:
             return np.einsum("ij,jk,ik->i", xs, self.m, xs, dtype=int_type(bound), casting="unsafe")
         return _exact_rows(xs, bound, lambda x: (x @ self.mf * x).sum(axis=1))
 

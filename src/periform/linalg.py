@@ -573,10 +573,11 @@ def _full_rank(head: np.ndarray) -> bool:
         x = np.linalg.inv(a.T @ a) @ a.T
     except np.linalg.LinAlgError:
         return False
-    xmax = np.abs(x).max(initial=0)
+    xmax = max(x.max(initial=0), -x.min(initial=0))  # NaN if x holds one
     if not np.isfinite(xmax):
         return False
-    b = np.abs(np.rint(np.ldexp(x, f - frexp(xmax)[1])) @ a)
+    np.rint(np.ldexp(x, f - frexp(xmax)[1], out=x), out=x)  # Y, in place of X
+    b = np.abs(x @ a)
     return bool((b.sum(axis=1) < 2 * b.diagonal()).all())
 
 

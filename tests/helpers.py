@@ -1,11 +1,17 @@
 """Shared constructions for the test suite, independent of the catalog module."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as Fr
 from math import lcm
+from pathlib import Path
 
 import numpy as np
 
-from periform.linalg import PQF, TangentVector, int_matrix
+import periform
+from periform.certify import _classify
+from periform.linalg import PQF, TangentVector, int_matrix, integer_row
 from periform.periodic import generalized_min, gradient_p
 
 
@@ -34,6 +40,32 @@ def stack(vectors) -> tuple[np.ndarray, int]:
     coords = [v.flatten(weighted=True) for v in vectors]
     den = lcm(*(c.denominator for row in coords for c in row))
     return int_matrix([[c.numerator * (den // c.denominator) for c in row] for row in coords]), den
+
+
+def goal_row(target: TangentVector) -> tuple[list[int], int]:
+    """(goal, gden): the weighted flattening of ``target`` as goal / gden in
+    integers, the way ``voronoi_domain`` holds the target."""
+    gden, goal = integer_row(target.flatten(weighted=True))
+    return goal, gden
+
+
+def classify_rows(matrix, den, target: TangentVector):
+    """``_classify`` of ``target`` against the cone of matrix / den."""
+    return _classify(matrix, den, *goal_row(target), target.d, target.m)
+
+
+def run_python(code, *, optimize=False, stdin=None, extra_path=(), args=(), timeout=120):
+    """Run ``code`` (source text, or the path of a script) in a fresh
+    interpreter that imports periform from the tree these tests import it
+    from, plus ``extra_path``; ``args`` follow the code on the command line.
+    Output comes back as text."""
+    src = Path(periform.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, [src, *extra_path])))
+    target = ["-c", code] if isinstance(code, str) else [str(code)]
+    return subprocess.run(
+        [sys.executable, *(["-O"] if optimize else []), *target, *args],
+        input=stdin, env=env, capture_output=True, text=True, timeout=timeout,
+    )
 
 
 def det_target(x) -> TangentVector:

@@ -1,6 +1,6 @@
-import os
+import functools
+import json
 import random
-import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -12,7 +12,7 @@ import pytest
 
 import numpy as np
 
-from helpers import det_target, e8_gram, gradients, stack
+from helpers import classify_rows, det_target, e8_gram, goal_row, gradients, run_python, stack
 from periform.certify import (
     BOUNDARY,
     EXTREME_TRANSLATIONAL,
@@ -21,7 +21,8 @@ from periform.certify import (
     ISOLATED_EXTREME,
     NOT_EXTREME,
     OUTSIDE,
-    _classify,
+    _is_separator,
+    _is_witness,
     _uniform_witness,
     GradientRows,
     certify,
@@ -37,7 +38,7 @@ from periform.certify import (
 )
 from periform import linalg
 from periform.catalog import fluid_diamond, get, sublattice_representation
-from periform.linalg import PQF, SymForm, TangentVector, inner, metric_weights
+from periform.linalg import PQF, SymForm, TangentVector, inner, integer_row, metric_weights
 from periform.periodic import (
     OverlapError,
     PeriodicForm,
@@ -154,9 +155,7 @@ class TestVoronoiDomain:
             "hwm = next(s for s in open('/proc/self/status') if s.startswith('VmHWM:'))\n"
             "print(cert.verdict, hwm.split()[1])\n"
         )
-        src = str(Path(sys.modules["periform"].__file__).resolve().parent.parent)
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env=dict(os.environ, PYTHONPATH=src), timeout=600)
+        out = run_python(code, timeout=600)
         assert out.returncode == 0, out.stderr
         verdict, kib = out.stdout.split()
         assert verdict == ISOLATED_EXTREME
@@ -354,7 +353,7 @@ class TestEutaxyStatus:
             TangentVector.make(SymForm.outer([0, 1])),
         ]
         target = TangentVector.make(SymForm.outer([1, 0]))
-        st = _classify(*stack(gens), target)
+        st = classify_rows(*stack(gens), target)
         assert st.tag == BOUNDARY
         assert st.face == (0,)
 
@@ -384,8 +383,8 @@ class TestOverflowGuard:
         for matrix, den, target in self.cones():
             assert matrix.dtype == np.int64
             assert int(np.abs(matrix).max()) > 2 ** 32
-            st = _classify(matrix, den, target)
-            assert st == _classify(matrix.astype(object), den, target)
+            st = classify_rows(matrix, den, target)
+            assert st == classify_rows(matrix.astype(object), den, target)
             tags.append(st.tag)
         assert tags == [OUTSIDE, INTERIOR, BOUNDARY]
 
@@ -454,7 +453,7 @@ class TestUncertainty:
         target = TangentVector.make(SymForm.outer([1, 0]))
         matrix, den = stack(gens)
         dom = SimpleNamespace(rows=matrix, d=2, m=1)  # all a boundary status reads
-        basis, is_sub = uncertainty_space(dom, _classify(matrix, den, target))
+        basis, is_sub = uncertainty_space(dom, classify_rows(matrix, den, target))
         assert len(basis) == 2
         assert all(inner(n, gens[0]) == 0 for n in basis)
         assert not is_sub
@@ -469,6 +468,72 @@ class TestTranslationalCriterion:
     def test_vacuous_holds(self):
         holds, witness = translational_criterion((), generalized_min(LINE_HALF).blocks)
         assert holds and witness is not None
+
+
+@functools.cache
+def exact_check_answers() -> dict:
+    """What each exact check of ``certify`` answers, as JSON values, on a true
+    certificate and on bad ones: weights on the cone of a generator g taken
+    twice, for the target g, that are short, hold a 0 or a negative weight
+    (each of these still sums to g), or are off by 1/1000; the separator of
+    an outside target with its signs flipped, or zero; and
+    ``translational_criterion`` on bases over the blocks (1, 2) and (1, 3) of
+    three translates, the last of them pinned, with zero Q-parts but one."""
+    g = TangentVector.make(SymForm.from_rows([[2, 1], [1, 3]]), [[1, Fr(1, 2)]])
+    (matrix, den), (goal, gden) = stack([g, g]), goal_row(g)
+    half = Fr(1, 2)
+    out = {name: _is_witness(matrix, den, alpha, goal, gden) for name, alpha in (
+        ("witness", (half, half)),
+        ("short witness", (Fr(1),)),
+        ("zero weight", (Fr(1), Fr(0))),
+        ("negative weight", (Fr(2), Fr(-1))),
+        ("perturbed weight", (half, half + Fr(1, 1000))),
+    )}
+    dom = voronoi_domain(lattice(DIAG12))
+    plain = integer_row(eutaxy_status(dom).separator.flatten())[1]
+    for name, s in (("separator", plain), ("flipped separator", [-v for v in plain]),
+                    ("zero separator", [0] * len(plain))):
+        out[name] = _is_separator(dom.rows.full(), dom.goal, s)
+    blocks = [SimpleNamespace(i=1, j=2), SimpleNamespace(i=1, j=3)]
+    for name, q, tcols in (("equal columns", 0, [[1, 2], [1, 2]]),
+                           ("unequal columns", 0, [[1, 2], [2, 1]]),
+                           ("first column zero", 0, [[0, 0], [1, 0]]),
+                           ("nonzero Q-part", 1, [[1, 2], [1, 2]])):
+        basis = [TangentVector.make(SymForm(2, (Fr(q), Fr(0), Fr(0))), tcols)]
+        holds, witness = translational_criterion(basis, blocks)
+        out[name] = [holds, witness and list(witness)]
+    return out
+
+
+EXACT_CHECK_ANSWERS = {
+    "witness": True,
+    "short witness": False,
+    "zero weight": False,
+    "negative weight": False,
+    "perturbed weight": False,
+    "separator": True,
+    "flipped separator": False,
+    "zero separator": False,
+    "equal columns": [True, [1, 2]],
+    "unequal columns": [False, None],
+    "first column zero": [True, [1, 3]],
+    "nonzero Q-part": [False, None],
+}
+
+
+class TestExactChecksReject:
+    """The exact checks turn bad certificates down by control flow, so they
+    do under python -O too."""
+
+    @pytest.mark.parametrize("case", EXACT_CHECK_ANSWERS)
+    def test_in_process(self, case):
+        assert exact_check_answers()[case] == EXACT_CHECK_ANSWERS[case]
+
+    def test_without_asserts(self):
+        code = "import json, test_certify as t\nprint(json.dumps(t.exact_check_answers()))\n"
+        out = run_python(code, optimize=True, extra_path=[Path(__file__).resolve().parent])
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout.strip().splitlines()[-1]) == EXACT_CHECK_ANSWERS
 
 
 class TestFloating:
@@ -630,9 +695,9 @@ def test_uniform_witnesses_reproduce_the_target(name, d):
             assert alpha == (x.m * c,) * diag + (c,) * (len(alpha) - diag)
             assert len(alpha) == len(domain.rows) and all(a > 0 for a in alpha)
             rows = domain.rows.full().tolist()
-            goal = domain.target.flatten(weighted=True)
+            goal, gden = goal_row(det_target(x))
             for col, g in enumerate(goal):
-                assert sum(a * row[col] for a, row in zip(alpha, rows)) / domain.den == g
+                assert sum(a * row[col] for a, row in zip(alpha, rows)) / domain.den == Fr(g, gden)
             forms += 1
     assert forms == {2: 15, 4: 211}[d]
 

@@ -1,15 +1,12 @@
 import importlib
 import io
 import json
-import os
-import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import periform
-from helpers import det_target, gradients, sized_document
+from helpers import det_target, gradients, run_python, sized_document
 from periform.catalog import CATALOG_NAMES, MAX_DIMENSION, MAX_INDEX
 from periform.cli import main
 from periform.formats import dumps, loads, to_document
@@ -418,11 +415,8 @@ class TestUnexpectedError:
 
     def test_exit_5_without_traceback(self, tmp_path):
         path = write_form(tmp_path, self.WIDE)
-        env = dict(os.environ, PYTHONPATH=str(Path(periform.__file__).resolve().parent.parent))
-        proc = subprocess.run(
-            [sys.executable, "-m", "periform.cli", "--strict-exit", "certify", path],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
+        code = "import runpy; runpy.run_module('periform.cli', run_name='__main__')"
+        proc = run_python(code, args=["--strict-exit", "certify", path])
         assert proc.returncode == 5
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 

@@ -1,16 +1,11 @@
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction as Fr
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-import periform
-from helpers import stack
+from helpers import goal_row, run_python, stack
 from periform.cones import FloatImage, project_to_cone
 from periform.linalg import SymForm, TangentVector, inner, int_matrix, metric_weights
 
@@ -20,16 +15,21 @@ def tv1(q, t):
 
 
 def project(gens, target):
-    """project_to_cone on the stacked rows, with point and residual as tangent vectors."""
+    """project_to_cone on the stacked rows, with the point and the residual
+    (point - target) as tangent vectors."""
     d, m = target.d, target.m
     metric = metric_weights(d, m)
-    proj = project_to_cone(*stack(gens), target.flatten(weighted=True), metric)
+    goal, gden = goal_row(target)
+    proj = project_to_cone(*stack(gens), goal, gden, metric)
+    residual = [Fr(r, proj.scale) for r in proj.residual]
 
     def tangent(coords):
         return TangentVector.unflatten([w * v / 2 for w, v in zip(metric, coords)], d, m)
 
     return SimpleNamespace(
-        point=tangent(proj.point), coeffs=proj.coeffs, residual=tangent(proj.residual)
+        point=tangent([r + Fr(g, gden) for r, g in zip(residual, goal)]),
+        coeffs=proj.coeffs,
+        residual=tangent(residual),
     )
 
 
@@ -102,11 +102,7 @@ def test_import_leaves_scipy_optimize_out():
     """scipy.optimize costs more to import than most certificates: it loads on
     the first float solve, not with the package."""
     code = "import sys, periform; print('scipy.optimize' in sys.modules)"
-    src = str(Path(periform.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-    )
+    out = run_python(code)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
 
@@ -125,11 +121,7 @@ def test_small_domains_leave_scipy_linalg_out():
         "    P.certify(x)\n"
         "print(len(P.voronoi_domain(x).rows), 'scipy.linalg' in sys.modules)\n"
     )
-    src = str(Path(periform.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-    )
+    out = run_python(code)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "288 False"
 

@@ -4,13 +4,12 @@ blocks of the README run too."""
 
 import contextlib
 import io
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+
+from helpers import run_python
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -19,11 +18,7 @@ GOLDEN = Path(__file__).resolve().parent / "demo_output"
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
 def test_demo_runs(script):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(script)], env=env, capture_output=True, text=True,
-        timeout=300,
-    )
+    proc = run_python(script, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (GOLDEN / f"{script.stem}.txt").read_text(encoding="utf-8")
 

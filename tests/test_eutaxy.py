@@ -11,10 +11,7 @@ here, independently of the ones in ``certify``.  On the boundary,
 
 import importlib
 import json
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction as Fr
 from pathlib import Path
 from types import SimpleNamespace
@@ -23,16 +20,14 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-import periform
 import periform.cones as cones
 import periform.simplex as simplex
-from helpers import det_target, gradients, stack
+from helpers import classify_rows, det_target, gradients, run_python, stack
 from periform.catalog import fluid_diamond
 from periform.certify import (
     BOUNDARY,
     INTERIOR,
     OUTSIDE,
-    _classify,
     certify,
     eutaxy_status,
     uncertainty_space,
@@ -151,7 +146,7 @@ def domain_of(gens):
 
 
 def classify(gens, target):
-    return _classify(*stack(gens), target)
+    return classify_rows(*stack(gens), target)
 
 
 def forbid_simplex(monkeypatch):
@@ -362,18 +357,13 @@ def test_garbage_float_solves(monkeypatch):
 
 def test_garbage_float_solves_without_asserts():
     """The same under python -O: the checks in certify are control flow."""
-    here = Path(__file__).resolve().parent
     code = (
         "import json, scipy.optimize, test_eutaxy as t\n"
         "scipy.optimize.nnls = t.garbage_nnls()\n"
         "print(json.dumps(t.garbage_verdicts()))\n"
     )
-    src = str(Path(periform.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, str(here)]))
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", code],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
+    out = run_python(code, optimize=True, extra_path=[Path(__file__).resolve().parent],
+                     timeout=300)
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout.strip().splitlines()[-1]) == exact_verdicts()
 

@@ -1,16 +1,13 @@
 import json
-import os
 import random
-import subprocess
 import sys
 from fractions import Fraction as Fr
 from pathlib import Path
 
 import pytest
 
-import periform
 import reference_improve
-from helpers import e8_gram
+from helpers import e8_gram, run_python
 from periform import lattices, periodic
 from periform.catalog import get
 from periform.certify import NOT_EXTREME, certify, improvement_step
@@ -364,16 +361,11 @@ def test_line_search_cases_have_directions():
 
 def test_line_search_without_asserts():
     """The same comparison under python -O."""
-    here = Path(__file__).resolve().parent
     code = (
         "import json, test_improve as t\n"
         "print(json.dumps([t.line_search_problems(c) for c in t.LINE_SEARCH_CASES]))\n"
     )
-    src = str(Path(periform.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, str(here)]))
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", code],
-        env=env, capture_output=True, text=True, timeout=600,
-    )
+    out = run_python(code, optimize=True, extra_path=[Path(__file__).resolve().parent],
+                     timeout=600)
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout.strip().splitlines()[-1]) == [[]] * len(LINE_SEARCH_CASES)

@@ -613,17 +613,15 @@ class TestIntTypeEdges:
         assert out.tolist() == [[e, -e], [1, -1]]
 
     @pytest.mark.parametrize("sign", [1, -1])
-    def test_apply_rows_and_exact_values(self, e, dtype, sign, monkeypatch):
-        """Both the float64 path (where exact) and the einsum give the edge."""
+    def test_apply_rows_and_exact_values(self, e, dtype, sign):
+        """The float64 path up to 2^53 and the einsum past it give the edge."""
         m = linalg.int_matrix([[sign * e]])
         xs = np.array([[1], [-1], [0]], dtype=np.int8)
-        for min_terms in (0, lattices._FLOAT_MIN_TERMS):
-            monkeypatch.setattr(lattices, "_FLOAT_MIN_TERMS", min_terms)
-            rows = lattices._IntMatrix(m).apply_rows(xs, 1)
-            values = lattices._IntMatrix(m).exact_values(xs, 1)
-            assert rows.dtype == values.dtype == np.dtype(dtype)
-            assert rows.tolist() == [[sign * e], [-sign * e], [0]]
-            assert values.tolist() == [sign * e, sign * e, 0]
+        rows = lattices._IntMatrix(m).apply_rows(xs, 1)
+        values = lattices._IntMatrix(m).exact_values(xs, 1)
+        assert rows.dtype == values.dtype == np.dtype(dtype)
+        assert rows.tolist() == [[sign * e], [-sign * e], [0]]
+        assert values.tolist() == [sign * e, sign * e, 0]
 
 
 def python_products(m, xs):
@@ -645,13 +643,6 @@ def assert_exact_products(m, xs, xtop):
     return rows, values
 
 
-@pytest.fixture
-def float_small(monkeypatch):
-    """Products of every size take the float64 path where it is exact."""
-    monkeypatch.setattr(lattices, "_FLOAT_MIN_TERMS", 0)
-
-
-@pytest.mark.usefixtures("float_small")
 @pytest.mark.parametrize("r", [-1, 0, 1], ids=["2^53-1", "2^53", "2^53+1"])
 class TestFloatPathEdges:
     """Bounds of 2^53 + r, reached by sums of several terms of mixed signs.
@@ -675,7 +666,6 @@ class TestFloatPathEdges:
         assert values[:2].tolist() == [2 ** 53 + r] * 2
 
 
-@pytest.mark.usefixtures("float_small")
 class TestFloatPath:
     """The float64 path below 2^53 on inputs of every shape."""
 

@@ -1,19 +1,15 @@
 import functools
 import json
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction as Fr
 from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
-import periform
 import reference_linalg
 import reference_lll
+from helpers import run_python
 from periform.catalog import get
 from periform.linalg import (
     _MODP_CHUNK,
@@ -419,12 +415,7 @@ class TestRankSpanReference:
             " for c in (0, RANK_PRIME)]\n"
             "print(rank_span(rows)[0])\n"
         )
-        src = str(Path(periform.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run(
-            [sys.executable, "-O", "-c", code],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
+        out = run_python(code, optimize=True)
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "2"
 
@@ -666,32 +657,9 @@ class TestPastOneChunk:
             "rank, complement = rank_complement(int_matrix(json.load(sys.stdin)))\n"
             "print(rank, len(complement), 'scipy.linalg' in sys.modules)\n"
         )
-        src = str(Path(periform.__file__).resolve().parent.parent)
-        out = subprocess.run(
-            [sys.executable, "-c", code], input=json.dumps(LARGE_CASES["full-rank"][0]),
-            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
-        )
+        out = run_python(code, stdin=json.dumps(LARGE_CASES["full-rank"][0]))
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "8 0 False"
-
-
-# Stand-ins for a float pick by scipy.linalg.qr(a, pivoting=True), which the
-# rank no longer calls: a column order that is reversed, repeats one column,
-# or is empty, or a failure.
-GARBAGE_PICKS = ("reversed", "dependent", "empty", "raise")
-
-
-def garbage_qr(kind, calls):
-    def qr(a, *args, **kwargs):
-        calls.append(kind)
-        n = a.shape[1]
-        if kind == "raise":
-            raise np.linalg.LinAlgError("qr stand-in")
-        perm = {"reversed": np.arange(n)[::-1], "dependent": np.zeros(n, np.intp),
-                "empty": np.zeros(0, np.intp)}[kind]
-        return np.zeros((0, 0)), perm
-
-    return qr
 
 
 def _as_json(rank, complement):
@@ -706,39 +674,6 @@ def large_results():
 
 def reference_results():
     return {name: _as_json(*large_reference(name)) for name in LARGE_CASES}
-
-
-class TestGarbagePicks:
-    """No float pick orders the rows: with a garbage scipy.linalg.qr in place,
-    it is never called, and rank and complement are those of the exact
-    echelon."""
-
-    @pytest.mark.parametrize("kind", GARBAGE_PICKS)
-    def test_in_process(self, kind, monkeypatch):
-        calls = []
-        monkeypatch.setattr(scipy.linalg, "qr", garbage_qr(kind, calls))
-        assert large_results() == reference_results()
-        assert len(calls) == 0
-
-    def test_without_asserts(self):
-        here = Path(__file__).resolve().parent
-        code = (
-            "import json, scipy.linalg, test_linalg as t\n"
-            "out = {}\n"
-            "for kind in t.GARBAGE_PICKS:\n"
-            "    scipy.linalg.qr = t.garbage_qr(kind, [])\n"
-            "    out[kind] = t.large_results()\n"
-            "print(json.dumps(out))\n"
-        )
-        src = str(Path(periform.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, str(here)]))
-        out = subprocess.run(
-            [sys.executable, "-O", "-c", code],
-            env=env, capture_output=True, text=True, timeout=300,
-        )
-        assert out.returncode == 0, out.stderr
-        got = json.loads(out.stdout.strip().splitlines()[-1])
-        assert got == {kind: reference_results() for kind in GARBAGE_PICKS}
 
 
 # ---------------------------------------------------------------------------
@@ -786,26 +721,17 @@ def checked_heads():
 
 class TestGarbageInverses:
     """The float inverse only proposes Y: whatever it returns, or if it
-    fails, rank and complement are those of the exact echelon, and no matrix
-    takes a float QR."""
+    fails, rank and complement are those of the exact echelon."""
 
     @pytest.mark.parametrize("kind", GARBAGE_INVERSES)
     def test_in_process(self, kind, monkeypatch):
-        inverses, picks, qr = [], [], scipy.linalg.qr
-
-        def counting_qr(*args, **kwargs):
-            picks.append(1)
-            return qr(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "qr", counting_qr)
+        inverses = []
         monkeypatch.setattr(np.linalg, "inv", garbage_inv(kind, inverses))
         assert large_results() == reference_results()
-        assert len(picks) == 0
         assert small_results() == small_reference_results()
         assert len(inverses) == checked_heads() > len(LARGE_CASES)
 
     def test_without_asserts(self):
-        here = Path(__file__).resolve().parent
         code = (
             "import json, numpy as np, test_linalg as t\n"
             "out = {}\n"
@@ -814,12 +740,8 @@ class TestGarbageInverses:
             "    out[kind] = [t.large_results(), t.small_results()]\n"
             "print(json.dumps(out))\n"
         )
-        src = str(Path(periform.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, str(here)]))
-        out = subprocess.run(
-            [sys.executable, "-O", "-c", code],
-            env=env, capture_output=True, text=True, timeout=300,
-        )
+        out = run_python(code, optimize=True, extra_path=[Path(__file__).resolve().parent],
+                         timeout=300)
         assert out.returncode == 0, out.stderr
         got = json.loads(out.stdout.strip().splitlines()[-1])
         want = [reference_results(), small_reference_results()]
