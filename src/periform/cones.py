@@ -12,9 +12,9 @@ question there is: its residual decides membership and is the separator of
 a target outside, and ``minimal_face`` runs it on a few related targets to
 find the minimal face that holds a member, with strictly positive weights
 when that face is the whole cone.  Floats only steer: every number returned
-is exact, and the caller verifies whatever it certifies.  scipy.optimize is
-imported on first use, because importing it costs more than most
-certificates.
+is exact, and the caller verifies whatever it certifies, so the float
+solver, ``nnls``, only has to be fast on the small, equilibrated problems
+``FloatImage`` builds.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .linalg import int_matrix, integer_row, log2_magnitude, solve_exact
 __all__ = ["ConeProjection", "project_to_cone", "minimal_face", "FloatImage"]
 
 _SUPPORT_WEIGHT = 1e-12  # float nnls weights above this make the warm start
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -229,6 +230,62 @@ def minimal_face(
     return tuple(face), tuple(a + (1 + ck) * f * den / g for a, ck, g in zip(base, c, gcds))
 
 
+def nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """x >= 0 minimising |a x - b|, or None at the iteration limit, 3n for n
+    columns.
+
+    The active-set method of Lawson and Hanson (*Solving Least Squares
+    Problems*, SIAM 1995, ch. 23) on the normal equations, as in Bro and De
+    Jong (*J. Chemometrics* 11, 1997).  An outer step moves the column of
+    largest gradient w = a^t (b - a x) into the passive set P, unless its
+    Schur complement on P is within rounding of 0 (the column lies in the
+    span of P); inner steps walk back from the solution on P to the first
+    weight that reaches 0 and drop it.  As in Lawson and Hanson, each column
+    moved in and each walk back counts one iteration.
+    """
+    n = a.shape[1]
+    ata, atb = a.T @ a, a.T @ b
+    tol = 10 * max(a.shape) * _EPS
+    x, p, w = np.zeros(n), [], atb.copy()  # p: the passive columns, in entry order
+    iterations = 0
+    while True:
+        while True:
+            t = int(w.argmax())
+            if w[t] <= tol:
+                return x
+            if not p:  # the first column needs no solve
+                y, schur = 0.0, ata[t, t]
+                break
+            # Block elimination: the solution on p + [t] from the one on p.
+            g = ata[p, t]
+            y = np.linalg.solve(ata[p][:, p], g)
+            schur = ata[t, t] - g @ y
+            if schur > tol * ata[t, t]:
+                break
+            w[t] = 0
+        p.append(t)
+        z = x[p]
+        z[-1] = w[t] / schur
+        z[:-1] -= z[-1] * y
+        while True:
+            iterations += 1
+            if iterations == 3 * n:
+                return None
+            if (z > 0).all():
+                break
+            xp, neg = x[p], np.flatnonzero(z <= 0)
+            steps = xp[neg] / (xp[neg] - z[neg])
+            k = steps.argmin()
+            xp += steps[k] * (z - xp)
+            xp[neg[k]] = 0
+            x[p] = np.maximum(xp, 0)
+            p = [j for j, v in zip(p, xp.tolist()) if v > 0]
+            z = np.linalg.solve(ata[p][:, p], atb[p])
+        x[p] = z
+        w = atb - ata @ x
+        w[p] = 0
+
+
 class FloatImage:
     """The rows of a cone in floating point, equilibrated by powers of two.
 
@@ -264,11 +321,10 @@ class FloatImage:
         self.a = table[back].reshape(matrix.shape).T.copy()
 
     def support(self, goal: Sequence[int], gden: int) -> tuple[int, ...]:
-        """The columns a float nnls of goal / gden onto the cone weighs
-        positively: the warm start of the exact projection, () when nnls
-        stops at its iteration limit.  Magnitudes read the lowest terms."""
-        from scipy.optimize import nnls
-
+        """The columns ``nnls`` of goal / gden onto the cone weighs above
+        ``_SUPPORT_WEIGHT``: the warm start of the exact projection, () when
+        ``nnls`` stops at its iteration limit.  Magnitudes read the lowest
+        terms."""
         exact = [Fraction(v, gden) for v in goal]
         shift = max((log2_magnitude(v) - r for v, r in zip(exact, self.row_shift) if v),
                     default=0)
@@ -276,8 +332,7 @@ class FloatImage:
             _scaled_float(v.numerator, v.denominator, -r - shift)
             for v, r in zip(exact, self.row_shift)
         ])
-        try:
-            weights, _ = nnls(self.a, b)
-        except RuntimeError:
+        weights = nnls(self.a, b)
+        if weights is None:
             return ()
         return tuple(int(j) for j in np.flatnonzero(weights > _SUPPORT_WEIGHT))

@@ -545,10 +545,12 @@ def _eliminate_modp(block: np.ndarray, row: np.ndarray, col: int) -> None:
 
 def _head(rows) -> tuple[np.ndarray, np.ndarray]:
     """(indices, rows there) of the rows the rank reads first: all of at most
-    one chunk; past one chunk, ``_MODP_CHUNK`` rows evenly spaced over the
-    matrix, in order (a periodic set's rows come translate pair by pair)."""
-    n = rows.shape[0]
-    k = min(n, _MODP_CHUNK)
+    k = max(``_MODP_CHUNK``, 2 ncols) rows; past k, k rows evenly spaced over
+    the matrix, in order (a periodic set's rows come translate pair by pair).
+    Twice as many rows as columns leave a wide domain a tall head, which
+    ``_full_rank`` can prove full."""
+    n, ncols = rows.shape
+    k = min(n, max(_MODP_CHUNK, 2 * ncols))
     index = np.arange(k) * n // k
     return index, rows[index]
 
@@ -560,10 +562,10 @@ def _full_rank(head: np.ndarray) -> bool:
     nonsingular (Levy-Desplanques).  s = f - e, for max|X| < 2^e, keeps
     |Y| <= 2^f, and n ncols max|head| 2^f <= 2^52 (Y = 0 if f < 0): every
     partial sum of Y head and of a row of its absolute values is an exact
-    float64.  The head may be tall: past one chunk it is the 1 024-row
-    sample, and Y head is still ncols x ncols.  False declines: Python-int
-    rows, fewer rows than columns, a failed or non-finite X, or no
-    dominance."""
+    float64.  The head may be tall: it is the ``_head`` sample, of up to
+    max(1 024, 2 ncols) rows, and Y head is still ncols x ncols.  False
+    declines: Python-int rows, fewer rows than columns, a failed or
+    non-finite X, or no dominance."""
     n, ncols = head.shape
     if head.dtype == object or n < ncols:
         return False
@@ -638,10 +640,11 @@ def rank_complement(rows) -> tuple[int, list[list[Fraction]]]:
     """Exact rank of an integer matrix and a basis of {c : row . c = 0 for all rows}.
 
     ``rows`` is an integer array or a row source, as ``independent_rows_modp``
-    takes.  When ``_full_rank`` proves the ``_head`` rows (every row of one
-    chunk, or the evenly spaced sample past it) span every column, no other
-    row is read.  Otherwise the rows independent mod RANK_PRIME are picked,
-    head first, and when they fill the space no other row is read either.
+    takes.  When ``_full_rank`` proves the ``_head`` rows (every row of a
+    matrix of at most k = max(1 024, 2 ncols) rows, or k rows evenly spaced
+    over a taller one) span every column, no other row is read.  Otherwise
+    the rows independent mod RANK_PRIME are picked, head first, and when they
+    fill the space no other row is read either.
     Otherwise every row is read at once, the reduced echelon form of the
     picked rows gives the complement, and every row is checked exactly
     against it.  A row that fails the check (the prime divided one of its

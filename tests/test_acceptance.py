@@ -459,3 +459,24 @@ def test_p10c_certifies_without_elimination(monkeypatch):
     assert (cert.verdict, cert.rank, cert.ambient) == (ISOLATED_EXTREME, 445, 445)
     assert density(x).center_density_squared == Fr(25, 16384)
     assert walks == []
+
+
+@pytest.mark.slow
+def test_wide_p10c_certifies_without_elimination(monkeypatch):
+    """P10c over diag(2, 2, 1, ..., 1), at m = 160, has a domain of 1 645
+    columns.  Its head samples 2 x 1 645 rows, which the exact left-inverse
+    check proves full: IsolatedExtreme at rank 1 645 of 1 645, with no row
+    reduced mod p.  A 1 024-row head was wide, and the mod-p walk made
+    17 135 eliminations."""
+    cleared = counted(monkeypatch, "_eliminate_modp")
+    h = [2, 2] + [1] * 8
+    q = PQF(SymForm.from_rows([[4 * h[i] * h[j] * int(i == j) for j in range(10)]
+                               for i in range(10)]))
+    # The point c + t of P10c, for c in {0, 1}^2 x 0 and t in C / 2, is H y.
+    cols = [[(((c >> k) & 1 if k < 2 else 0) + Fr((w >> k) & 1, 2)) / h[k] for k in range(10)]
+            for c in range(4) for w in P10C_WORDS]
+    x = PeriodicForm.make(q, [col for col in cols if any(col)])
+    assert x.m == 160
+    cert = certify(x)
+    assert (cert.verdict, cert.rank, cert.ambient) == (ISOLATED_EXTREME, 1645, 1645)
+    assert cleared == []

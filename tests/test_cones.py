@@ -4,9 +4,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.optimize import nnls as reference_nnls
 
+import periform.cones as cones
 from helpers import goal_row, run_python, stack
-from periform.cones import FloatImage, project_to_cone
+from periform.cones import FloatImage, nnls, project_to_cone
 from periform.linalg import SymForm, TangentVector, inner, int_matrix, metric_weights
 
 
@@ -98,13 +100,24 @@ class TestProjectToCone:
             assert inner(diff, diff) >= dist
 
 
-def test_import_leaves_scipy_optimize_out():
-    """scipy.optimize costs more to import than most certificates: it loads on
-    the first float solve, not with the package."""
-    code = "import sys, periform; print('scipy.optimize' in sys.modules)"
+def test_float_solves_leave_scipy_out():
+    """The float nnls that steers the cone projections is periform's own: a
+    fresh process that certifies Lambda9 and takes one ``improve`` step from
+    a NotExtreme form calls it and never loads scipy."""
+    code = (
+        "import sys, periform as P, periform.cones as C\n"
+        "from fractions import Fraction as Fr\n"
+        "calls, real = [], C.nnls\n"
+        "C.nnls = lambda a, b: calls.append(1) or real(a, b)\n"
+        "x = P.PeriodicForm.make(P.PQF.from_rows([[2, 1], [1, 5]]), [[0, Fr(1, 3)]])\n"
+        "verdicts = [P.certify(P.get('Lambda9').form).verdict, P.certify(x).verdict]\n"
+        "steps = len(P.improve(x, steps=1).steps)\n"
+        "scipy = any(k.split('.')[0] == 'scipy' for k in sys.modules)\n"
+        "print(*verdicts, steps, len(calls) > 2, scipy)\n"
+    )
     out = run_python(code)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["ExtremeTranslational", "NotExtreme", "1", "True", "False"]
 
 
 def test_small_domains_leave_scipy_linalg_out():
@@ -168,3 +181,73 @@ def test_float_image_matches_per_entry(seed):
         row_shift, floats = per_entry_image(m, den)
         assert image.row_shift == row_shift
         assert image.a.tobytes() == np.array(floats, dtype=float).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# nnls against scipy.optimize.nnls, a reference that only the tests import.
+# ---------------------------------------------------------------------------
+
+
+def degenerate_problems():
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((5, 8))
+    duplicate = a.copy()
+    duplicate[:, 3] = duplicate[:, 6] = a[:, 1]
+    zero = a.copy()
+    zero[:, 2] = 0
+    return {
+        "duplicate-columns": (duplicate, rng.standard_normal(5)),
+        "duplicate-columns-inside": (duplicate, duplicate @ rng.random(8)),
+        "zero-column": (zero, rng.standard_normal(5)),
+        "on-a-face": (a, a[:, :2] @ [1.5, 0.25]),
+        "on-a-ray": (a, 2 * a[:, 4]),
+        "zero-target": (a, np.zeros(5)),
+        "one-column-inside": (a[:, :1], 3 * a[:, 0]),
+        "one-column-polar": (a[:, :1], -a[:, 0]),
+        "one-by-one": (np.array([[2.0]]), np.array([3.0])),
+        "small-gradient": (np.eye(3), np.array([1.0, 1e-6, -1.0])),
+        "wide": (rng.standard_normal((3, 40)), rng.standard_normal(3)),
+        "tall": (rng.standard_normal((40, 3)), rng.standard_normal(40)),
+        "small-integers": (rng.integers(-2, 3, (6, 4)).astype(float), rng.standard_normal(6)),
+    }
+
+
+def check_against_reference(a, b):
+    """x = nnls(a, b) meets the optimality (KKT) conditions, fits b as well as
+    the reference does and, unless a weight of either lies in (0, 1e-9),
+    has its support, with duplicate columns counted as their first copy."""
+    x, expected = nnls(a, b), reference_nnls(a, b)[0]
+    assert x is not None and x.shape == expected.shape and (x >= 0).all()
+    w = a.T @ (b - a @ x)
+    tol = 1e-9 * (1 + np.abs(a).max() * np.abs(b).sum())
+    assert w.max() <= tol
+    assert np.abs(w[x > 0]).max(initial=0) <= tol
+    assert np.linalg.norm(a @ x - b) == pytest.approx(np.linalg.norm(a @ expected - b), abs=tol)
+    weights = np.concatenate([x, expected])
+    if ((weights > 0) & (weights < 1e-9)).any():
+        return
+    cols = a.T.tolist()
+    first = [cols.index(col) for col in cols]
+    assert ({first[j] for j in np.flatnonzero(x > cones._SUPPORT_WEIGHT)}
+            == {first[j] for j in np.flatnonzero(expected > cones._SUPPORT_WEIGHT)})
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_nnls_matches_reference_on_random_problems(seed):
+    rng = np.random.default_rng(seed)
+    m, n = rng.integers(1, 13, size=2)
+    check_against_reference(rng.standard_normal((m, n)), rng.standard_normal(m))
+
+
+@pytest.mark.parametrize("name", sorted(degenerate_problems()))
+def test_nnls_matches_reference_on_degenerate_problems(name):
+    check_against_reference(*degenerate_problems()[name])
+
+
+def test_support_is_empty_at_the_iteration_limit(monkeypatch):
+    """When nnls stops at its iteration limit (None), the warm start is empty
+    and the exact projection starts from the apex."""
+    image = FloatImage(int_matrix([[1, 0], [1, 1]]), 1)
+    assert image.support([2, 1], 1) == (0, 1)
+    monkeypatch.setattr(cones, "nnls", lambda a, b: None)
+    assert image.support([2, 1], 1) == ()

@@ -18,7 +18,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.optimize
 
 import periform.cones as cones
 import periform.simplex as simplex
@@ -301,17 +300,20 @@ GARBAGE_SEEDS = range(6, 22)
 
 
 def garbage_nnls(seed=0):
-    """An nnls stand-in that returns seeded nonsense of the right shape on a
-    random subset of the columns, or stops at its iteration limit, for the
-    membership projection and for every projection of face descent."""
+    """A ``cones.nnls`` stand-in that returns seeded nonsense of the right
+    shape on a random subset of the columns, or stops at its iteration limit
+    (None), for the membership projection and for every projection of face
+    descent.  ``calls`` counts its calls."""
     rng = np.random.default_rng(seed)
 
-    def nnls(a, b, **kwargs):
+    def nnls(a, b):
+        nnls.calls += 1
         if rng.random() < 0.2:
-            raise RuntimeError("nnls stand-in: iteration limit")
+            return None
         n = a.shape[1]
-        return rng.random(n) * rng.integers(0, 2, n) * 10, float(rng.random())
+        return rng.random(n) * rng.integers(0, 2, n) * 10
 
+    nnls.calls = 0
     return nnls
 
 
@@ -351,21 +353,25 @@ def exact_verdicts():
 
 
 def test_garbage_float_solves(monkeypatch):
-    monkeypatch.setattr(scipy.optimize, "nnls", garbage_nnls())
+    stub = garbage_nnls()
+    monkeypatch.setattr(cones, "nnls", stub)
     assert garbage_verdicts() == exact_verdicts()
+    assert stub.calls >= len(garbage_cases())
 
 
 def test_garbage_float_solves_without_asserts():
     """The same under python -O: the checks in certify are control flow."""
     code = (
-        "import json, scipy.optimize, test_eutaxy as t\n"
-        "scipy.optimize.nnls = t.garbage_nnls()\n"
-        "print(json.dumps(t.garbage_verdicts()))\n"
+        "import json, periform.cones, test_eutaxy as t\n"
+        "stub = periform.cones.nnls = t.garbage_nnls()\n"
+        "print(json.dumps([t.garbage_verdicts(), stub.calls]))\n"
     )
     out = run_python(code, optimize=True, extra_path=[Path(__file__).resolve().parent],
                      timeout=300)
     assert out.returncode == 0, out.stderr
-    assert json.loads(out.stdout.strip().splitlines()[-1]) == exact_verdicts()
+    verdicts, calls = json.loads(out.stdout.strip().splitlines()[-1])
+    assert verdicts == exact_verdicts()
+    assert calls >= len(garbage_cases())
 
 
 # ---------------------------------------------------------------------------
@@ -410,12 +416,12 @@ def test_one_nnls_per_cone(x, monkeypatch):
     """The exact projection starts from the active set of the triage nnls
     instead of running a second one."""
     calls = []
-    real = scipy.optimize.nnls
+    real = cones.nnls
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.optimize, "nnls", counting)
+    monkeypatch.setattr(cones, "nnls", counting)
     assert certify(x).eutaxy.tag == OUTSIDE
     assert len(calls) == 1
