@@ -2,8 +2,8 @@
 
 All certificate-bearing arithmetic in the package goes through this module
 and stays in ``fractions.Fraction`` or Python ints.  A full rank is proved by
-an integer Y with Y A strictly diagonally dominant, other ranks modulo a
-prime and then exactly over Q.  Floats decide nothing: a float left inverse
+an integer Y with Y A strictly diagonally dominant, other ranks by an exact
+echelon of float-picked rows.  Floats decide nothing: a float left inverse
 proposes Y, whose product is then exact (float64 BLAS under 2^53).  Symmetric
 matrices are stored as their upper triangle, so symmetry holds by
 construction and the inner product doubles off-diagonal contributions.
@@ -44,19 +44,16 @@ __all__ = [
     "echelon",
     "ambient_dim",
     "metric_weights",
-    "RANK_PRIME",
     "int_type",
     "max_abs",
     "int_matrix",
     "small_ints",
     "affine_rows",
-    "independent_rows_modp",
     "integer_row",
     "log2_magnitude",
 ]
 
-RANK_PRIME = 2147483647  # 2^31 - 1: a product of two residues fits in int64
-_MODP_CHUNK = 1024  # rows reduced together by one vectorized elimination step
+_HEAD_ROWS = 1024  # rows of a ``_head``, at least; the float pick reads the rest in chunks of it
 FLOAT_EXACT = 2 ** 53  # float64 holds every integer up to here: BLAS sums below it are exact
 # The fixed-width integer types of int_type, narrowest first, with the
 # largest |value| each holds.
@@ -535,22 +532,14 @@ def affine_rows(
     return rows.astype(dtype) * a + np.array(b, dtype=dtype)
 
 
-def _eliminate_modp(block: np.ndarray, row: np.ndarray, col: int) -> None:
-    """Clear column ``col`` of ``block`` in place with the monic pivot ``row``."""
-    factors = block[:, col]
-    nz = factors != 0
-    if nz.any():
-        block[nz] = (block[nz] - factors[nz, None] * row[None, :]) % RANK_PRIME
-
-
 def _head(rows) -> tuple[np.ndarray, np.ndarray]:
     """(indices, rows there) of the rows the rank reads first: all of at most
-    k = max(``_MODP_CHUNK``, 2 ncols) rows; past k, k rows evenly spaced over
+    k = max(``_HEAD_ROWS``, 2 ncols) rows; past k, k rows evenly spaced over
     the matrix, in order (a periodic set's rows come translate pair by pair).
     Twice as many rows as columns leave a wide domain a tall head, which
-    ``_full_rank`` can prove full."""
+    ``_full_rank`` can prove full; ``_float_pick`` reads it first."""
     n, ncols = rows.shape
-    k = min(n, max(_MODP_CHUNK, 2 * ncols))
+    k = min(n, max(_HEAD_ROWS, 2 * ncols))
     index = np.arange(k) * n // k
     return index, rows[index]
 
@@ -564,8 +553,8 @@ def _full_rank(head: np.ndarray) -> bool:
     partial sum of Y head and of a row of its absolute values is an exact
     float64.  The head may be tall: it is the ``_head`` sample, of up to
     max(1 024, 2 ncols) rows, and Y head is still ncols x ncols.  False
-    declines: Python-int rows, fewer rows than columns, a failed or
-    non-finite X, or no dominance."""
+    declines, as on every rank-deficient head: Python-int rows, fewer rows
+    than columns, a failed or non-finite X, or no dominance."""
     n, ncols = head.shape
     if head.dtype == object or n < ncols:
         return False
@@ -583,45 +572,38 @@ def _full_rank(head: np.ndarray) -> bool:
     return bool((b.sum(axis=1) < 2 * b.diagonal()).all())
 
 
-def independent_rows_modp(rows, limit: int, head: tuple[np.ndarray, np.ndarray]) -> list[int]:
-    """Indices of rows independent mod RANK_PRIME, taken greedily, at most ``limit``.
-
-    ``rows`` is an integer array of any type ``int_type`` names, or a row
-    source with its ``shape``, ``dtype`` and ``rows[index]`` (the Voronoi
-    domain's ``GradientRows``, which builds only the rows read here); it is
-    not modified.  The rows of one block at a time are read and reduced mod
-    p, in int64 unless they are Python ints (the narrower types cannot hold
-    RANK_PRIME).
-    Each row is reduced against the rows taken before it and is taken when
-    something is left.  A set of integer rows independent mod p is independent
-    over Q, so the rank over Q is at least the length of the result.
-    ``head``, as ``_head(rows)`` gives it, is the first block, with its rows
-    already read and taken in their order, and the rows outside it follow in
-    order, in chunks of ``_MODP_CHUNK``.
-    """
+def _float_pick(rows, head: tuple[np.ndarray, np.ndarray]) -> list[int]:
+    """Indices of at most ncols rows that look independent in float64, by a
+    greedy Gram-Schmidt: the ``_head`` rows first, then the other rows in
+    order, ``_HEAD_ROWS`` at a time, until ncols rows are taken or the rows
+    run out.  A row is taken when more than 2^-26 of its length is left once
+    the rows taken before it are projected out.  The floats only propose:
+    the rows taken may be too few, or dependent over Q."""
     index, top = head
-    order = np.delete(np.arange(rows.shape[0]), index)
-    blocks = [index] + [order[s : s + _MODP_CHUNK] for s in range(0, len(order), _MODP_CHUNK)]
+    n, ncols = rows.shape
+    rest = np.delete(np.arange(n), index) if n > len(index) else index[:0]
+    blocks = [index] + [rest[s : s + _HEAD_ROWS] for s in range(0, len(rest), _HEAD_ROWS)]
+    basis: list[np.ndarray] = []
     taken: list[int] = []
-    basis: list[tuple[np.ndarray, int]] = []
-    wide = object if rows.dtype == object else np.int64
     for k, block in enumerate(blocks):
-        chunk = (rows[block] if k else top).astype(wide, copy=False)
-        chunk = (chunk % RANK_PRIME).astype(np.int64, copy=False)
-        for brow, col in basis:
-            _eliminate_modp(chunk, brow, col)
-        for r in range(chunk.shape[0]):
-            nzc = np.flatnonzero(chunk[r])
-            if nzc.size == 0:
-                continue
-            col = int(nzc[0])
-            inv = pow(int(chunk[r, col]), RANK_PRIME - 2, RANK_PRIME)
-            row = chunk[r] * inv % RANK_PRIME
-            taken.append(int(block[r]))
-            if len(taken) >= limit:
-                return taken
-            basis.append((row, col))
-            _eliminate_modp(chunk[r + 1 :], row, col)
+        chunk = rows[block] if k else top
+        if chunk.dtype == object:  # each row shifted right by its bit length minus 60
+            bits = [int(v).bit_length() for v in np.abs(chunk).max(axis=1, initial=0)]
+            chunk = chunk >> np.maximum(np.array(bits, dtype=object) - 60, 0)[:, None]
+        chunk = chunk.astype(float)
+        least = ((chunk * chunk).sum(axis=1) * 2.0 ** -52).tolist()
+        if basis:
+            chunk -= chunk @ np.transpose(basis) @ basis
+        for r, row in enumerate(chunk):
+            left = row @ row
+            if left > least[r]:
+                q = row / np.sqrt(left)
+                basis.append(q)
+                taken.append(int(block[r]))
+                if len(taken) == ncols:
+                    return taken
+                if r + 1 < len(chunk):
+                    chunk[r + 1 :] -= np.outer(chunk[r + 1 :] @ q, q)
     return taken
 
 
@@ -639,28 +621,27 @@ def log2_magnitude(v: Fraction) -> int:
 def rank_complement(rows) -> tuple[int, list[list[Fraction]]]:
     """Exact rank of an integer matrix and a basis of {c : row . c = 0 for all rows}.
 
-    ``rows`` is an integer array or a row source, as ``independent_rows_modp``
-    takes.  When ``_full_rank`` proves the ``_head`` rows (every row of a
-    matrix of at most k = max(1 024, 2 ncols) rows, or k rows evenly spaced
-    over a taller one) span every column, no other row is read.  Otherwise
-    the rows independent mod RANK_PRIME are picked, head first, and when they
-    fill the space no other row is read either.
-    Otherwise every row is read at once, the reduced echelon form of the
-    picked rows gives the complement, and every row is checked exactly
-    against it.  A row that fails the check (the prime divided one of its
-    minors) joins the picked rows, raising the rank.  The reduced echelon
-    form of a row space is unique, so the result is the one an echelon over
-    all rows gives.
+    ``rows`` is an integer array of any type ``int_type`` names, or a row
+    source with its ``shape``, ``dtype`` and ``rows[index]`` (the Voronoi
+    domain's ``GradientRows``, which builds only the rows read); it is not
+    modified.  When ``_full_rank`` proves the ``_head`` rows span every
+    column, no other row is read.  Otherwise ``_float_pick`` proposes rows
+    and the exact ``echelon`` of those decides: at rank ncols no other row
+    is read either.  Below it every row is read once and checked exactly
+    against the complement their reduced echelon form gives; a row that
+    fails the check joins the picked rows, raising the rank.  The reduced
+    echelon form of a row space is unique, so whatever the floats pick, the
+    result is the one an echelon over all rows gives.
     """
     ncols, head = rows.shape[1], _head(rows)
     if _full_rank(head[1]):
         return ncols, []
-    taken = independent_rows_modp(rows, ncols, head)
-    if len(taken) == ncols:
+    picked = rows[np.array(_float_pick(rows, head), dtype=np.intp)].tolist()
+    rank, pivcols, ech, den = echelon(picked)
+    if rank == ncols:
         return ncols, []
     exact = rows[np.arange(rows.shape[0])].tolist()
     while True:
-        rank, pivcols, ech, den = echelon([exact[i] for i in taken])
         # den times each complement vector: den at its free column and minus
         # the echelon entries of that column at the pivot columns.
         checks = []
@@ -670,14 +651,11 @@ def rank_complement(rows) -> tuple[int, list[list[Fraction]]]:
             for r, pc in enumerate(pivcols):
                 coords[pc] = -ech[r][fc]
             checks.append(coords)
-        bad = next(
-            (i for i, row in enumerate(exact)
-             if any(sum(map(mul, row, c)) for c in checks)),
-            None,
-        )
+        bad = next((row for row in exact if any(sum(map(mul, row, c)) for c in checks)), None)
         if bad is None:
             return rank, [[Fraction(v, den) for v in c] for c in checks]
-        taken.append(bad)
+        picked.append(bad)
+        rank, pivcols, ech, den = echelon(picked)
 
 
 def rank_span(vectors: Sequence[TangentVector]) -> tuple[int, tuple[TangentVector, ...]]:
@@ -686,8 +664,8 @@ def rank_span(vectors: Sequence[TangentVector]) -> tuple[int, tuple[TangentVecto
     Orthogonality is with respect to the inner product on S^{d,m}; an empty
     input is allowed only through the typed helpers that know (d, m), so here
     it yields rank 0 with no basis information.  The vectors enter
-    ``rank_complement`` as integer rows of weighted coordinates.
-    """
+    ``rank_complement`` as integer rows of weighted coordinates: both are
+    exact, whatever its floats propose."""
     if not vectors:
         return 0, ()
     d, m = vectors[0].d, vectors[0].m

@@ -339,14 +339,14 @@ def counted(monkeypatch, name):
 def test_leech_rank_reduces_one_square(monkeypatch):
     """Leech's domain rank (98 280 rows, 300 columns) reads 1 024 rows
     evenly spaced over the whole matrix, and one exact left-inverse check on
-    that 1 024 x 300 sample proves the rank full: no row is reduced mod p."""
+    that 1 024 x 300 sample proves the rank full: the float pick never runs."""
     checks = counted(monkeypatch, "_full_rank")
-    cleared = counted(monkeypatch, "_eliminate_modp")
+    picks = counted(monkeypatch, "_float_pick")
     domain = voronoi_domain(lattice(get("Leech").form))
     assert domain.rows.shape == (98280, 300)
     assert domain.rank == 300 and domain.nullspace == ()
     assert [head.shape for head, in checks] == [(1024, 300)]
-    assert cleared == []
+    assert picks == []
 
 
 @pytest.mark.slow
@@ -355,17 +355,16 @@ def test_leech_rank_reduces_one_square(monkeypatch):
 def test_over_a_sublattice_certifies(name, index, monkeypatch):
     """K12 and Leech over the sublattice diag(index, 1, ..., 1) are
     IsolatedExtreme.  The rank is proved on 1 024 rows spread over the
-    whole matrix, by the exact left-inverse check, with no mod-p
-    elimination; on Leech's 147 432 and 224 964 rows a pick from the
-    leading rows, all from one translate pair, left 15 045 eliminations at
-    index 2."""
-    cleared = counted(monkeypatch, "_eliminate_modp")
+    whole matrix, by the exact left-inverse check, and the float pick never
+    runs; on Leech's 147 432 and 224 964 rows a sample of the leading rows,
+    all from one translate pair, could not prove it."""
+    picks = counted(monkeypatch, "_float_pick")
     q = get(name).form
     h = [[index if i == j == 0 else int(i == j) for j in range(q.d)] for i in range(q.d)]
     cert = certify(sublattice_representation(q, h))
     assert cert.verdict == ISOLATED_EXTREME
     assert cert.rank == cert.ambient
-    assert cleared == []
+    assert picks == []
 
 
 @pytest.mark.slow
@@ -451,32 +450,52 @@ def test_p10c_certifies_without_elimination(monkeypatch):
     """P10c at m = 40, as (4 I_10, c / 2 for c in C) with the word 0 as the
     pinned translate, is IsolatedExtreme at rank 445 of 445, with center
     density (5/128)^2; the exact left-inverse check on the 1 024 sampled
-    rows proves the rank, and no row is reduced mod p."""
-    walks = counted(monkeypatch, "independent_rows_modp")
+    rows proves the rank, and the float pick never runs."""
+    picks = counted(monkeypatch, "_float_pick")
     cols = [[Fr((w >> k) & 1, 2) for k in range(10)] for w in P10C_WORDS if w]
     x = PeriodicForm.make(PQF(SymForm.identity(10).scale(4)), cols)
     cert = certify(x)
     assert (cert.verdict, cert.rank, cert.ambient) == (ISOLATED_EXTREME, 445, 445)
     assert density(x).center_density_squared == Fr(25, 16384)
-    assert walks == []
+    assert picks == []
+
+
+def p10c_over(h):
+    """P10c over the sublattice diag(h) of its period lattice 2Z^10: the
+    points c + t, for c in {0, 1}^10 with c_k < h_k and t in C / 2, are
+    H y."""
+    q = PQF(SymForm.from_rows([[4 * h[i] * h[j] * int(i == j) for j in range(10)]
+                               for i in range(10)]))
+    corners = [c for c in range(1 << 10) if all((c >> k) & 1 < h[k] for k in range(10))]
+    cols = [[(((c >> k) & 1) + Fr((w >> k) & 1, 2)) / h[k] for k in range(10)]
+            for c in corners for w in P10C_WORDS]
+    return PeriodicForm.make(q, [col for col in cols if any(col)])
+
+
+@pytest.mark.slow
+def test_p10c_over_index_two_certifies_without_elimination(monkeypatch):
+    """P10c over diag(2, 1, ..., 1), at m = 80, has a domain of 845 columns,
+    and its head samples 2 x 845 rows, which the exact left-inverse check
+    proves full: IsolatedExtreme at rank 845 of 845, with the center density
+    of P10c, and the float pick never runs."""
+    picks = counted(monkeypatch, "_float_pick")
+    x = p10c_over([2] + [1] * 9)
+    assert x.m == 80
+    cert = certify(x)
+    assert (cert.verdict, cert.rank, cert.ambient) == (ISOLATED_EXTREME, 845, 845)
+    assert density(x).center_density_squared == Fr(25, 16384)
+    assert picks == []
 
 
 @pytest.mark.slow
 def test_wide_p10c_certifies_without_elimination(monkeypatch):
     """P10c over diag(2, 2, 1, ..., 1), at m = 160, has a domain of 1 645
     columns.  Its head samples 2 x 1 645 rows, which the exact left-inverse
-    check proves full: IsolatedExtreme at rank 1 645 of 1 645, with no row
-    reduced mod p.  A 1 024-row head was wide, and the mod-p walk made
-    17 135 eliminations."""
-    cleared = counted(monkeypatch, "_eliminate_modp")
-    h = [2, 2] + [1] * 8
-    q = PQF(SymForm.from_rows([[4 * h[i] * h[j] * int(i == j) for j in range(10)]
-                               for i in range(10)]))
-    # The point c + t of P10c, for c in {0, 1}^2 x 0 and t in C / 2, is H y.
-    cols = [[(((c >> k) & 1 if k < 2 else 0) + Fr((w >> k) & 1, 2)) / h[k] for k in range(10)]
-            for c in range(4) for w in P10C_WORDS]
-    x = PeriodicForm.make(q, [col for col in cols if any(col)])
+    check proves full: IsolatedExtreme at rank 1 645 of 1 645, and the float
+    pick never runs."""
+    picks = counted(monkeypatch, "_float_pick")
+    x = p10c_over([2, 2] + [1] * 8)
     assert x.m == 160
     cert = certify(x)
     assert (cert.verdict, cert.rank, cert.ambient) == (ISOLATED_EXTREME, 1645, 1645)
-    assert cleared == []
+    assert picks == []

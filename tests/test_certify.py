@@ -162,7 +162,7 @@ class TestVoronoiDomain:
         assert int(kib) < limit * 1024
 
     def test_certify_calls_no_gradient_p(self, monkeypatch):
-        """A uniform witness and a full mod-p rank never build a tangent vector."""
+        """A uniform witness and a proved full rank never build a tangent vector."""
         calls = []
 
         def counting(*args, **kwargs):
@@ -240,7 +240,7 @@ class TestGradientRows:
         assert in_float == {True, False}
 
     def test_small_domains_build_their_rows_once(self, monkeypatch):
-        """A domain of at most one rank chunk (1 024 rows) builds each of its
+        """A domain of at most one rank head (1 024 rows) builds each of its
         blocks once per ``certify``, whatever verdict it reaches: the rank
         keeps the whole matrix, and the later stages read it."""
         built = []
@@ -291,15 +291,15 @@ class TestPerfection:
         dom = voronoi_domain(lattice(e8_gram()))
         assert dom.is_full_dimensional and dom.rank == dom.ambient == 36
 
-    def test_small_representations_take_no_mod_p_walk(self, monkeypatch):
+    def test_small_representations_take_no_float_pick(self, monkeypatch):
         """The 226 representations of A2 and D4 over sublattices of index <= 4
-        are perfect, and the exact left-inverse check proves each rank: the
-        mod-p walk never runs."""
+        are perfect, and so is E8 over diag(3, 1, ..., 1), a domain of 288
+        rows; the exact left-inverse check proves each rank, and the float
+        pick never runs."""
         from periform.intmat import enumerate_sublattice_hnf
 
-        walks, real = [], linalg.independent_rows_modp
-        monkeypatch.setattr(linalg, "independent_rows_modp",
-                            lambda *args: walks.append(args) or real(*args))
+        picks, real = [], linalg._float_pick
+        monkeypatch.setattr(linalg, "_float_pick", lambda *args: picks.append(args) or real(*args))
         count = 0
         for name, d in (("A", 2), ("D", 4)):
             q = get(name, d).form
@@ -308,7 +308,10 @@ class TestPerfection:
                     dom = voronoi_domain(sublattice_representation(q, h))
                     assert dom.is_full_dimensional and dom.nullspace == ()
                     count += 1
-        assert (count, walks) == (226, [])
+        h = [[3 if i == j == 0 else int(i == j) for j in range(8)] for i in range(8)]
+        dom = voronoi_domain(sublattice_representation(get("E8").form, h))
+        assert len(dom.rows) == 288 and dom.rank == dom.ambient == 52
+        assert (count, picks) == (226, [])
 
 
 class TestEutaxyStatus:

@@ -120,25 +120,6 @@ def test_float_solves_leave_scipy_out():
     assert out.stdout.split() == ["ExtremeTranslational", "NotExtreme", "1", "True", "False"]
 
 
-def test_small_domains_leave_scipy_linalg_out():
-    """Certificates of small domains, as sublattice representations of A2,
-    D4 and E8 (288 rows), never load scipy.linalg."""
-    code = (
-        "import sys, periform as P\n"
-        "for name, params, h in [\n"
-        "        ('A', (2,), [[1, 0], [0, 2]]),\n"
-        "        ('D', (4,), [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),\n"
-        "        ('E8', (), [[3 if i == j == 0 else int(i == j) for j in range(8)]\n"
-        "                    for i in range(8)])]:\n"
-        "    x = P.sublattice_representation(P.get(name, *params).form, h)\n"
-        "    P.certify(x)\n"
-        "print(len(P.voronoi_domain(x).rows), 'scipy.linalg' in sys.modules)\n"
-    )
-    out = run_python(code)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "288 False"
-
-
 def per_entry_image(matrix, den):
     """FloatImage's shifts and floats, one entry at a time, from the exact
     values: coordinate i and generator k scaled by 2^-row_shift[i] and

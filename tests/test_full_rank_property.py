@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from periform.linalg import RANK_PRIME, _full_rank, echelon, rank_complement
+from periform.linalg import _full_rank, echelon, rank_complement
 from test_linalg import FLOAT_RANK_TWO, INT_DTYPES, reference_rank_complement
 
 
@@ -35,11 +35,11 @@ def integer_matrices(draw):
             coefs = draw(st.lists(st.integers(-2, 2), min_size=rank, max_size=rank))
             rows.append([sum(c * s[k] for c, s in zip(coefs, span)) for k in range(ncols)])
     if draw(st.booleans()):
-        # Nearly singular: independent over Q, but dependent mod p or equal
-        # in float64.
-        pairs = [(1, RANK_PRIME), (2 ** 53, 2 ** 53 + 1), (3, 3 * RANK_PRIME + 1)]
-        a, b = draw(st.sampled_from(pairs))
-        rows += [[a] + [0] * (ncols - 1), [b] + [1] * (ncols - 1)]
+        # Nearly singular: independent over Q, but equal or nearly parallel
+        # in float64, in int64 or as Python ints.
+        a, b = draw(st.sampled_from([(2 ** e, 2 ** e + 1) for e in (53, 62, 100)]))
+        c = draw(st.sampled_from([0, 1]))
+        rows += [[a] + [c] * (ncols - 1), [b] + [1] * (ncols - 1)]
     rows = draw(st.permutations(rows)) if rows else [[0] * ncols]
     top = max(abs(v) for r in rows for v in r)
     dtype = draw(st.sampled_from([t for t in INT_DTYPES if top <= np.iinfo(t).max] + [object]))
@@ -50,7 +50,8 @@ def integer_matrices(draw):
 @given(integer_matrices())
 @example(([[1, 0], [0, 1]], np.int8))
 @example((FLOAT_RANK_TWO, np.int64))
-@example(([[1, 0], [1, 2 * RANK_PRIME]], np.int64))
+@example(([[2 ** 62, 1], [2 ** 62 + 1, 1]], np.int64))
+@example(([[2 ** 100, 1], [2 ** 100 + 1, 1]], object))
 def test_never_accepts_a_deficient_matrix(case):
     rows, dtype = case
     matrix = np.array(rows, dtype=dtype)

@@ -11,17 +11,17 @@ import reference_linalg
 import reference_lll
 from helpers import run_python
 from periform.catalog import get
+from periform import linalg
 from periform.linalg import (
-    _MODP_CHUNK,
+    _HEAD_ROWS,
+    _float_pick,
     _full_rank,
     _head,
     PQF,
-    RANK_PRIME,
     SymForm,
     TangentVector,
     ambient_dim,
     echelon,
-    independent_rows_modp,
     inner,
     int_matrix,
     ldl,
@@ -373,12 +373,18 @@ def random_generators(rng, d, m, rat):
     return [TangentVector.unflatten(r, d, m) for r in rows]
 
 
-# Weighted flattenings (1, 0, 0) and (1, 2p, 0): dependent mod p, independent
-# over Q, so the rows picked mod p miss one and the exact check must add it.
-UNLUCKY = (
-    TangentVector.make(SymForm(2, (Fr(1), Fr(0), Fr(0)))),
-    TangentVector.make(SymForm(2, (Fr(1), Fr(RANK_PRIME), Fr(0)))),
-)
+# Weighted flattenings (2^53, 2, 0) and (2^53 + 1, 2, 0): independent over Q,
+# but equal in float64, so the float pick takes one and the exact check must
+# add the other.
+UNLUCKY = tuple(TangentVector.make(SymForm(2, (Fr(2 ** 53 + c), Fr(1), Fr(0)))) for c in (0, 1))
+
+
+def counted_picks(monkeypatch):
+    """The rows each call of ``linalg._float_pick`` returns; it still picks."""
+    picks = []
+    monkeypatch.setattr(linalg, "_float_pick",
+                        lambda *args: picks.append(_float_pick(*args)) or picks[-1])
+    return picks
 
 
 class TestRankSpanReference:
@@ -401,18 +407,19 @@ class TestRankSpanReference:
         )
         assert rank_span(vecs) == reference_rank_span(vecs)
 
-    def test_unlucky_prime(self):
+    def test_unlucky_rounding(self, monkeypatch):
+        picks = counted_picks(monkeypatch)
         rank, null = rank_span(UNLUCKY)
-        assert rank == 2
+        assert rank == 2 and picks == [[0]]
         assert (rank, null) == reference_rank_span(UNLUCKY)
 
-    def test_unlucky_prime_without_asserts(self):
+    def test_unlucky_rounding_without_asserts(self):
         # The exact check is control flow, so it survives python -O.
         code = (
             "from fractions import Fraction as Fr\n"
-            "from periform.linalg import RANK_PRIME, SymForm, TangentVector, rank_span\n"
-            "rows = [TangentVector.make(SymForm(2, (Fr(1), Fr(c), Fr(0))))"
-            " for c in (0, RANK_PRIME)]\n"
+            "from periform.linalg import SymForm, TangentVector, rank_span\n"
+            "rows = [TangentVector.make(SymForm(2, (Fr(2 ** 53 + c), Fr(1), Fr(0))))"
+            " for c in (0, 1)]\n"
             "print(rank_span(rows)[0])\n"
         )
         out = run_python(code, optimize=True)
@@ -572,7 +579,7 @@ class TestInverseReference:
 
 
 # ---------------------------------------------------------------------------
-# Past one chunk: 1 024 rows evenly spaced over the matrix are the head.
+# Past one head: 1 024 rows evenly spaced over the matrix are the head.
 # ---------------------------------------------------------------------------
 
 
@@ -586,10 +593,22 @@ def _span_rows(rng, n, ncols, rank, entry):
     ]
 
 
+class CountingRows:
+    """An integer matrix as a row source, which records how many rows each
+    read builds."""
+
+    def __init__(self, matrix):
+        self.matrix, self.shape, self.dtype, self.reads = matrix, matrix.shape, matrix.dtype, []
+
+    def __getitem__(self, index):
+        self.reads.append(len(index))
+        return self.matrix[index]
+
+
 def _large_cases():
-    """name -> (integer rows, their rank), each with more rows than one chunk."""
+    """name -> (integer rows, their rank), each with more rows than one head."""
     rng = random.Random("past one chunk")
-    n, tail = _MODP_CHUNK + 76, 76
+    n, tail = _HEAD_ROWS + 76, 76
 
     def small():
         return rng.randint(-9, 9)
@@ -597,24 +616,28 @@ def _large_cases():
     def tall():
         return rng.getrandbits(1100) - 2 ** 1099
 
-    zero_head = [[0] * 8 for _ in range(_MODP_CHUNK)]
+    zero_head = [[0] * 8 for _ in range(_HEAD_ROWS)]
     few = _span_rows(rng, 3, 8, 3, small)
-    # (1, 0) and (0, p) are independent over Q, but singular mod p.
-    unlucky = [[1, 0], [0, RANK_PRIME]] + [[0, 0]] * (_MODP_CHUNK - 2)
+    # (2^53, 1) and (2^53 + 1, 1) are independent over Q, but equal in float64.
+    unlucky = [[2 ** 53, 1], [2 ** 53 + 1, 1]] + [[0, 0]] * (_HEAD_ROWS - 2)
     return {
         "full-rank": (_span_rows(rng, n, 8, 8, small), 8),
         "deficient-1": (_span_rows(rng, n, 8, 7, small), 7),
         "deficient-5": (_span_rows(rng, n, 8, 3, small), 3),
         "independent-after-head": (zero_head + _span_rows(rng, tail, 8, 8, small), 8),
         "duplicates-in-head": (
-            [list(rng.choice(few)) for _ in range(_MODP_CHUNK)]
+            [list(rng.choice(few)) for _ in range(_HEAD_ROWS)]
             + _span_rows(rng, tail, 8, 5, small), 8),
         "tall-2^+-1100": (
             [[v << shift for v in row]
              for row, shift in zip(_span_rows(rng, n, 6, 4, tall),
                                    (rng.choice([0, 1100]) for _ in range(n)))], 4),
-        "unlucky-prime-later": (unlucky + [[0, 0]] * 50 + [[0, 1]] + [[0, 0]] * 25, 2),
-        "unlucky-prime-nowhere": (unlucky + [[0, 0]] * tail, 2),
+        # (0, 1) is the last row, which the head of 1 024 of the 1 100 rows leaves out.
+        "unlucky-rounding-later": (unlucky + [[0, 0]] * (tail - 1) + [[0, 1]], 2),
+        "unlucky-rounding-nowhere": (unlucky + [[0, 0]] * tail, 2),
+        # Python ints, shifted to (2^59, 0) twice before they become floats.
+        "unlucky-rounding-python-ints": (
+            [[2 ** 100, 1], [2 ** 100 + 1, 1]] + [[0, 0]] * (_HEAD_ROWS + tail - 2), 2),
     }
 
 
@@ -630,36 +653,33 @@ class TestPastOneChunk:
     @pytest.mark.parametrize("name", LARGE_CASES)
     def test_matches_reference(self, name):
         rows, rank = LARGE_CASES[name]
-        assert len(rows) > _MODP_CHUNK
+        assert len(rows) > _HEAD_ROWS
         assert large_reference(name)[0] == rank
         assert rank_complement(int_matrix(rows)) == large_reference(name)
 
     @pytest.mark.parametrize("name", LARGE_CASES)
     def test_taken_rows_are_independent(self, name):
-        """The walk returns indices into the rows as given, not into its
-        reordering: the rows they name are independent, and as many as the
-        rank unless p divides a minor."""
+        """The float pick returns indices into the rows as given, not into
+        its reordering: the rows they name are independent, and as many as
+        the rank unless float64 rounds two independent rows to one."""
         rows, rank = LARGE_CASES[name]
         matrix = int_matrix(rows)
-        taken = independent_rows_modp(matrix, len(rows[0]), _head(matrix))
+        taken = _float_pick(matrix, _head(matrix))
         assert len(set(taken)) == len(taken) == echelon([rows[i] for i in taken])[0]
-        assert len(taken) == (1 if name == "unlucky-prime-nowhere" else rank)
+        rounded = name in ("unlucky-rounding-nowhere", "unlucky-rounding-python-ints")
+        assert len(taken) == rank - rounded
+
+    def test_pick_stops_at_full_rank(self, monkeypatch):
+        """The float pick reads the rows past the head in chunks; where it
+        finds every column, the exact echelon of its rows proves the rank and
+        no other row is read."""
+        picks = counted_picks(monkeypatch)
+        source = CountingRows(int_matrix(LARGE_CASES["unlucky-rounding-later"][0]))
+        assert rank_complement(source) == (2, [])
+        assert picks == [[0, _HEAD_ROWS + 75]] and source.reads == [_HEAD_ROWS, 76, 2]
 
     def test_tall_rows_are_python_ints(self):
         assert int_matrix(LARGE_CASES["tall-2^+-1100"][0]).dtype == object
-
-    def test_full_rank_leaves_scipy_linalg_out(self):
-        """Past one chunk the check reads the sampled rows themselves: no
-        float QR orders them, so ranking never imports scipy.linalg."""
-        code = (
-            "import json, sys\n"
-            "from periform.linalg import int_matrix, rank_complement\n"
-            "rank, complement = rank_complement(int_matrix(json.load(sys.stdin)))\n"
-            "print(rank, len(complement), 'scipy.linalg' in sys.modules)\n"
-        )
-        out = run_python(code, stdin=json.dumps(LARGE_CASES["full-rank"][0]))
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "8 0 False"
 
 
 def _as_json(rank, complement):
@@ -748,6 +768,61 @@ class TestGarbageInverses:
         assert got == {kind: want for kind in GARBAGE_INVERSES}
 
 
+# Stand-ins for the float pick: no rows, half of the true pick, its first row
+# ncols times, the first ncols rows of the matrix (dependent or zero in most
+# cases), or the true pick shuffled.
+GARBAGE_PICKS = ("none", "few", "duplicated", "dependent", "shuffled")
+
+
+def garbage_pick(kind, calls):
+    def pick(rows, head):
+        calls.append(kind)
+        true, (n, ncols) = _float_pick(rows, head), rows.shape
+        return {"none": [], "few": true[: len(true) // 2], "duplicated": true[:1] * ncols,
+                "dependent": list(range(min(n, ncols))),
+                "shuffled": random.Random(n).sample(true, len(true))}[kind]
+
+    return pick
+
+
+def picked_heads():
+    """How many of the small and large cases reach the float pick: those
+    whose head the full-rank check declines."""
+    matrices = [int_matrix(rows) for rows in SMALL_CASES.values()]
+    matrices += [int_matrix(rows) for rows, _ in LARGE_CASES.values()]
+    return sum(not _full_rank(_head(m)[1]) for m in matrices)
+
+
+class TestGarbagePicks:
+    """The float pick only proposes rows: whatever it returns, rank and
+    complement are those of the exact echelon."""
+
+    @pytest.mark.parametrize("kind", GARBAGE_PICKS)
+    def test_in_process(self, kind, monkeypatch):
+        picks = []
+        monkeypatch.setattr(linalg, "_float_pick", garbage_pick(kind, picks))
+        assert large_results() == reference_results()
+        assert small_results() == small_reference_results()
+        assert len(picks) == picked_heads() > len(LARGE_CASES)
+
+    def test_without_asserts(self):
+        code = (
+            "import json, periform.linalg as L, test_linalg as t\n"
+            "out = {}\n"
+            "for kind in t.GARBAGE_PICKS:\n"
+            "    picks = []\n"
+            "    L._float_pick = t.garbage_pick(kind, picks)\n"
+            "    out[kind] = [t.large_results(), t.small_results(), len(picks)]\n"
+            "print(json.dumps(out))\n"
+        )
+        out = run_python(code, optimize=True, extra_path=[Path(__file__).resolve().parent],
+                         timeout=300)
+        assert out.returncode == 0, out.stderr
+        got = json.loads(out.stdout.strip().splitlines()[-1])
+        want = [reference_results(), small_reference_results(), picked_heads()]
+        assert got == {kind: want for kind in GARBAGE_PICKS}
+
+
 INT_DTYPES = (np.int8, np.int16, np.int32, np.int64)
 
 
@@ -759,7 +834,8 @@ FLOAT_RANK_TWO = [[2 ** 53 + 1, 3], [3 * 2 ** 53 + 3, 9]]
 class TestFullRankCheck:
     def test_accepts_full_rank_heads(self):
         """On small full-rank matrices of every integer type the check proves
-        the rank itself; on Python ints it leaves the rank to the walk."""
+        the rank itself; on Python ints it leaves the rank to the float pick
+        and the exact echelon."""
         for dtype in INT_DTYPES:
             assert _full_rank(np.array([[1, 0], [0, 1], [1, 1]], dtype=dtype))
         assert not _full_rank(np.array([[1, 0], [0, 1]], dtype=object))
@@ -767,7 +843,7 @@ class TestFullRankCheck:
     def test_declines_where_no_product_is_exact(self):
         """The check claims a rank only from exact float products: with n
         ncols max|head| > 2^52 no Y keeps every partial sum of Y head under
-        2^53, so it declines even on full-rank heads, which the walk then
+        2^53, so it declines even on full-rank heads, which the exact echelon then
         proves."""
         for size, shift, proved in ((4, 46, True), (8, 47, False), (4, 50, False), (2, 62, False)):
             head = np.eye(size, dtype=np.int64) << shift

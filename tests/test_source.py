@@ -102,6 +102,14 @@ def imported(node):
     return []
 
 
+def test_every_test_module_imports():
+    """Every test module imports.  The Tier-1 run continues past collection
+    errors, so a module that imports a deleted name would otherwise drop
+    all of its tests without one failure."""
+    for path in sorted(Path(__file__).resolve().parent.glob("test_*.py")):
+        importlib.import_module(path.stem)
+
+
 def test_no_module_imports_scipy():
     """No module imports scipy, or even names it: the float solve that steers
     the cone projections is ``cones.nnls``, and scipy serves only the tests,
